@@ -144,5 +144,7 @@ class MinkUNet(Module):
         ):
             grad = blocks.backward(grad, ctx)
             grad = down.backward(grad, ctx)
-            grad = grad + skip_grads.pop().astype(grad.dtype)
+            skip_grad = skip_grads.pop()
+            if not ctx.simulate_only:
+                grad = grad + skip_grad.astype(grad.dtype)
         return self.stem.backward(grad, ctx)

@@ -84,8 +84,11 @@ class ResidualBlock(Module):
         identity = self.projection(x, ctx) if self.projection else x
         out = self.relu1(self.bn1(self.conv1(x, ctx), ctx), ctx)
         out = self.bn2(self.conv2(out, ctx), ctx)
-        summed = out.with_feats(out.feats + identity.feats.astype(out.feats.dtype))
-        return self.relu_out(summed, ctx)
+        if not ctx.simulate_only:
+            out = out.with_feats(
+                out.feats + identity.feats.astype(out.feats.dtype)
+            )
+        return self.relu_out(out, ctx)
 
     def backward(self, grad: np.ndarray, ctx: ExecutionContext) -> np.ndarray:
         grad = self.relu_out.backward(grad, ctx)
@@ -98,4 +101,6 @@ class ResidualBlock(Module):
             grad_skip = self.projection.backward(grad, ctx)
         else:
             grad_skip = grad
+        if ctx.simulate_only:
+            return grad_main
         return grad_main + grad_skip.astype(grad_main.dtype)

@@ -130,11 +130,17 @@ class ExecutionContext:
         training: whether layers should save activations for backward.
         adaptive_tiling: let conv layers pick tile sizes by workload MACs
             (Section 6.2) instead of the policy's fixed tiles.
-        simulate_only: skip the matrix arithmetic and propagate zero
-            features — traces (and therefore simulated latency) are exact
-            either way because they depend only on geometry and shapes.
-            This is how full-scale workloads (100k+ voxels, 256 channels)
-            are costed without paying for the numpy matmuls.
+        simulate_only: run shape-only — layers emit exactly the launches
+            of a numeric run but compute nothing.  Every feature and
+            gradient a layer produces is a read-only, zero-strided view
+            (:func:`~repro.sparse.tensor.shape_only_feats`) that carries
+            only shape and dtype, and layers must not compute on the
+            features they receive (no matmuls, bias or residual adds,
+            concatenations).  Traces, and therefore simulated latency,
+            are exact either way because they depend only on geometry
+            and shapes; this is how full-scale workloads (100k+ voxels,
+            256 channels) are costed with no memory or time that scales
+            with ``N x C``.
         gpu_streams: virtual GPU streams for the latency model; with
             ``> 1`` the accumulated trace is list-scheduled onto its
             dependence DAG (:mod:`repro.opt.schedule`) instead of
@@ -230,6 +236,18 @@ class ExecutionContext:
         return best_schedule(
             self.trace, self.device, self.precision, self.gpu_streams
         )
+
+    def scheduled_latency(self) -> Tuple[float, int]:
+        """``(latency_us(), sync events charged)`` from one scheduling pass.
+
+        With ``gpu_streams > 1`` the latency is the makespan of
+        :meth:`stream_schedule` — the value ``estimate_trace_us`` would
+        compute by scheduling the same trace again.
+        """
+        schedule = self.stream_schedule()
+        if schedule is None:
+            return self.latency_us(), 0
+        return schedule.makespan_us, len(schedule.events)
 
     def breakdown_us(self) -> Dict[str, float]:
         return latency_breakdown(self.trace, self.device, self.precision)

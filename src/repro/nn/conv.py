@@ -32,7 +32,7 @@ from repro.nn.module import Module, Parameter
 from repro.sparse.hashmap import HashMapStats
 from repro.sparse.kernel_offsets import kernel_volume, normalize_kernel_size
 from repro.sparse.kmap import KernelMap, MapKey, build_kernel_map
-from repro.sparse.tensor import SparseTensor
+from repro.sparse.tensor import SparseTensor, shape_only_feats
 
 
 def _identity_kmap(tensor: SparseTensor) -> KernelMap:
@@ -210,8 +210,8 @@ class SparseConv3d(Module):
         )
 
         if ctx.simulate_only:
-            out = np.zeros(
-                (kmap.num_outputs, weights.shape[2]), dtype=ctx.precision.dtype
+            out = shape_only_feats(
+                kmap.num_outputs, weights.shape[2], ctx.precision.dtype
             )
             trace = trace_dataflow(
                 config.dataflow,
@@ -275,7 +275,7 @@ class SparseConv3d(Module):
         out_feats = self._run(
             x.feats, self.weight.data, kmap, config, ctx, "fwd"
         )
-        if self.bias is not None:
+        if self.bias is not None and not ctx.simulate_only:
             out_feats = out_feats + self.bias.data.astype(out_feats.dtype)
         if self.training:
             self._saved = {
@@ -333,7 +333,9 @@ class SparseConv3d(Module):
         if "transposed" not in kmap.analysis_cache:
             kmap.analysis_cache["transposed"] = kmap.transposed()
         t_kmap = kmap.analysis_cache["transposed"]
-        w_t = np.ascontiguousarray(self.weight.data.transpose(0, 2, 1))
+        w_t = self.weight.data.transpose(0, 2, 1)
+        if not ctx.simulate_only:
+            w_t = np.ascontiguousarray(w_t)
         grad_in = self._run(grad_out, w_t, t_kmap, dgrad_cfg, ctx, "dgrad")
 
         # wgrad under its own config.
@@ -382,6 +384,6 @@ class SparseConv3d(Module):
         scope_buffers(trace, f"{self.label}/wgrad")
         ctx.trace.extend(trace)
         self.weight.accumulate(grad_w)
-        if self.bias is not None:
+        if self.bias is not None and not ctx.simulate_only:
             self.bias.accumulate(grad_out.sum(axis=0))
         return grad_in

@@ -10,7 +10,7 @@ from repro.errors import ShapeError
 from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind
 from repro.nn.context import ExecutionContext
 from repro.nn.module import Module
-from repro.sparse.tensor import SparseTensor
+from repro.sparse.tensor import SparseTensor, shape_only_feats
 
 
 class ConcatSkip(Module):
@@ -52,9 +52,15 @@ class ConcatSkip(Module):
                 f"{skip.num_points} points"
             )
         self._split_at = x.num_channels
-        feats = np.concatenate(
-            [x.feats, skip.feats.astype(x.feats.dtype)], axis=1
-        )
+        if ctx.simulate_only:
+            feats = shape_only_feats(
+                x.num_points, x.num_channels + skip.num_channels,
+                x.feats.dtype,
+            )
+        else:
+            feats = np.concatenate(
+                [x.feats, skip.feats.astype(x.feats.dtype)], axis=1
+            )
         self._charge(feats.size, ctx)
         return x.with_feats(feats)
 

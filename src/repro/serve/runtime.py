@@ -334,6 +334,19 @@ class _BatchCost:
 
 
 @dataclasses.dataclass(frozen=True)
+class _BatchRun:
+    """One batch served by :meth:`ServingRuntime._execute`."""
+
+    service_ms: float  # including dispatch overhead and any inline tune
+    policy_hit: bool
+    degraded: bool
+    kmap_hits: List[bool]  # per request, in batch order
+    stages: Dict[str, float]  # stage breakdown in us
+    ladder: Tuple[str, ...]  # degradation-ladder rungs taken
+    sync_events: int
+
+
+@dataclasses.dataclass(frozen=True)
 class _SampleCost:
     """Memoized single-sample simulation at a fixed cache warmth.
 
@@ -670,10 +683,8 @@ class ServingRuntime:
         now: float,
         replica: DeviceReplica,
         forced_oom: bool = False,
-    ) -> Tuple[float, bool, bool, List[bool], Dict[str, float], Tuple[str, ...]]:
-        """Run one batch on ``replica``; returns (service_ms, policy_hit,
-        degraded, per-request kmap hits, stage-breakdown in us, ladder
-        rungs taken).
+    ) -> _BatchRun:
+        """Run one batch on ``replica``.
 
         Kernel-map reuse is against *the replica's own* cache: a stream's
         warm state helps only the replica that built it.
@@ -776,14 +787,14 @@ class ServingRuntime:
             + self.config.dispatch_overhead_us / 1e3
             + extra_ms
         )
-        return (
-            service_ms,
-            policy_hit,
-            cost.degraded,
-            kmap_hits,
-            stages,
-            cost.ladder,
-            cost.sync_events,
+        return _BatchRun(
+            service_ms=service_ms,
+            policy_hit=policy_hit,
+            degraded=cost.degraded,
+            kmap_hits=kmap_hits,
+            stages=stages,
+            ladder=cost.ladder,
+            sync_events=cost.sync_events,
         )
 
     def _compose_cost(
@@ -1015,21 +1026,16 @@ class ServingRuntime:
             retry.precharge(ctx.charged_keys())  # maps survive the OOM
             for sample in samples:
                 model(sample, retry)
-            retry_us = retry.latency_us()
-            retry_schedule = retry.stream_schedule()
-            if retry_schedule is not None:
-                retry_sync_events = len(retry_schedule.events)
+            retry_us, retry_sync_events = retry.scheduled_latency()
             degraded = True
 
         stages = dict(ctx.breakdown_us())
         stages["host/preprocess"] = preprocess_us
         if retry_us:
             stages["resilience/ladder"] = retry_us
-        service_ms = (ctx.latency_us() + retry_us + preprocess_us) / 1e3
-        sync_events = retry_sync_events
-        schedule = ctx.stream_schedule()
-        if schedule is not None:
-            sync_events += len(schedule.events)
+        latency_us, sync_events = ctx.scheduled_latency()
+        service_ms = (latency_us + retry_us + preprocess_us) / 1e3
+        sync_events += retry_sync_events
         return (
             _BatchCost(
                 service_ms=service_ms,
@@ -1240,20 +1246,12 @@ class ServingRuntime:
             batch_counter += 1
             forced_oom = injector.batch_ooms(batch_id)
             ooms_before = replica.ooms
-            (
-                service_ms,
-                policy_hit,
-                degraded,
-                kmap_hits,
-                stages,
-                ladder,
-                batch_sync_events,
-            ) = self._execute(batch, now, replica, forced_oom=forced_oom)
-            sync_events_total += batch_sync_events
+            run = self._execute(batch, now, replica, forced_oom=forced_oom)
+            sync_events_total += run.sync_events
             if replica.ooms > ooms_before:
                 oom_events += 1
-                ladder_steps += len(ladder)
-            service_ms *= injector.slow_factor(replica.index)
+                ladder_steps += len(run.ladder)
+            service_ms = run.service_ms * injector.slow_factor(replica.index)
             failed = injector.batch_fails(batch_id)
             if failed:
                 # The attempt errors out partway through; the replica still
@@ -1271,7 +1269,7 @@ class ServingRuntime:
             )
             if replica.breaker is not None:
                 replica.breaker.on_dispatch()
-            for stage, us in stages.items():
+            for stage, us in run.stages.items():
                 stage_totals[stage] = stage_totals.get(stage, 0.0) + us
             push_event(finish, FREE, (replica.index, failed))
             return _Attempt(
@@ -1281,10 +1279,10 @@ class ServingRuntime:
                 finish_ms=finish,
                 service_ms=service_ms,
                 failed=failed,
-                policy_hit=policy_hit,
-                degraded=degraded,
-                kmap_hits=kmap_hits,
-                ladder=ladder,
+                policy_hit=run.policy_hit,
+                degraded=run.degraded,
+                kmap_hits=run.kmap_hits,
+                ladder=run.ladder,
             )
 
         def dispatch(batch: List[InferenceRequest], now: float) -> None:

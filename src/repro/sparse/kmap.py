@@ -19,6 +19,7 @@ quantity in the paper's analysis (Tables 3/4, Section 6.3).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -109,10 +110,16 @@ class KernelMap:
         """Number of kernel offsets ``V = K^D``."""
         return self.nbmap.shape[1]
 
-    @property
+    @functools.cached_property
     def map_sizes(self) -> np.ndarray:
-        """``|M_delta|`` per offset: valid pairs for each weight."""
-        return np.count_nonzero(self.nbmap >= 0, axis=0)
+        """``|M_delta|`` per offset: valid pairs for each weight.
+
+        Counted once (``nbmap`` is never reassigned) and read-only, since
+        every caller shares the one array.
+        """
+        sizes = np.count_nonzero(self.nbmap >= 0, axis=0)
+        sizes.flags.writeable = False
+        return sizes
 
     @property
     def total_pairs(self) -> int:

@@ -139,6 +139,16 @@ class SparseTensor:
         )
 
 
+def shape_only_feats(num_points: int, channels: int, dtype) -> np.ndarray:
+    """Zero features of shape ``(num_points, channels)`` with no storage.
+
+    A read-only, zero-strided view: it carries ``shape``, ``dtype`` and
+    ``size`` for simulate-only execution, whose traces depend on shapes
+    alone, while allocating nothing that scales with ``N x C``.
+    """
+    return np.broadcast_to(np.zeros((), dtype=dtype), (num_points, channels))
+
+
 def batch_sparse_tensors(tensors: "list[SparseTensor]") -> SparseTensor:
     """Concatenate single-sample tensors into one batch.
 

@@ -13,7 +13,9 @@ serving) emitted it.
 Multi-stream estimates are additionally verified by the happens-before
 race detector (:func:`repro.analyze.hb.check_schedule`): the schedule
 actually used at the requested stream count must order every dependence
-edge via stream program order plus explicit sync events.
+edge via stream program order plus explicit sync events.  Schedules an
+execution context prices directly (``ExecutionContext.stream_schedule``)
+get the same three checks.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.analyze.depgraph import check_depgraph
 from repro.analyze.hb import check_schedule
 from repro.analyze.tracecheck import check_trace
 from repro.gpusim import engine as _engine
+from repro.nn.context import ExecutionContext
 from repro.opt.schedule import best_schedule
 from repro.precision import Precision
 
@@ -44,6 +47,20 @@ _PATCH_MODULES = (
 )
 
 _real_estimate_trace_us = _engine.estimate_trace_us
+_real_stream_schedule = ExecutionContext.stream_schedule
+
+
+def _sanitize(trace, device, parsed, schedule=None):
+    violations = check_trace(trace)
+    violations += check_depgraph(trace, device, parsed)
+    if schedule is not None:
+        violations += check_schedule(trace, schedule)
+    if violations:
+        details = "\n".join(f"  - {v}" for v in violations)
+        raise AssertionError(
+            f"trace sanitizer found {len(violations)} violation(s) in a "
+            f"trace submitted for latency estimation:\n{details}"
+        )
 
 
 def _checked_estimate_trace_us(trace, device, precision, streams=1, **kwargs):
@@ -52,18 +69,21 @@ def _checked_estimate_trace_us(trace, device, precision, streams=1, **kwargs):
     # too — a raw string would silently mis-price tensor-core launches in
     # the cross-validation weights (``gemm_tflops`` compares by identity).
     parsed = Precision.parse(precision)
-    violations = check_trace(trace)
-    violations += check_depgraph(trace, device, parsed)
+    schedule = None
     if streams > 1 and len(list(trace)):
         schedule = best_schedule(trace, device, parsed, streams)
-        violations += check_schedule(trace, schedule)
-    if violations:
-        details = "\n".join(f"  - {v}" for v in violations)
-        raise AssertionError(
-            f"trace sanitizer found {len(violations)} violation(s) in a "
-            f"trace submitted for latency estimation:\n{details}"
-        )
+    _sanitize(trace, device, parsed, schedule)
     return _real_estimate_trace_us(trace, device, precision, streams, **kwargs)
+
+
+def _checked_stream_schedule(ctx):
+    # Contexts price multi-stream traces from this schedule directly
+    # (``ExecutionContext.scheduled_latency``), bypassing
+    # ``estimate_trace_us``: verify the schedule actually returned.
+    schedule = _real_stream_schedule(ctx)
+    if schedule is not None:
+        _sanitize(ctx.trace, ctx.device, ctx.precision, schedule)
+    return schedule
 
 
 @pytest.fixture(autouse=True)
@@ -74,6 +94,9 @@ def sanitize_all_traces(monkeypatch):
             monkeypatch.setattr(
                 module, "estimate_trace_us", _checked_estimate_trace_us
             )
+    monkeypatch.setattr(
+        ExecutionContext, "stream_schedule", _checked_stream_schedule
+    )
     yield
 
 
