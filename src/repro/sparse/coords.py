@@ -30,6 +30,14 @@ def _check_coords(coords: np.ndarray) -> np.ndarray:
     return coords
 
 
+def _check_spatial_range(lo, hi) -> None:
+    if lo < -_BIAS or hi >= _BIAS:
+        raise ShapeError(
+            "spatial coordinates out of packable range "
+            f"[{-_BIAS}, {_BIAS - 1}]: min={lo}, max={hi}"
+        )
+
+
 def pack_coords(coords: np.ndarray) -> np.ndarray:
     """Pack ``(N, 1 + D)`` integer coordinates into int64 keys.
 
@@ -43,13 +51,8 @@ def pack_coords(coords: np.ndarray) -> np.ndarray:
             f"cannot pack {num_fields} fields of {_FIELD_BITS} bits into int64"
         )
     spatial = coords[:, 1:]
-    if spatial.size and (
-        spatial.min() < -_BIAS or spatial.max() >= _BIAS
-    ):
-        raise ShapeError(
-            "spatial coordinates out of packable range "
-            f"[{-_BIAS}, {_BIAS - 1}]: min={spatial.min()}, max={spatial.max()}"
-        )
+    if spatial.size:
+        _check_spatial_range(spatial.min(), spatial.max())
     batch = coords[:, 0]
     if batch.size and (batch.min() < 0 or batch.max() > _FIELD_MASK):
         raise ShapeError("batch index out of packable range [0, 65535]")
@@ -60,6 +63,33 @@ def pack_coords(coords: np.ndarray) -> np.ndarray:
             (coords[:, dim].astype(np.int64) + _BIAS) & _FIELD_MASK
         )
     return keys
+
+
+def pack_shifted(
+    coords: np.ndarray, keys: np.ndarray, deltas: np.ndarray
+) -> np.ndarray:
+    """Keys of ``coords`` shifted by every spatial offset in ``deltas``.
+
+    Returns ``(V, N)`` int64 with row ``v`` equal to
+    ``pack_coords(coords + [0, *deltas[v]])``, given ``keys ==
+    pack_coords(coords)``.  Packing is additive within a field: when every
+    shifted coordinate is packable, ``pack(c + d) == pack(c) +
+    sum_i d_i << 16 * (D - i)``, so all ``V * N`` keys are one broadcast add.
+    The precondition is checked in O(N + V) from the per-dimension extremes
+    of ``coords`` and ``deltas``; a shifted coordinate out of range raises
+    the same ``ShapeError`` as :func:`pack_coords` on the shifted rows, and
+    never carries into the neighbouring field.
+    """
+    deltas = np.asarray(deltas, dtype=np.int64)
+    spatial = coords[:, 1:]
+    if spatial.size and deltas.size:
+        _check_spatial_range(
+            (spatial.min(axis=0) + deltas.min(axis=0)).min(),
+            (spatial.max(axis=0) + deltas.max(axis=0)).max(),
+        )
+    shifts = _FIELD_BITS * np.arange(deltas.shape[1] - 1, -1, -1)
+    steps = (deltas << shifts).sum(axis=1)
+    return steps[:, np.newaxis] + np.asarray(keys, dtype=np.int64)
 
 
 def unpack_coords(keys: np.ndarray, num_spatial_dims: int) -> np.ndarray:

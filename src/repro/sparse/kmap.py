@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import MapError, ShapeError
-from repro.sparse.coords import pack_coords, unique_coords
+from repro.sparse.coords import pack_coords, pack_shifted, unique_coords
 from repro.sparse.hashmap import CoordinateHashMap, HashMapStats
 from repro.sparse.kernel_offsets import (
     KernelSize,
@@ -245,6 +245,15 @@ def build_kernel_map(
         tensor_stride: the input tensor's stride ``t``; kernel offsets are
             dilated by ``t`` so convolutions on downsampled tensors reach
             their true spatial neighbours.
+
+    Each input and output coordinate is packed once.  The query key of
+    output ``c`` at dilated offset ``d`` is ``pack(c) + sum_i d_i << 16 *
+    (D - i)``, which equals ``pack(c + d)`` because packing is additive
+    within a 16-bit field.  That identity needs every ``c + d`` inside the
+    packable range ``[-32768, 32767]``, so the range is checked once from
+    the per-dimension output and offset extremes; a query outside it raises
+    the ``ShapeError`` :func:`~repro.sparse.coords.pack_coords` gives
+    rather than carrying into the next field (another batch's keys).
     """
     in_coords = np.asarray(in_coords, dtype=np.int32)
     ndim = in_coords.shape[1] - 1
@@ -258,18 +267,15 @@ def build_kernel_map(
     else:
         out_coords = downsample_coords(in_coords, stride_t, tstride)
 
-    table = CoordinateHashMap(pack_coords(in_coords))
-    num_out = len(out_coords)
-    volume = len(offsets)
-    nbmap = np.empty((num_out, volume), dtype=np.int32)
+    in_keys = pack_coords(in_coords)
+    table = CoordinateHashMap(in_keys)
+    out_keys = in_keys if out_coords is in_coords else pack_coords(out_coords)
     dilated = offsets.astype(np.int64) * np.asarray(tstride, dtype=np.int64)
     # Query all offsets in one vectorised batch, as a fused GPU kernel would.
-    queries = np.repeat(out_coords[np.newaxis, :, :], volume, axis=0).astype(np.int64)
-    queries[:, :, 1:] += dilated[:, np.newaxis, :]
-    flat = queries.reshape(-1, in_coords.shape[1])
-    nbmap[:] = table.query(pack_coords(flat.astype(np.int32))).reshape(
-        volume, num_out
-    ).T
+    queries = pack_shifted(out_coords, out_keys, dilated)
+    nbmap = np.ascontiguousarray(
+        table.query(queries.ravel()).reshape(queries.shape).T
+    )
 
     key = MapKey(
         kernel_size=sizes,

@@ -1,5 +1,7 @@
 """Tests for the synthetic LiDAR scanner and dataset configurations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,57 @@ class TestLidarScan:
             LidarConfig(beams=0)
         with pytest.raises(ValueError):
             LidarConfig(max_range=1.0, min_range=2.0)
+
+
+def reference_scan(config, scene, seed):
+    """``lidar_scan`` with a reciprocal per box and ``nanmax``/``nanmin``
+    slab reductions: the oracle for the one-reciprocal scanner."""
+    rng = np.random.default_rng(seed)
+    lo_deg, hi_deg = config.vertical_fov_deg
+    elevations = np.deg2rad(np.linspace(lo_deg, hi_deg, config.beams))
+    azimuths = np.linspace(0, 2 * math.pi, config.azimuth_steps, endpoint=False)
+    el, az = np.meshgrid(elevations, azimuths, indexing="ij")
+    dirs = np.stack(
+        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)],
+        axis=-1,
+    ).reshape(-1, 3)
+    origin = np.array([0.0, 0.0, config.sensor_height + scene.ground_z])
+    dz = dirs[:, 2]
+    with np.errstate(divide="ignore"):
+        t_best = np.where(dz < -1e-6, (scene.ground_z - origin[2]) / dz, np.inf)
+    for box in scene.boxes:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / dirs
+            t0 = (box.lo - origin) * inv
+            t1 = (box.hi - origin) * inv
+        t_near = np.nanmax(np.minimum(t0, t1), axis=1)
+        t_far = np.nanmin(np.maximum(t0, t1), axis=1)
+        hit = (t_far >= t_near) & (t_far > 0)
+        t_best = np.minimum(
+            t_best, np.where(hit, np.maximum(t_near, 0.0), np.inf)
+        )
+    valid = (t_best > config.min_range) & (t_best < config.max_range)
+    valid &= rng.random(len(dirs)) > config.dropout
+    t_hit = t_best[valid] + rng.normal(
+        0.0, config.range_noise_std, np.count_nonzero(valid)
+    )
+    points = origin + dirs[valid] * t_hit[:, np.newaxis]
+    intensity = np.clip(
+        rng.normal(0.3, 0.15, len(points)) + 0.4 * (points[:, 2] > 0.5),
+        0.0,
+        1.0,
+    )
+    return np.concatenate([points, intensity[:, np.newaxis]], axis=1)
+
+
+class TestScanMatchesReference:
+    @pytest.mark.parametrize("config", [LIDAR_64_BEAM, LIDAR_32_BEAM])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_byte_identical(self, config, seed):
+        scene = Scene.generate(seed=seed)
+        got = lidar_scan(config, scene, seed=seed + 100)
+        want = reference_scan(config, scene, seed + 100)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDatasets:

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import MapError
+from repro.data import make_sample
+from repro.errors import MapError, ShapeError
+from repro.models.registry import WORKLOADS
+from repro.sparse.coords import pack_coords, unique_coords
+from repro.sparse.kernel_offsets import kernel_offsets, normalize_kernel_size
 from repro.sparse.kmap import KernelMap, MapKey, build_kernel_map, downsample_coords
-from repro.sparse.hashmap import HashMapStats
+from repro.sparse.hashmap import CoordinateHashMap, HashMapStats
 
 
 def line_coords():
@@ -166,3 +172,145 @@ class TestValidation:
                 build_stats=HashMapStats(),
                 key=MapKey((1,), (1,), (1,)),
             )
+
+
+def reference_kernel_map(in_coords, kernel_size, stride=1, tensor_stride=1):
+    """Map construction by repeating every output row per offset and
+    packing each query row with ``pack_coords``: the oracle for the
+    broadcast-add query keys of ``build_kernel_map``."""
+    in_coords = np.asarray(in_coords, dtype=np.int32)
+    ndim = in_coords.shape[1] - 1
+    sizes = normalize_kernel_size(kernel_size, ndim)
+    stride_t = normalize_kernel_size(stride, ndim)
+    tstride = normalize_kernel_size(tensor_stride, ndim)
+    offsets = kernel_offsets(sizes, ndim)
+    if all(s == 1 for s in stride_t):
+        out_coords = in_coords
+    else:
+        out_coords = downsample_coords(in_coords, stride_t, tstride)
+    table = CoordinateHashMap(pack_coords(in_coords))
+    volume = len(offsets)
+    dilated = offsets.astype(np.int64) * np.asarray(tstride, dtype=np.int64)
+    queries = np.repeat(out_coords[np.newaxis, :, :], volume, axis=0).astype(np.int64)
+    queries[:, :, 1:] += dilated[:, np.newaxis, :]
+    flat = queries.reshape(-1, in_coords.shape[1])
+    nbmap = table.query(pack_coords(flat.astype(np.int32)))
+    return nbmap.reshape(volume, len(out_coords)).T, out_coords, table.stats
+
+
+def outcome(build, *args):
+    """``(nbmap, out_coords, stats)`` of a map build, or its error."""
+    try:
+        result = build(*args)
+    except (ShapeError, MapError) as err:
+        return type(err), str(err)
+    if isinstance(result, KernelMap):
+        return result.nbmap, result.out_coords, result.build_stats
+    return result
+
+
+def assert_same_outcome(coords, kernel_size, stride=1, tensor_stride=1):
+    got = outcome(build_kernel_map, coords, kernel_size, stride, tensor_stride)
+    want = outcome(
+        reference_kernel_map, coords, kernel_size, stride, tensor_stride
+    )
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert not isinstance(got[0], type), got
+    nbmap, out_coords, stats = got
+    assert nbmap.flags["C_CONTIGUOUS"]
+    assert np.array_equal(nbmap, want[0])
+    assert np.array_equal(out_coords, want[1])
+    assert stats == want[2]  # inserts, insert/query probes and queries
+
+
+#: Field values at and near the packable limits, where a shifted query
+#: leaves the range or would carry into the neighbouring field.
+_EDGES = [-32768, -32767, -32760, -1, 0, 32760, 32766, 32767]
+
+
+@st.composite
+def coordinate_sets(draw):
+    ndim = draw(st.integers(1, 3))
+    batches = draw(st.lists(
+        st.integers(0, 65535) | st.sampled_from([0, 1, 32767, 65535]),
+        min_size=1, max_size=3,
+    ))
+    anchor = [
+        draw(st.integers(-32768, 32767) | st.sampled_from(_EDGES))
+        for _ in range(ndim)
+    ]
+    rows = draw(st.lists(
+        st.tuples(
+            st.sampled_from(batches),
+            *[st.integers(-6, 6) for _ in range(ndim)],
+        ),
+        min_size=1, max_size=40,
+    ))
+    coords = np.array(rows, dtype=np.int64)
+    coords[:, 1:] = np.clip(coords[:, 1:] + anchor, -32768, 32767)
+    unique, _ = unique_coords(coords.astype(np.int32))
+    return unique
+
+
+class TestAdditiveQueryKeys:
+    """Query keys formed as ``pack(c) + packed delta`` match packing every
+    shifted row: same maps, coordinates, probe counts and errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(coords=coordinate_sets())
+    def test_matches_repack_oracle(self, coords):
+        for kernel_size in (1, 2, 3, 5):
+            for stride in (1, 2):
+                for tensor_stride in (1, 2, 4):
+                    assert_same_outcome(
+                        coords, kernel_size, stride, tensor_stride
+                    )
+
+    @pytest.mark.parametrize("preset", sorted(WORKLOADS))
+    def test_matches_repack_oracle_on_preset_scenes(self, preset):
+        workload = WORKLOADS[preset]
+        coords = make_sample(
+            workload.dataset, frames=workload.frames, seed=0, scale=0.05
+        ).coords
+        # Walk the encoder's grids: submanifold maps at each tensor stride
+        # and the downsampling maps between them.
+        for tensor_stride in (1, 2, 4, 8):
+            assert_same_outcome(coords, 3, 1, tensor_stride)
+            assert_same_outcome(coords, 3, 2, tensor_stride)
+            assert_same_outcome(coords, 2, 2, tensor_stride)
+            coords = downsample_coords(
+                coords, (2, 2, 2), (tensor_stride,) * 3
+            )
+
+    @pytest.mark.parametrize("coords, tensor_stride, message", [
+        ([[0, 32767, 0, 0]], 1, "min=-1, max=32768"),
+        ([[0, 32766, 0, 0]], 2, "min=-2, max=32768"),
+        ([[0, -32768, 5, 5]], 1, "min=-32769, max=6"),
+    ])
+    def test_out_of_range_query_raises(self, coords, tensor_stride, message):
+        coords = np.array(coords, dtype=np.int32)
+        with pytest.raises(ShapeError) as err:
+            build_kernel_map(coords, 3, tensor_stride=tensor_stride)
+        assert str(err.value) == (
+            "spatial coordinates out of packable range [-32768, 32767]: "
+            + message
+        )
+        assert_same_outcome(coords, 3, 1, tensor_stride)
+
+    def test_top_of_range_never_aliases_next_batch(self):
+        # pack((b, 32767, y, z)) + (1 << 32) == pack((b + 1, -32768, y, z)):
+        # without the range check the +x query would find batch b + 1.
+        coords = np.array([[0, 32767, 0, 0], [1, -32768, 0, 0]], np.int32)
+        with pytest.raises(ShapeError):
+            build_kernel_map(coords, 3)
+        kmap = build_kernel_map(coords, 1)
+        assert np.array_equal(kmap.nbmap, [[0], [1]])
+
+    def test_top_batch_index_builds(self):
+        kmap = build_kernel_map(np.array([[65535, 10, 10, 10]]), 3)
+        assert kmap.total_pairs == 1
+        assert kmap.build_stats == HashMapStats(
+            inserts=1, insert_probes=1, queries=27, query_probes=36
+        )
