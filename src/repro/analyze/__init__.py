@@ -59,7 +59,6 @@ from repro.analyze.provenance import (
     audit_cache_sites,
     fuzz_all,
     fuzz_cache_site,
-    provenance_findings,
     register_cache_site,
     wrap,
 )
@@ -258,7 +257,6 @@ __all__ = [
     "model_range_report",
     "precision_drop_veto",
     "propagate_ranges",
-    "provenance_findings",
     "redundant_sync_edges",
     "register_cache_site",
     "register_handler",

@@ -1,8 +1,8 @@
 """Cache-key soundness: read-set provenance audits of every memoization.
 
 The framework's speed story is four generations of memoization — the
-policy cache, each replica's kernel-map cache, the runtime's batch/sample
-execution memos, the autotune database — plus the gpusim trace memo.
+policy cache, each replica's kernel-map cache, the runtime's per-sample
+execution memo, the autotune database — plus the gpusim trace memo.
 Every one is only as correct as its key: a key that misses an input the
 cached computation actually *reads* produces stale or aliased hits that
 silently corrupt every downstream latency number, and a key component the
@@ -26,7 +26,8 @@ This module checks the keys mechanically:
   diff the recorded read set against the schema, and report
   ``unkeyed-read`` (error: read but not keyed, not exempted) and
   ``overkeyed-field`` (info: key component whose covered paths were never
-  read).  Both surface as lint rules and via ``repro keycheck``.
+  read).  Both surface via ``repro keycheck``; they audit global code, not
+  a model, so model lint and serving admission do not run them.
 * **Differential fuzzing** (:func:`fuzz_cache_site`) — a seeded fuzzer
   per site that perturbs *non-key* fields and asserts byte-identical
   cached results (and, for the trace memo, that key-field perturbations
@@ -34,8 +35,7 @@ This module checks the keys mechanically:
   like the trace sanitizer.
 
 Audits are memoized per (site, schema object): the probes build tiny
-scenes and runtimes, so the cost is paid once per process no matter how
-many lint invocations run.
+scenes and runtimes, so the cost is paid once per process.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import dataclasses
 import random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.analyze.rules import Finding, LintContext, Severity, lint_rule
 from repro.gpusim.engine import PRICING_FIELDS, SCHEDULE_FIELDS
 
 
@@ -212,11 +211,6 @@ class SiteAudit:
 #: only while the registered schema object is unchanged.
 _AUDITS: Dict[str, Tuple[KeySchema, SiteAudit]] = {}
 
-#: True while a probe/fuzzer executes: the lint rules below bail out so a
-#: probe's serving runtime can never recursively re-enter the audit
-#: through admission linting.
-_IN_PROBE = False
-
 
 def _resolve_schema(site: "str | KeySchema") -> KeySchema:
     if isinstance(site, KeySchema):
@@ -232,18 +226,13 @@ def _resolve_schema(site: "str | KeySchema") -> KeySchema:
 
 def audit_cache_site(site: "str | KeySchema") -> SiteAudit:
     """Probe one cache site and diff its read set against its schema."""
-    global _IN_PROBE
     schema = _resolve_schema(site)
     cached = _AUDITS.get(schema.site)
     if cached is not None and cached[0] is schema:
         return cached[1]
     if schema.probe is None:
         raise ValueError(f"cache site {schema.site!r} declares no probe")
-    _IN_PROBE = True
-    try:
-        log = schema.probe()
-    finally:
-        _IN_PROBE = False
+    log = schema.probe()
     reads = log.sorted()
     covers: List[str] = list(schema.declared_reads)
     for component in schema.components:
@@ -295,64 +284,6 @@ def audit_cache_sites(
     return {name: audit_cache_site(name) for name in names}
 
 
-def provenance_findings() -> List[Finding]:
-    """Audit every registered site and convert the diffs to findings."""
-    findings: List[Finding] = []
-    for site, audit in audit_cache_sites().items():
-        schema = REGISTRY[site]
-        key = ", ".join(c.name for c in schema.components)
-        for path in audit.unkeyed:
-            findings.append(
-                Finding(
-                    rule="unkeyed-read",
-                    severity=Severity.ERROR,
-                    path=site,
-                    message=(
-                        f"cached computation reads {path!r} but the key "
-                        f"({key}) does not cover it and no exemption "
-                        f"applies: a hit can replay a result computed "
-                        f"from a different {path.split('.', 1)[0]}"
-                    ),
-                    data={"read": path, "components": key},
-                )
-            )
-        for name in audit.overkeyed:
-            findings.append(
-                Finding(
-                    rule="overkeyed-field",
-                    severity=Severity.INFO,
-                    path=site,
-                    message=(
-                        f"key component {name!r} covers paths the cached "
-                        f"computation never read: every distinct value "
-                        f"forces a needless miss"
-                    ),
-                    data={"component": name},
-                )
-            )
-    return findings
-
-
-@lint_rule(
-    "unkeyed-read",
-    "cached computations must key (or exempt) every input field they read",
-)
-def _rule_unkeyed_read(ctx: LintContext) -> List[Finding]:
-    if _IN_PROBE:
-        return []
-    return [f for f in provenance_findings() if f.rule == "unkeyed-read"]
-
-
-@lint_rule(
-    "overkeyed-field",
-    "cache-key components never read by the computation cause pure misses",
-)
-def _rule_overkeyed_field(ctx: LintContext) -> List[Finding]:
-    if _IN_PROBE:
-        return []
-    return [f for f in provenance_findings() if f.rule == "overkeyed-field"]
-
-
 # ---------------------------------------------------------------------- #
 # Differential fuzzing
 # ---------------------------------------------------------------------- #
@@ -384,16 +315,10 @@ def fuzz_cache_site(site: "str | KeySchema", seed: int = 0) -> FuzzReport:
     the cached result is byte-identical; sites without a fuzzer report
     zero trials.
     """
-    global _IN_PROBE
     schema = _resolve_schema(site)
     if schema.fuzz is None:
         return FuzzReport(site=schema.site, trials=0, failures=())
-    rng = random.Random(seed)
-    _IN_PROBE = True
-    try:
-        trials, failures = schema.fuzz(rng)
-    finally:
-        _IN_PROBE = False
+    trials, failures = schema.fuzz(random.Random(seed))
     return FuzzReport(
         site=schema.site, trials=trials, failures=tuple(failures)
     )
@@ -435,8 +360,8 @@ def _probe_kmap(n: int = 160, seed: int = 0) -> Any:
 def _probe_runtime() -> Any:
     from repro.serve.runtime import ServeConfig, ServingRuntime
 
-    # Tiny scenes; admission lint off so a probe can never recursively
-    # re-enter the provenance rules through the admission controller.
+    # Tiny scenes; admission lint off (the probes audit the memos, not
+    # the model).
     return ServingRuntime(
         ServeConfig(
             device="a100", scene_scale=0.05, lint_admission=False
@@ -608,121 +533,6 @@ def _fuzz_policy_cache(rng: random.Random) -> Tuple[int, List[str]]:
         trials += 1
         if cache.get(other) is policy:
             failures.append(f"distinct key {other!r} aliased the entry")
-    return trials, failures
-
-
-def _batch_cost_key(cost: Any) -> Tuple[Any, ...]:
-    """Canonical comparison form of a ``_BatchCost`` (charge order is
-    batch-iteration order; the memo treats charges as a mapping)."""
-    return (
-        cost.service_ms,
-        dict(cost.stages),
-        sorted(cost.charges, key=lambda pair: pair[0]),
-        cost.degraded,
-        cost.oomed,
-        cost.ladder,
-        cost.sync_events,
-    )
-
-
-def _probe_batch_memo() -> ReadLog:
-    from repro.models import get_workload
-    from repro.nn.context import FixedPolicy
-    from repro.serve.cache import KmapCache
-
-    log = ReadLog()
-    runtime = _probe_runtime()
-    model = runtime.model(_PROBE_WORKLOAD)
-    workload = get_workload(_PROBE_WORKLOAD)
-    requests = _probe_requests((11, 11, 12))
-    samples = [runtime.scenes.sample(workload, r) for r in requests]
-    policy = FixedPolicy(runtime.default_config)
-    spec = wrap(runtime.device, "device", log)
-    runtime.device = spec
-    runtime.config = wrap(runtime.config, "config", log)
-    cost = runtime._compose_cost(
-        [wrap(r, "request", log) for r in requests],
-        [wrap(s, "sample", log) for s in samples],
-        KmapCache(capacity=8),
-        wrap(model, "model", log),
-        _PROBE_WORKLOAD,
-        wrap(policy, "policy", log),
-        False,
-        spec,
-        False,
-    )
-    assert cost is not None
-    return log
-
-
-def _fuzz_batch_memo(rng: random.Random) -> Tuple[int, List[str]]:
-    from repro.models import get_workload
-    from repro.nn.context import FixedPolicy
-    from repro.serve.cache import KmapCache
-
-    failures: List[str] = []
-    runtime = _probe_runtime()
-    model = runtime.model(_PROBE_WORKLOAD)
-    workload = get_workload(_PROBE_WORKLOAD)
-    requests = _probe_requests((21, 22, 21))
-    samples = [runtime.scenes.sample(workload, r) for r in requests]
-    policy = FixedPolicy(runtime.default_config)
-    cache = KmapCache(capacity=16)
-
-    def compose(reqs: List[Any], samps: List[Any]) -> Any:
-        return runtime._compose_cost(
-            reqs, samps, cache, model, _PROBE_WORKLOAD, policy,
-            False, runtime.device, False,
-        )
-
-    baseline = compose(requests, samples)
-    if baseline is None:
-        return 1, ["probe batch unexpectedly fell back to the cold path"]
-    fingerprint = cache.batch_fingerprint(
-        tuple(r.scene_key for r in requests)
-    )
-    trials = 1
-    for i in range(6):
-        order = list(range(len(requests)))
-        rng.shuffle(order)
-        # Perturb every non-key request field; leave (workload, seed)
-        # — the scene key — alone.
-        perturbed = [
-            dataclasses.replace(
-                requests[j],
-                request_id=1000 + 10 * i + j,
-                stream_id=rng.randrange(4),
-                frame_index=rng.randrange(100),
-                arrival_ms=rng.random() * 50.0,
-                deadline_ms=500.0 + rng.random() * 500.0,
-                tenant=rng.choice(("default", "gold")),
-                priority=rng.randrange(3),
-            )
-            for j in order
-        ]
-        fp = cache.batch_fingerprint(
-            tuple(r.scene_key for r in perturbed)
-        )
-        trials += 1
-        if fp != fingerprint:
-            failures.append(
-                "batch fingerprint is not invariant under reordering + "
-                "non-key request-field perturbation"
-            )
-        # Same order as the baseline: composition must be byte-identical.
-        same_order = [
-            dataclasses.replace(
-                requests[j], request_id=2000 + 10 * i + j
-            )
-            for j in range(len(requests))
-        ]
-        got = compose(same_order, samples)
-        trials += 1
-        if got is None or _batch_cost_key(got) != _batch_cost_key(baseline):
-            failures.append(
-                "perturbing non-key request fields changed the composed "
-                "batch cost"
-            )
     return trials, failures
 
 
@@ -945,45 +755,6 @@ def _register_builtin_sites() -> None:
             ),
             probe=_probe_policy_cache,
             fuzz=_fuzz_policy_cache,
-        )
-    )
-    register_cache_site(
-        KeySchema(
-            site="serve.kmap-batch-memo",
-            description=(
-                "per-runtime batch-execution memo keyed by (workload, "
-                "KmapCache.batch_fingerprint over scene keys, policy "
-                "version, degraded, forced_oom)"
-            ),
-            components=(
-                KeyComponent(
-                    "workload_id",
-                    covers=("request.workload_id", "model"),
-                    note="selects the model and dataset",
-                ),
-                KeyComponent(
-                    "batch_fingerprint",
-                    covers=("request.scene_key", "sample"),
-                    note=(
-                        "scene keys + per-scene warmth + cache capacity/"
-                        "eviction context; a scene key determines its "
-                        "generated sample bit-for-bit (seeded "
-                        "make_sample at the runtime's pinned scale)"
-                    ),
-                ),
-                KeyComponent(
-                    "policy_version",
-                    covers=("policy",),
-                    note="the policy-cache content version pins the "
-                    "resolved policy object within one runtime",
-                ),
-                KeyComponent("degraded", note="by value"),
-                KeyComponent("forced_oom", note="by value"),
-            ),
-            declared_reads=("precision",),
-            exemptions=(_PINNED_CONFIG, _PINNED_DEVICE),
-            probe=_probe_batch_memo,
-            fuzz=_fuzz_batch_memo,
         )
     )
     register_cache_site(

@@ -21,6 +21,11 @@ memory and does not teleport between replicas.  That locality is what the
 ``cache_affinity`` balancer (:mod:`repro.serve.balancer`) exploits:
 membership checks (``key in cache``) are free and never perturb the
 hit/miss accounting, so routing can inspect warmth without skewing metrics.
+
+The runtime's one serving memo sits on top: per-sample costs keyed by
+(workload, scene, warmth, policy version, degraded).  On one GPU stream,
+when no put in a batch can evict (:meth:`KmapCache.may_evict`), a batch's
+cost composes from those entries; every other batch is simulated whole.
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ def scene_key(workload_id: str, scene_seed: int) -> SceneKey:
     A scene is fully determined by its workload (dataset, frame geometry,
     scale all hang off the workload id) and the seed that generated it —
     :meth:`repro.serve.request.InferenceRequest.scene_key`, the
-    :class:`KmapCache` keys fed to :meth:`KmapCache.batch_fingerprint`,
-    and the runtime's per-sample cost memo all derive their keys here, so
-    the derivations cannot drift apart.  ``analyze.provenance`` audits the
-    sample memo against exactly this derivation.
+    :class:`KmapCache` keys, and the runtime's per-sample cost memo all
+    derive their keys here, so the derivations cannot drift apart.
+    ``analyze.provenance`` audits the sample memo against exactly this
+    derivation.
     """
     return (str(workload_id), int(scene_seed))
 
@@ -63,7 +68,7 @@ class PolicyCache:
         self.hits = 0
         self.misses = 0
         #: Monotone content version: bumped on every :meth:`put`.  The
-        #: runtime's batch-execution memo keys on it, so a policy install
+        #: runtime's per-sample memo keys on it, so a policy install
         #: (inline tune, background tune landing) invalidates memo entries
         #: computed against the older cache content.
         self.version = 0
@@ -171,63 +176,13 @@ class KmapCache:
         use counts or LRU order (pure inspection, like ``in``)."""
         return self._entries.get(scene_key)
 
-    def batch_fingerprint(
-        self, scene_keys: Sequence[tuple], ordered: bool = False
-    ) -> tuple:
-        """Hashable summary of everything an interleaved get/put sequence
-        over ``scene_keys`` depends on — the runtime's batch-execution
-        memo keys on this.  Read-only: accounting and LRU order are
-        untouched.
-
-        When even the worst case (every absent key inserted) cannot
-        overflow the cache, eviction is impossible and the sequence
-        depends only on how often each scene occurs and whether it is
-        resident (with which pre-charge keys) — scene charge keys are
-        per-kernel-map and disjoint across scenes, so batch cost is
-        order-insensitive and the summary canonicalises to a sorted
-        multiset (maximising memo reuse across equivalent batch
-        orderings).  With ``ordered=True`` (multi-stream pricing, where
-        launch order can shift sync placement) or when eviction is
-        possible, the summary keeps the exact sequence plus cache size,
-        capacity and each key's LRU rank: positions not held by one of
-        ``scene_keys`` are interchangeable unrelated entries, so equal
-        summaries still guarantee identical behaviour."""
-        # Reuse the stored frozensets: their hashes are cached, so key
-        # hashing stays cheap across thousands of lookups.
-        warmth = [
-            (
-                self._entries[key].charge_keys
-                if key in self._entries else None
-            )
-            for key in scene_keys
-        ]
+    def may_evict(self, scene_keys: Sequence[tuple]) -> bool:
+        """Whether putting every absent key of ``scene_keys`` could
+        overflow the cache.  Read-only: accounting and LRU order are
+        untouched.  When it cannot, a batch's get/put sequence depends
+        only on each scene's residency, not on batch order."""
         absent = {key for key in scene_keys if key not in self._entries}
-        if ordered or len(self._entries) + len(absent) > self.capacity:
-            rank = {key: i for i, key in enumerate(self._entries)}
-            return (
-                "ordered",
-                tuple(scene_keys),
-                len(self._entries),
-                self.capacity,
-                tuple(
-                    (rank.get(key, -1), keys)
-                    for key, keys in zip(scene_keys, warmth)
-                ),
-            )
-        counts: Dict[tuple, int] = {}
-        for key in scene_keys:
-            counts[key] = counts.get(key, 0) + 1
-        warm_by_scene = dict(zip(scene_keys, warmth))
-        return (
-            "multiset",
-            tuple(sorted(
-                (
-                    (key, count, warm_by_scene[key])
-                    for key, count in counts.items()
-                ),
-                key=lambda item: (item[0], item[1]),
-            )),
-        )
+        return len(self._entries) + len(absent) > self.capacity
 
     @property
     def hit_rate(self) -> float:

@@ -139,11 +139,15 @@ class ServeConfig:
         lint_admission: statically lint every model at admission
             (:func:`repro.analyze.lint_model`) and reject models with
             error-level findings (:class:`~repro.errors.AdmissionError`)
-            before any replica accepts traffic for them.
+            before any replica accepts traffic for them.  Only the
+            per-model rules run here; cache-key audits are global and
+            run in ``repro keycheck``.
         gpu_streams: virtual GPU streams each replica overlaps
             independent kernel launches on; ``> 1`` prices every batch
             with the dependence-aware multi-stream scheduler
-            (:mod:`repro.opt.schedule`) instead of serializing launches.
+            (:mod:`repro.opt.schedule`) instead of serializing launches,
+            and simulates every batch whole; on one stream batch costs
+            compose from per-sample memo entries.
         mem_headroom: fraction of each replica's DRAM reserved for what
             the simulator does not trace (CUDA context, fragmentation);
             the usable budget is ``dram_bytes * (1 - mem_headroom)``.  A
@@ -177,13 +181,6 @@ class ServeConfig:
         slo_ms: latency target requests are judged against in the SLO
             attainment metrics (and by the autoscaler when active); 0
             judges each request against its own deadline.
-        batch_memo: memoize the expensive model-execution portion of
-            identical batches (same workload, scenes, cache-warmth
-            pattern and policy-cache content).  Purely an evaluation-
-            speed knob: memoized and unmemoized runs produce identical
-            metrics, it only skips re-simulating work whose outcome is
-            already known.  On by default; large traffic sweeps are
-            infeasible without it.
     """
 
     device: str = "a100"
@@ -221,7 +218,6 @@ class ServeConfig:
     breaker_cooldown_ms: float = 250.0
     autoscale: Optional[AutoscalePolicy] = None
     slo_ms: float = 0.0
-    batch_memo: bool = True
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -312,13 +308,13 @@ class DeviceReplica:
 
 @dataclasses.dataclass(frozen=True)
 class _BatchCost:
-    """Memoized result of one batch's (simulated) model execution.
+    """Result of one batch's (simulated) model execution.
 
     Everything downstream of :meth:`ServingRuntime._execute`'s expensive
     portion — service time, stage breakdown, OOM/ladder outcome and the
-    per-request kernel-map charge keys — as a pure value.  The memo key
-    captures every input the execution depends on, so replaying a cached
-    cost is byte-identical to re-simulating it.
+    per-scene kernel-map charge keys — as a pure value, returned by both
+    :meth:`ServingRuntime._compose_cost` and
+    :meth:`ServingRuntime._execute_cold`.
     """
 
     service_ms: float  # model + ladder retry + preprocess (no dispatch)
@@ -328,8 +324,7 @@ class _BatchCost:
     oomed: bool
     degraded: bool
     #: Charge keys of each scene the execution cold-filled, keyed by
-    #: scene — not by batch position, so one memoized cost replays
-    #: correctly for any batch ordering with the same fingerprint.
+    #: scene (a scene repeated in the batch fills once).
     charges: Tuple[Tuple[tuple, FrozenSet[tuple]], ...]
 
 
@@ -472,15 +467,12 @@ class ServingRuntime:
         #: Per-workload reason the degradation ladder must not drop
         #: storage precision (static value-range pass), None when safe.
         self._precision_vetoes: Dict[str, Optional[str]] = {}
-        #: Batch-execution memo (active when ``config.batch_memo``): maps
-        #: a full execution fingerprint to its :class:`_BatchCost`.  The
-        #: key captures everything the simulated cost depends on, so a
-        #: memo hit is indistinguishable from re-simulating the batch.
-        self._batch_memo: Dict[tuple, _BatchCost] = {}
         #: Per-sample simulation memo backing :meth:`_compose_cost`:
         #: (workload, scene, warmth, policy version, degraded) ->
         #: :class:`_SampleCost`.
         self._sample_memo: Dict[tuple, _SampleCost] = {}
+        #: Static weight footprint per admitted workload (:meth:`_admit`).
+        self._weight_bytes: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     def _admit(self, workload_id: str, model: Module, in_channels: int) -> None:
@@ -503,6 +495,7 @@ class ServingRuntime:
                 f"{self.device.name} (headroom "
                 f"{self.config.mem_headroom:.0%})"
             )
+        self._weight_bytes[workload_id] = weights
         # Static value-range pass: decide once, at admission, whether the
         # degradation ladder may ever take its precision-drop rung for
         # this model (an unsafe drop would overflow fp16 features and
@@ -706,60 +699,27 @@ class ServingRuntime:
             kmap_cache = KmapCache(capacity=self.config.kmap_cache_size)
             replica.kmap_cache = kmap_cache
         samples = [self.scenes.sample(workload, r) for r in batch]
-        scene_keys = tuple(r.scene_key for r in batch)
-        # Execution fingerprint: workload + a summary of the scenes and
-        # replica cache state the batch's interleaved get/put sequence
-        # depends on, the policy-cache content version the resolved policy
-        # came from, the degraded flag (selects the FixedPolicy-default
-        # path and disables adaptive tiling) and whether an OOM is
-        # injected.  On a single stream the scene summary is an unordered
-        # multiset — per-scene costs are independent, so any ordering of
-        # the same scenes re-simulates to the same totals; with multiple
-        # streams launch order shifts sync placement, so the exact
-        # sequence stays in the key.  Equal fingerprints provably
-        # re-simulate to equal costs, so the memo is lossless.
-        fingerprint = kmap_cache.batch_fingerprint(
-            scene_keys, ordered=self.config.gpu_streams > 1
-        )
-        memo_key = (
-            workload_id,
-            fingerprint,
-            self.policy_cache.version,
-            degraded,
-            forced_oom,
-        )
-        cost = (
-            self._batch_memo.get(memo_key) if self.config.batch_memo else None
-        )
-        replay = cost is not None
-        if (
-            cost is None
-            and self.config.batch_memo
-            and fingerprint[0] == "multiset"
+        # One GPU stream and no possible eviction: per-scene costs are
+        # independent of batchmates and batch order, so the batch cost
+        # composes from per-sample memo entries.  Pure — the get/put
+        # sequence is replayed below from the recorded charge keys.
+        cost: Optional[_BatchCost] = None
+        if self.config.gpu_streams == 1 and not kmap_cache.may_evict(
+            [r.scene_key for r in batch]
         ):
-            # Unseen composition of (possibly) already-seen scenes: compose
-            # the batch cost from per-sample memo entries instead of
-            # re-simulating the whole batch.  Pure — cache accounting is
-            # applied by the replay below, exactly as for a memo hit.
             cost = self._compose_cost(
                 batch, samples, kmap_cache, model, workload_id, policy,
                 degraded, replica.spec, forced_oom,
             )
-            if cost is not None:
-                self._batch_memo[memo_key] = cost
-                replay = True
         if cost is None:
             cost, kmap_hits = self._execute_cold(
                 batch, samples, kmap_cache, model, workload_id, policy,
                 degraded, replica.spec, forced_oom,
             )
-            if self.config.batch_memo:
-                self._batch_memo[memo_key] = cost
-        if replay:
-            # Memo hit: replay the cold execution's cache sequence (same
-            # gets, same fills from the recorded per-scene charge keys),
-            # so cache accounting and future warmth are indistinguishable
-            # from having re-simulated the batch.
+        else:
+            # Replay the cold execution's cache sequence (same gets, same
+            # fills from the per-scene charge keys), so cache accounting
+            # and future warmth match having simulated the batch whole.
             charge_by_scene = dict(cost.charges)
             kmap_hits = []
             for request, sample in zip(batch, samples):
@@ -810,11 +770,11 @@ class ServingRuntime:
         forced_oom: bool,
     ) -> Optional[_BatchCost]:
         """Compose a batch's :class:`_BatchCost` from per-sample memo
-        entries (valid only for "multiset" fingerprints: one GPU stream,
-        no eviction possible).  Pure — no cache mutation; the caller
-        replays the get/put sequence.  Returns ``None`` when the batch
-        needs the full path: an injected OOM, or a modeled peak over
-        budget (the degradation ladder re-executes the whole batch).
+        entries (valid only on one GPU stream when no put in the batch
+        can evict).  Pure — no cache mutation; the caller replays the
+        get/put sequence.  Returns ``None`` when the batch needs the full
+        path: an injected OOM, or a modeled peak over budget (the
+        degradation ladder re-executes the whole batch).
         """
         if forced_oom:
             return None
@@ -849,7 +809,7 @@ class ServingRuntime:
             feature_bytes += cost.feature_bytes
             peak_workspace = max(peak_workspace, cost.peak_workspace_bytes)
         budget = memory_budget_bytes(spec, self.config.mem_headroom)
-        resident = model_weight_bytes(model, self.precision) + feature_bytes
+        resident = self._weight_bytes[workload_id] + feature_bytes
         if peak_workspace + resident > budget:
             return None
         stages["host/preprocess"] = preprocess_us
@@ -965,7 +925,7 @@ class ServingRuntime:
             )
 
         budget = memory_budget_bytes(spec, self.config.mem_headroom)
-        resident = model_weight_bytes(model, self.precision) + feature_bytes
+        resident = self._weight_bytes[workload_id] + feature_bytes
         ladder_taken: Tuple[str, ...] = ()
         retry_us = 0.0
         retry_sync_events = 0

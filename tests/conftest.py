@@ -105,9 +105,9 @@ def cache_key_soundness():
     """Audit + fuzz every registered cache site once per test session.
 
     Runs before any function-scoped monkeypatching exists (session scope),
-    so the probes observe the real engine entry points; the audits are
-    memoized inside :mod:`repro.analyze.provenance`, making later lint
-    invocations (e.g. serving admission) reuse these results.
+    so the probes observe the real engine entry points.  Model lint and
+    serving admission never run these audits; this fixture and
+    ``repro keycheck`` are where they run.
     """
     from repro.analyze.provenance import audit_cache_sites, fuzz_all
 

@@ -79,7 +79,6 @@ class TestJsonOutput:
         assert set(doc["sites"]) == {
             "autotune.tuning-db",
             "gpusim.trace-memo",
-            "serve.kmap-batch-memo",
             "serve.policy-cache",
             "serve.sample-memo",
         }

@@ -96,14 +96,14 @@ class TestAccountingPurity:
         cache.put(c, _entry("c"))
         assert a not in cache
 
-    def test_batch_fingerprint_is_read_only(self):
+    def test_may_evict_is_read_only(self):
         cache = KmapCache(capacity=2)
-        a, b = _keys(1, 2)
+        a, b, c = _keys(1, 2, 3)
         cache.put(a, _entry("a"))
         hits, misses, evictions = cache.hits, cache.misses, cache.evictions
         order = cache.warm_keys()
-        cache.batch_fingerprint((a, b, a))
-        cache.batch_fingerprint((a, b, a), ordered=True)
+        assert not cache.may_evict((a, b, a))
+        assert cache.may_evict((a, b, c))
         assert (cache.hits, cache.misses, cache.evictions) == (
             hits, misses, evictions,
         )
@@ -117,3 +117,63 @@ class TestAccountingPurity:
         assert cache.get(_keys(9)[0]) is None
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5
+
+
+class TestEvictingBatches:
+    """A single-stream batch whose puts could evict runs cold; composed
+    and cold batches leave the cache exactly as a plain LRU sequence."""
+
+    def test_evicting_batches_run_cold_and_match_lru(self, monkeypatch):
+        from repro.serve import ServeConfig, ServingRuntime
+        from repro.serve.request import InferenceRequest
+        from repro.serve.runtime import DeviceReplica
+
+        runtime = ServingRuntime(ServeConfig(
+            device="rtx3090", scene_scale=0.05, kmap_cache_size=2,
+            lint_admission=False,
+        ))
+        calls = {"compose": 0, "cold": 0}
+        compose, cold = runtime._compose_cost, runtime._execute_cold
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            runtime, "_compose_cost", counted("compose", compose)
+        )
+        monkeypatch.setattr(runtime, "_execute_cold", counted("cold", cold))
+        replica = DeviceReplica(
+            index=0, spec=runtime.device, kmap_cache=KmapCache(capacity=2)
+        )
+        # [1, 2] fits an empty cache (composed); [3, 1] and [3, 1, 2]
+        # each insert past capacity (cold).
+        batches = [(1, 2), (3, 1), (3, 1, 2)]
+        reference = KmapCache(capacity=2)
+        request_id = 0
+        for seeds in batches:
+            batch = []
+            for seed in seeds:
+                batch.append(InferenceRequest(
+                    request_id=request_id, workload_id="SK-M-0.5",
+                    stream_id=seed, frame_index=request_id,
+                    scene_seed=seed, arrival_ms=0.0, deadline_ms=1000.0,
+                ))
+                request_id += 1
+            run = runtime._execute(batch, 0.0, replica)
+            expected_hits = []
+            for request in batch:
+                hit = reference.get(request.scene_key) is not None
+                expected_hits.append(hit)
+                if not hit:
+                    reference.put(request.scene_key, _entry())
+            assert run.kmap_hits == expected_hits
+        assert calls == {"compose": 1, "cold": 2}
+        cache = replica.kmap_cache
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            reference.hits, reference.misses, reference.evictions,
+        )
+        assert (cache.hits, cache.misses, cache.evictions) == (2, 5, 3)
+        assert cache.warm_keys() == reference.warm_keys() == tuple(_keys(1, 2))

@@ -15,11 +15,10 @@ from repro.analyze.provenance import (
     audit_cache_site,
     fuzz_all,
     fuzz_cache_site,
-    provenance_findings,
     register_cache_site,
     wrap,
 )
-from repro.analyze.rules import RULES, Severity
+from repro.analyze.rules import RULES
 from repro.hw.specs import DeviceSpec, get_device
 
 
@@ -240,21 +239,40 @@ def test_probe_less_schema_rejected(clean_registry):
 
 
 # ---------------------------------------------------------------------- #
-# Lint integration
+# Built-in sites; audits stay out of lint and admission
 # ---------------------------------------------------------------------- #
-def test_provenance_rules_registered():
-    assert "unkeyed-read" in RULES
-    assert "overkeyed-field" in RULES
+BUILTIN_SITES = (
+    "gpusim.trace-memo",
+    "serve.policy-cache",
+    "serve.sample-memo",
+    "autotune.tuning-db",
+)
+
+
+def test_provenance_audits_are_not_lint_rules():
+    """The audits check global code, not the linted model: they run via
+    ``repro keycheck`` and the suite fixture, never per ``lint_model``."""
+    assert "unkeyed-read" not in RULES
+    assert "overkeyed-field" not in RULES
+    assert set(BUILTIN_SITES) <= set(provenance.REGISTRY)
+
+
+def test_serving_admission_runs_no_audit(monkeypatch):
+    from repro.serve import ServeConfig, ServingRuntime
+
+    calls = []
+    monkeypatch.setattr(
+        provenance, "audit_cache_site", lambda site: calls.append(site)
+    )
+    runtime = ServingRuntime(
+        ServeConfig(device="a100", scene_scale=0.05, lint_admission=True)
+    )
+    runtime.model("SK-M-0.5")
+    assert calls == []
 
 
 def test_builtin_sites_audit_sound():
-    for site in (
-        "gpusim.trace-memo",
-        "serve.policy-cache",
-        "serve.kmap-batch-memo",
-        "serve.sample-memo",
-        "autotune.tuning-db",
-    ):
+    for site in BUILTIN_SITES:
         audit = audit_cache_site(site)
         assert audit.sound, f"{site}: {audit.unkeyed}"
         assert audit.overkeyed == (), f"{site}: {audit.overkeyed}"
@@ -265,12 +283,9 @@ def test_findings_surface_planted_unkeyed_read(clean_registry):
     from tests.broken_caches import SITE, register_unsound
 
     register_unsound()
-    findings = [f for f in provenance_findings() if f.path == SITE]
-    assert findings
-    worst = findings[0]
-    assert worst.rule == "unkeyed-read"
-    assert worst.severity is Severity.ERROR
-    assert worst.data["read"] == "launch.flops"
+    audit = audit_cache_site(SITE)
+    assert not audit.sound
+    assert audit.unkeyed == ("launch.flops",)
 
 
 # ---------------------------------------------------------------------- #

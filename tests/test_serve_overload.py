@@ -1,6 +1,6 @@
 """Overload-robustness tests: tenant quotas, priority shedding, retry
-budgets, circuit breakers, the SLO-driven autoscaler, the batch-execution
-memo, and the determinism of flash-crowd runs.
+budgets, circuit breakers, the SLO-driven autoscaler, per-sample memo
+composition, and the determinism of flash-crowd runs.
 
 The counterfactual test at the bottom is the PR's acceptance contract:
 the same flash-crowd trace must measurably violate the SLO when the
@@ -227,17 +227,24 @@ class TestTenantIsolation:
         assert budgeted.failed >= budgeted.retry_budget_exhausted
 
 
-class TestBatchMemo:
-    def test_memo_matches_unmemoized_metrics(self):
+class TestSampleMemo:
+    def test_memo_matches_unmemoized_metrics(self, monkeypatch):
+        """Batch costs composed from per-sample memo entries agree with
+        the cold path, which simulates every batch whole (the reference)."""
         tenants, requests = overload_requests(count=120)
         faults = FaultPlan(fail_rate=0.1, oom_rate=0.02, seed=4)
 
-        def run(memo):
-            return ServingRuntime(overload_config(
-                tenants, faults=faults, batch_memo=memo,
-            )).serve(requests).metrics
+        def run():
+            runtime = ServingRuntime(overload_config(tenants, faults=faults))
+            return runtime, runtime.serve(requests).metrics
 
-        with_memo, without = run(True), run(False)
+        composed_runtime, with_memo = run()
+        monkeypatch.setattr(
+            ServingRuntime, "_compose_cost", lambda self, *args: None
+        )
+        cold_runtime, without = run()
+        assert composed_runtime._sample_memo
+        assert not cold_runtime._sample_memo
         # Integer fields agree exactly; float fields to summation-order
         # precision (composition sums per-sample, the cold path sums the
         # shared trace).
@@ -258,11 +265,10 @@ class TestBatchMemo:
     def test_memo_populates_and_reuses(self):
         tenants, requests = overload_requests(count=120)
         runtime = ServingRuntime(overload_config(tenants))
-        runtime.serve(requests)
-        assert runtime._batch_memo
+        metrics = runtime.serve(requests).metrics
         assert runtime._sample_memo
         # Far fewer sample simulations than batches served.
-        assert len(runtime._sample_memo) < len(runtime._batch_memo) * 2
+        assert len(runtime._sample_memo) * 4 < metrics.batches
 
 
 class TestCliSpecErrors:
