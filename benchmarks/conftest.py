@@ -7,7 +7,11 @@ the analytical GPU model, so they are deterministic; pytest-benchmark
 measures the wall-clock cost of regenerating each artifact.
 
 Tables are written to ``benchmarks/results/<experiment>.txt`` so a full
-run leaves the regenerated paper artifacts on disk.
+run leaves the regenerated paper artifacts on disk, and each must equal
+the committed ``benchmarks/golden/<experiment>.txt`` byte for byte: a
+change that moves any simulated number fails here.  After an intentional
+model change, regenerate with ``pytest benchmarks --benchmark-disable``
+and copy ``benchmarks/results/*.txt`` over ``benchmarks/golden/``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="session")
@@ -26,17 +31,31 @@ def results_dir() -> pathlib.Path:
 
 
 @pytest.fixture()
-def run_experiment(benchmark, results_dir):
-    """Run an experiment module once under pytest-benchmark and persist
-    its regenerated table."""
+def record_table(results_dir):
+    """Persist a regenerated table and compare it with its golden."""
+
+    def record(name: str, table: str) -> None:
+        (results_dir / f"{name}.txt").write_text(table)
+        golden = GOLDEN_DIR / f"{name}.txt"
+        assert golden.exists(), f"no golden table {golden}"
+        assert table == golden.read_text(), (
+            f"{name} table differs from {golden}; diff it against "
+            f"{results_dir / f'{name}.txt'}"
+        )
+
+    return record
+
+
+@pytest.fixture()
+def run_experiment(benchmark, record_table):
+    """Run an experiment module once under pytest-benchmark, persist its
+    regenerated table and check it against the golden."""
 
     def runner(module, quick: bool = True):
         result = benchmark.pedantic(
             module.run, kwargs={"quick": quick}, iterations=1, rounds=1
         )
-        (results_dir / f"{result.experiment}.txt").write_text(
-            result.to_table() + "\n"
-        )
+        record_table(result.experiment, result.to_table() + "\n")
         return result
 
     return runner

@@ -54,9 +54,9 @@ def lint_table():
     ), rows
 
 
-def test_lint_sweep_table(benchmark, results_dir):
+def test_lint_sweep_table(benchmark, record_table):
     table, rows = benchmark.pedantic(lint_table, iterations=1, rounds=1)
-    (results_dir / "lint.txt").write_text(table + "\n")
+    record_table("lint", table + "\n")
     assert len(rows) == len(WORKLOADS) * len(PRECISIONS)
     # The deployment gate: bundled workloads never lint at error level.
     assert all(row[2] == "0" for row in rows), table

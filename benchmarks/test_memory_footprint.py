@@ -152,11 +152,11 @@ def max_fitting_batch(grid, device, dataflow) -> int:
     return max(fitting, default=0)
 
 
-def test_memory_crossover_grid(benchmark, grid, results_dir):
+def test_memory_crossover_grid(benchmark, grid, record_table):
     table = benchmark.pedantic(
         lambda: crossover_table(grid), iterations=1, rounds=1
     )
-    (results_dir / "memory.txt").write_text(table + "\n")
+    record_table("memory", table + "\n")
     assert WORKLOAD in table
 
 

@@ -116,11 +116,11 @@ def grid_table(grid) -> str:
     )
 
 
-def test_serve_balancer_grid(benchmark, grid, results_dir):
+def test_serve_balancer_grid(benchmark, grid, record_table):
     table = benchmark.pedantic(
         lambda: grid_table(grid), iterations=1, rounds=1
     )
-    (results_dir / "serve_balancers.txt").write_text(table + "\n")
+    record_table("serve_balancers", table + "\n")
     assert WORKLOAD in table
 
 

@@ -80,11 +80,11 @@ def grid_table(grid) -> str:
     )
 
 
-def test_serve_throughput_grid(benchmark, grid, results_dir):
+def test_serve_throughput_grid(benchmark, grid, record_table):
     table = benchmark.pedantic(
         lambda: grid_table(grid), iterations=1, rounds=1
     )
-    (results_dir / "serve.txt").write_text(table + "\n")
+    record_table("serve", table + "\n")
     assert WORKLOAD in table
 
 

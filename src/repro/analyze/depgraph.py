@@ -24,7 +24,7 @@ From one serialized trace this module builds the dependence DAG —
   detector).
 
 From the same DAG the analyzer computes the critical path under
-:func:`~repro.gpusim.engine.estimate_launch_us` node weights.  Because
+:func:`~repro.gpusim.engine.launch_prices` node weights.  Because
 the serialized-stream estimate sums every launch, it can never be below
 the longest dependence chain — ``check_latency_model`` cross-validates
 exactly that and reports ``critical-path-bound`` violations when a
@@ -41,7 +41,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analyze.tracecheck import TraceViolation
-from repro.gpusim.engine import estimate_launch_us, estimate_trace_us
+from repro.gpusim.engine import estimate_trace_us, launch_prices
 from repro.gpusim.trace import KernelLaunch, KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.precision import Precision
@@ -122,26 +122,33 @@ class DependenceGraph:
             counts[edge.kind] += 1
         return counts
 
-    def _node_weights(
-        self, device: DeviceSpec, precision: Precision
-    ) -> List[float]:
-        return [
-            estimate_launch_us(launch, device, precision)
-            for launch in self.launches
-        ]
+    def _prices(
+        self,
+        device: DeviceSpec,
+        precision: Precision,
+        prices: Optional[Sequence[float]],
+    ) -> Sequence[float]:
+        if prices is None:
+            return launch_prices(self.launches, device, precision)
+        return prices
 
     def critical_path(
-        self, device: DeviceSpec, precision: Precision
+        self,
+        device: DeviceSpec,
+        precision: Precision,
+        prices: Optional[Sequence[float]] = None,
     ) -> Tuple[List[int], float]:
         """Longest dependence chain: launch indices and its latency (us).
 
         Edges only ever point forward in program order, so program order
-        is a topological order and one forward DP suffices.
+        is a topological order and one forward DP suffices.  ``prices``
+        is the trace's :func:`~repro.gpusim.engine.launch_prices` vector
+        when the caller already has it.
         """
         n = len(self.launches)
         if n == 0:
             return [], 0.0
-        weights = self._node_weights(device, precision)
+        weights = self._prices(device, precision, prices)
         preds: Dict[int, List[int]] = {}
         for edge in self.edges:
             preds.setdefault(edge.dst, []).append(edge.src)
@@ -160,21 +167,31 @@ class DependenceGraph:
         path.reverse()
         return path, best[end]
 
-    def parallelism(self, device: DeviceSpec, precision: Precision) -> float:
+    def parallelism(
+        self,
+        device: DeviceSpec,
+        precision: Precision,
+        prices: Optional[Sequence[float]] = None,
+    ) -> float:
         """Available launch parallelism: serialized latency over span."""
-        _, span = self.critical_path(device, precision)
+        weights = self._prices(device, precision, prices)
+        _, span = self.critical_path(device, precision, weights)
         if span <= 0.0:
             return 1.0
-        serialized = sum(self._node_weights(device, precision))
+        serialized = sum(weights)
         return serialized / span
 
     # ------------------------------------------------------------------ #
     def to_json(
-        self, device: DeviceSpec, precision: Precision, ndigits: int = 3
+        self,
+        device: DeviceSpec,
+        precision: Precision,
+        ndigits: int = 3,
+        prices: Optional[Sequence[float]] = None,
     ) -> Dict[str, object]:
         """Deterministic JSON document (floats rounded for stability)."""
-        path, span = self.critical_path(device, precision)
-        weights = self._node_weights(device, precision)
+        weights = self._prices(device, precision, prices)
+        path, span = self.critical_path(device, precision, weights)
         serialized = sum(weights)
         return {
             "device": device.name,

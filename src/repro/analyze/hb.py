@@ -21,13 +21,16 @@ scheduler the same way :func:`~repro.analyze.depgraph.check_dependences`
 sandwiches the ``repro.opt`` passes.
 
 The same HB graph supports *sync-point inference*: the scheduler emits
-one candidate event per cross-stream dependence, then
-:func:`redundant_sync_edges` removes every event already implied by the
-remaining graph (classic transitive reduction, restricted to sync edges
-— program order is fixed by the placement and never removable).  In a
-DAG, deleting an edge ``a -> b`` is closure-preserving exactly when some
-other path ``a -> .. -> b`` of length >= 2 exists, so the reduction
-never drops a required ordering.
+one candidate event per cross-stream dependence, then removes every
+event already implied by the remaining graph (classic transitive
+reduction, restricted to sync edges — program order is fixed by the
+placement and never removable).  In a DAG, deleting an edge ``a -> b``
+is closure-preserving exactly when some other path ``a -> .. -> b`` of
+length >= 2 exists, so the reduction never drops a required ordering.
+The scheduler evaluates that criterion with per-stream vector clocks
+(:mod:`repro.opt.schedule`); :func:`redundant_sync_edges` evaluates it
+over the bitset closure here and is the reference the fast path is
+tested against.
 """
 
 from __future__ import annotations

@@ -669,16 +669,14 @@ def _rule_launch_parallelism(ctx: LintContext) -> List[Finding]:
     if ctx.trace is None or len(ctx.trace) == 0:
         return []
     from repro.analyze.depgraph import DependenceGraph
-    from repro.gpusim.engine import estimate_launch_us
+    from repro.gpusim.engine import launch_prices
 
     graph = DependenceGraph.build(ctx.trace)
-    _, span = graph.critical_path(ctx.device, ctx.precision)
+    prices = launch_prices(ctx.trace, ctx.device, ctx.precision)
+    _, span = graph.critical_path(ctx.device, ctx.precision, prices)
     if span <= 0.0:
         return []
-    serialized = sum(
-        estimate_launch_us(launch, ctx.device, ctx.precision)
-        for launch in ctx.trace
-    )
+    serialized = sum(prices)
     parallelism = serialized / span
     if parallelism < PARALLELISM_INFO_THRESHOLD:
         return []

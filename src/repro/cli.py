@@ -702,7 +702,7 @@ def _cmd_depgraph(args) -> int:
 
     from repro.analyze.depgraph import DependenceGraph, check_depgraph
     from repro.analyze.hb import check_schedule
-    from repro.gpusim.engine import estimate_launch_us
+    from repro.gpusim.engine import launch_prices
     from repro.opt import PassPipeline, best_schedule, schedule_report_json
     from repro.opt.program import LaunchProgram
     from repro.opt.schedule import schedule_from_json, schedule_to_dot
@@ -736,6 +736,7 @@ def _cmd_depgraph(args) -> int:
 
     violations = check_depgraph(trace, device, precision)
     graph = DependenceGraph.build(trace)
+    prices = launch_prices(trace, device, precision)
     schedule = None
     loaded_schedule = False
     if args.schedule_json:
@@ -758,7 +759,7 @@ def _cmd_depgraph(args) -> int:
         verify_violations = check_schedule(trace, schedule, graph)
     failed = bool(violations or verify_violations)
     if args.json:
-        doc = graph.to_json(device, precision)
+        doc = graph.to_json(device, precision, prices=prices)
         doc["violations"] = [
             {"invariant": v.invariant, "launch": v.launch, "message": v.message}
             for v in violations
@@ -785,10 +786,8 @@ def _cmd_depgraph(args) -> int:
             print(graph.to_dot())
         return 1 if failed else 0
     counts = graph.edge_counts()
-    path, span = graph.critical_path(device, precision)
-    serialized = sum(
-        estimate_launch_us(l, device, precision) for l in trace
-    )
+    path, span = graph.critical_path(device, precision, prices)
+    serialized = sum(prices)
     print(
         f"{workload.id} @ {device.name}/{precision.value} x{args.batch} "
         f"(scale {args.scale:g}): {len(graph.launches)} launches, "
@@ -838,8 +837,8 @@ def _cmd_depgraph(args) -> int:
                 "happens-before ordered (race-free)"
             )
     rows = [
-        [i, f"{estimate_launch_us(graph.launches[i], device, precision):.2f}",
-         graph.launches[i].kind.value, graph.launches[i].name]
+        [i, f"{prices[i]:.2f}", graph.launches[i].kind.value,
+         graph.launches[i].name]
         for i in path[:args.max_rows]
     ]
     print()

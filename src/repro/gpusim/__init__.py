@@ -30,6 +30,7 @@ from repro.gpusim.engine import (
     estimate_launch_us,
     estimate_trace_us,
     latency_breakdown,
+    launch_prices,
     launch_signature,
     memory_budget_bytes,
     trace_memo_stats,
@@ -54,6 +55,7 @@ __all__ = [
     "estimate_launch_us",
     "estimate_trace_us",
     "latency_breakdown",
+    "launch_prices",
     "launch_signature",
     "memory_budget_bytes",
     "trace_memo_stats",

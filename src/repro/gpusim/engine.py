@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulatedOOMError
 from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind
@@ -70,6 +70,24 @@ def estimate_launch_us(
     else:
         body = t_compute + t_memory
     return device.kernel_launch_us + body
+
+
+def launch_prices(
+    trace: Iterable[KernelLaunch],
+    device: DeviceSpec,
+    precision: "Precision | str",
+) -> List[float]:
+    """Per-launch latency (us) of ``trace``, in program order.
+
+    The one place a trace's launches are priced: the scheduler, the
+    dependence graph's critical path and the per-kind / per-layer
+    breakdowns all read this vector.  Each caller keeps its own
+    summation order (``sum()`` is compensated on Python >= 3.12, an
+    explicit left-to-right loop is not), so sharing the vector never
+    moves a result by a bit.
+    """
+    parsed = Precision.parse(precision)
+    return [estimate_launch_us(launch, device, parsed) for launch in trace]
 
 
 # ---------------------------------------------------------------------- #
@@ -250,9 +268,7 @@ def estimate_trace_us(
 
         total = scheduled_trace_us(trace, device, parsed, streams)
     else:
-        total = sum(
-            estimate_launch_us(l, device, parsed) for l in trace
-        )
+        total = sum(launch_prices(trace, device, parsed))
     if memoize:
         _TRACE_MEMO.put(key, total)
     return total
@@ -310,9 +326,8 @@ def latency_breakdown(
     The ``"mapping"`` vs ``"gemm"`` split is the quantity behind the paper's
     Tables 3/4 contrast (kernel-only time vs end-to-end time).
     """
-    precision = Precision.parse(precision)
     out: Dict[str, float] = {}
-    for launch in trace:
+    for launch, price in zip(trace, launch_prices(trace, device, precision)):
         key = launch.kind.value
-        out[key] = out.get(key, 0.0) + estimate_launch_us(launch, device, precision)
+        out[key] = out.get(key, 0.0) + price
     return out

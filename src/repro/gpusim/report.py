@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.gpusim.engine import estimate_launch_us
+from repro.gpusim.engine import launch_prices
 from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec, get_device
 from repro.precision import Precision
@@ -27,8 +27,7 @@ def timeline(
     precision = Precision.parse(precision)
     rows: List[Tuple[float, List[str]]] = []
     clock = 0.0
-    for launch in trace:
-        duration = estimate_launch_us(launch, device, precision)
+    for launch, duration in zip(trace, launch_prices(trace, device, precision)):
         rows.append(
             (
                 duration,
@@ -63,14 +62,11 @@ def by_layer(
     precision: "Precision | str",
 ) -> Dict[str, float]:
     """Latency grouped by the layer prefix (text before the first '/')."""
-    device = get_device(device)
-    precision = Precision.parse(precision)
+    prices = launch_prices(trace, get_device(device), precision)
     out: Dict[str, float] = {}
-    for launch in trace:
+    for launch, price in zip(trace, prices):
         layer = launch.name.split("/", 1)[0]
-        out[layer] = out.get(layer, 0.0) + estimate_launch_us(
-            launch, device, precision
-        )
+        out[layer] = out.get(layer, 0.0) + price
     return out
 
 

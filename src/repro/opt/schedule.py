@@ -26,14 +26,33 @@ implied by stream program order plus the remaining events, and the
 survivors are charged ``DeviceSpec.sync_event_us`` each when the
 placement is re-timed.  Overlap that does not pay for its
 synchronization stops being claimed, and :func:`check_schedule
-<repro.analyze.hb.check_schedule>` can verify the emitted event set
+<repro.analyze.hb.check_schedule>` verifies the emitted event set
 independently.
 
 Raw list scheduling is not monotone in K (Graham's anomalies: more
 streams can finish later), and with sync charging a fixed K can even
-exceed serialized — so :func:`scheduled_trace_us` reports the best
-makespan over 1..K streams.  That restores monotonicity and keeps the
-result inside ``[critical_path, serialized]``.
+exceed serialized — so :func:`best_schedule` reports the best makespan
+over 1..K streams.  That restores monotonicity and keeps the result
+inside ``[critical_path, serialized]``.  It does the per-trace work once
+and every per-K phase in about O((n + E)·K):
+
+1. **Price once.** One :func:`~repro.gpusim.engine.launch_prices`
+   vector, the deduplicated dependence pairs, the predecessor lists, the
+   barrier indices and the critical path are computed per trace and
+   shared by every K.
+2. **K = 1** is the serialized prefix sum: no placement, no candidates,
+   no reduction.
+3. **Placement-bound pruning.** With ``sync_event_us >= 0`` the
+   sync-free placement makespan of a K is a lower bound on its re-timed
+   makespan (max and addition are monotone, and the reduced events close
+   over every dependence), so a K whose placement already reaches the
+   best makespan so far cannot win — ties go to the smaller K — and
+   skips the remaining phases.
+4. **Vector-clock reduction.** Every launch sits on one stream chain and
+   every edge points forward in program order, so a launch's ancestors
+   on each stream form a prefix of that stream: one clock entry per
+   stream answers ``ordered(a, b)`` as ``pos(a) <= clock[b][stream(a)]``.
+5. Only the winning K's placements and events are materialized.
 """
 
 from __future__ import annotations
@@ -43,8 +62,8 @@ import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analyze.depgraph import DependenceGraph
-from repro.analyze.hb import SyncEvent, redundant_sync_edges, stream_sequences
-from repro.gpusim.engine import estimate_launch_us
+from repro.analyze.hb import SyncEvent, stream_sequences
+from repro.gpusim.engine import launch_prices
 from repro.gpusim.trace import KernelLaunch, KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.precision import Precision
@@ -96,54 +115,111 @@ def _is_barrier(launch: KernelLaunch) -> bool:
     return not launch.reads and not launch.writes
 
 
-def _place_streams(
-    launches: Sequence[KernelLaunch],
-    weights: Sequence[float],
-    preds: Sequence[Sequence[int]],
-    streams: int,
-) -> List[int]:
+@dataclasses.dataclass(frozen=True)
+class _TraceState:
+    """Everything about one trace that no stream count changes."""
+
+    launches: List[KernelLaunch]
+    prices: List[float]
+    #: Deduplicated dependence pairs ``(src, dst)``, first occurrence first.
+    edges: List[Tuple[int, int]]
+    preds: List[List[int]]
+    barriers: List[int]
+    serialized_us: float
+    critical_path_us: float
+
+
+def _trace_state(
+    trace: "KernelTrace | Sequence[KernelLaunch]",
+    device: DeviceSpec,
+    precision: "Precision | str",
+    graph: Optional[DependenceGraph],
+) -> _TraceState:
+    precision = Precision.parse(precision)
+    launches = list(trace)
+    if graph is None:
+        graph = DependenceGraph.build(launches)
+    prices = launch_prices(launches, device, precision)
+    edges = list(dict.fromkeys((edge.src, edge.dst) for edge in graph.edges))
+    preds: List[List[int]] = [[] for _ in launches]
+    for src, dst in edges:
+        preds[dst].append(src)
+    # Serialized latency summed in program order: the K = 1 makespan is
+    # the same left-to-right sum, so the two agree bitwise.
+    serialized = 0.0
+    for price in prices:
+        serialized += price
+    _, span = graph.critical_path(device, precision, prices)
+    return _TraceState(
+        launches=launches,
+        prices=prices,
+        edges=edges,
+        preds=preds,
+        barriers=[i for i, launch in enumerate(launches) if _is_barrier(launch)],
+        serialized_us=serialized,
+        critical_path_us=span,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _Timing:
+    """One stream count's placement, events and re-timed windows."""
+
+    streams: int
+    stream_of: List[int]
+    starts: List[float]
+    ends: List[float]
+    makespan_us: float
+    kept: List[Tuple[int, int]]
+    removed: int
+
+
+def _place_streams(state: _TraceState, streams: int) -> Tuple[List[int], float]:
     """Phase 1: greedy earliest-start stream assignment (sync cost free).
 
-    This is the original Graham placement; sync overhead is charged only
-    in the re-timing phase, so placement stays deterministic and K=1
-    stays degenerate-serialized.
+    Returns the stream of every launch and the placement makespan.  This
+    is the original Graham placement; sync overhead is charged only in
+    the re-timing phase, so placement stays deterministic.
     """
+    barriers = set(state.barriers)
     free_at = [0.0] * streams
-    ends = [0.0] * len(launches)
+    ends = [0.0] * len(state.prices)
     horizon = 0.0
     barrier_end = 0.0
     stream_of: List[int] = []
-    for i, launch in enumerate(launches):
+    # ``if x > y: y = x`` is ``y = max(y, x)`` without the call.
+    for i, (price, preds) in enumerate(zip(state.prices, state.preds)):
         ready = barrier_end
-        for p in preds[i]:
-            ready = max(ready, ends[p])
-        if _is_barrier(launch):
-            ready = max(ready, horizon)
+        for p in preds:
+            if ends[p] > ready:
+                ready = ends[p]
+        if i in barriers:
+            if horizon > ready:
+                ready = horizon
             # A barrier cannot start before the whole horizon, so place
-            # it on the *busiest* stream: it starts at the same time but
-            # needs no sync against that stream's tail (and a fully
-            # unannotated trace stays on one stream with zero events).
-            stream = min(range(streams), key=lambda s: (-free_at[s], s))
+            # it on the *busiest* stream (lowest index on ties): it
+            # starts at the same time but needs no sync against that
+            # stream's tail, and a fully unannotated trace stays on one
+            # stream with zero events.
+            stream = free_at.index(max(free_at))
         else:
             # Earliest-free stream; ties break to the lowest index so the
-            # schedule is deterministic (and K=1 degenerates to
-            # serialized).
-            stream = min(range(streams), key=lambda s: (free_at[s], s))
-        start = max(ready, free_at[stream])
-        end = start + weights[i]
+            # schedule is deterministic.
+            stream = free_at.index(min(free_at))
+        start = free_at[stream] if free_at[stream] > ready else ready
+        end = start + price
         free_at[stream] = end
         ends[i] = end
-        horizon = max(horizon, end)
-        if _is_barrier(launch):
-            barrier_end = max(barrier_end, end)
+        if end > horizon:
+            horizon = end
+        if i in barriers and end > barrier_end:
+            barrier_end = end
         stream_of.append(stream)
-    return stream_of
+    return stream_of, horizon
 
 
 def _candidate_sync_edges(
-    launches: Sequence[KernelLaunch],
-    graph: DependenceGraph,
-    stream_of: Sequence[int],
+    state: _TraceState, stream_of: Sequence[int]
 ) -> List[Tuple[int, int]]:
     """Phase 2: one candidate event per cross-stream ordering requirement.
 
@@ -152,32 +228,223 @@ def _candidate_sync_edges(
     they sync against the last launch before and the first launch after
     them on each one.
     """
-    candidates: List[Tuple[int, int]] = []
-    seen: Set[Tuple[int, int]] = set()
-
-    def add(src: int, dst: int) -> None:
-        if (src, dst) not in seen:
-            seen.add((src, dst))
-            candidates.append((src, dst))
-
-    for edge in graph.edges:
-        if stream_of[edge.src] != stream_of[edge.dst]:
-            add(edge.src, edge.dst)
+    candidates = [
+        (src, dst) for src, dst in state.edges if stream_of[src] != stream_of[dst]
+    ]
+    if not state.barriers:
+        return candidates
+    # Barriers have no accesses, hence no dependence edges: their fences
+    # can only repeat each other (two barriers fencing one another).
+    fences: Dict[Tuple[int, int], None] = {}
     members: Dict[int, List[int]] = {}
     for i, stream in enumerate(stream_of):
         members.setdefault(stream, []).append(i)
-    for i, launch in enumerate(launches):
-        if not _is_barrier(launch):
-            continue
-        for stream, indices in sorted(members.items()):
+    for i in state.barriers:
+        for stream, indices in members.items():
             if stream == stream_of[i]:
                 continue
             pos = bisect.bisect_left(indices, i)
             if pos > 0:
-                add(indices[pos - 1], i)
+                fences[(indices[pos - 1], i)] = None
             if pos < len(indices):
-                add(i, indices[pos])
-    return candidates
+                fences[(i, indices[pos])] = None
+    return candidates + list(fences)
+
+
+def _redundant_sync_positions(
+    stream_of: Sequence[int],
+    streams: int,
+    sync_edges: Sequence[Tuple[int, int]],
+) -> List[int]:
+    """Phase 3: positions in ``sync_edges`` a transitive reduction removes.
+
+    The answer equals :func:`repro.analyze.hb.redundant_sync_edges` over
+    the program-order edges of ``stream_of`` (consecutive launches per
+    stream), provided every edge points forward (``src < dst``).  Then
+    each launch's ancestors on a stream are a prefix of that stream, so
+    one vector clock per launch — the position of its last ancestor on
+    every stream, or -1 — decides ``a`` happens before ``b`` as
+    ``pos[a] <= clock[b][stream_of[a]]``.  A sync edge ``a -> b`` is
+    redundant when it repeats an earlier one, joins two launches of one
+    stream, or another direct predecessor of ``b`` is ordered after
+    ``a``.
+    """
+    n = len(stream_of)
+    pos = [0] * n
+    prev = [-1] * n
+    tail = [-1] * streams
+    for i, stream in enumerate(stream_of):
+        prev[i] = tail[stream]
+        pos[i] = pos[tail[stream]] + 1 if tail[stream] >= 0 else 0
+        tail[stream] = i
+    redundant: List[int] = []
+    seen_pairs: Set[Tuple[int, int]] = set()
+    # Incoming sync edges per launch: (source, position in sync_edges).
+    sources: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for position, pair in enumerate(sync_edges):
+        src, dst = pair
+        if pair in seen_pairs or stream_of[src] == stream_of[dst]:
+            redundant.append(position)
+            continue
+        seen_pairs.add(pair)
+        sources[dst].append((src, position))
+
+    # clocks[b][s]: position of b's last strict ancestor on stream s, or
+    # -1.  The entry for b's own stream is never read (pos[b] answers
+    # it), so a launch without incoming sync edges shares its stream
+    # predecessor's list instead of copying it.
+    none = [-1] * streams
+    clocks: List[List[int]] = []
+    for b in range(n):
+        p = prev[b]
+        srcs = sources[b]
+        if not srcs:
+            clocks.append(clocks[p] if p >= 0 else none)
+            continue
+        # ``seen``: everything b's predecessors are ordered after (a
+        # source's own entry is stale but below its position, so merging
+        # it is harmless).  ``clock`` then adds the sources themselves.
+        # The program-order predecessor only matters for b's own stream.
+        seen = clocks[p] if p >= 0 else none
+        for a, _ in srcs:
+            seen = [y if y > x else x for x, y in zip(seen, clocks[a])]
+        clock = list(seen)
+        for a, _ in srcs:
+            if pos[a] > clock[stream_of[a]]:
+                clock[stream_of[a]] = pos[a]
+        # ``a -> b`` is implied when another predecessor is ordered after
+        # a, or is a later launch of a's own stream.
+        for a, position in srcs:
+            stream = stream_of[a]
+            if seen[stream] >= pos[a] or clock[stream] > pos[a]:
+                redundant.append(position)
+        clocks.append(clock)
+    redundant.sort()
+    return redundant
+
+
+def _retime(
+    state: _TraceState,
+    streams: int,
+    stream_of: List[int],
+    kept: List[Tuple[int, int]],
+    sync_cost: float,
+) -> Tuple[List[float], List[float], float]:
+    """Phase 4: re-time the placement charging ``sync_cost`` per event.
+
+    Program order plus the reduced event set closes over every dependence
+    (the reduction is closure-preserving), so waiting on direct events
+    and the stream's own tail is sufficient.
+    """
+    waiters: Dict[int, List[int]] = {}
+    for src, dst in kept:
+        waiters.setdefault(dst, []).append(src)
+    free_at = [0.0] * streams
+    starts: List[float] = []
+    ends: List[float] = []
+    horizon = 0.0
+    for i, (stream, price) in enumerate(zip(stream_of, state.prices)):
+        start = free_at[stream]
+        for record in waiters.get(i, ()):
+            ready = ends[record] + sync_cost
+            if ready > start:
+                start = ready
+        end = start + price
+        free_at[stream] = end
+        starts.append(start)
+        ends.append(end)
+        if end > horizon:
+            horizon = end
+    return starts, ends, horizon
+
+
+def _serial_timing(state: _TraceState) -> _Timing:
+    """K = 1: the serialized prefix sum, with no events to place."""
+    starts: List[float] = []
+    ends: List[float] = []
+    clock = 0.0
+    for price in state.prices:
+        starts.append(clock)
+        clock += price
+        ends.append(clock)
+    return _Timing(
+        streams=1,
+        stream_of=[0] * len(state.prices),
+        starts=starts,
+        ends=ends,
+        makespan_us=state.serialized_us,
+        kept=[],
+        removed=0,
+    )
+
+
+def _timing(
+    state: _TraceState,
+    streams: int,
+    sync_cost: float,
+    bound: Optional[float] = None,
+) -> Optional[_Timing]:
+    """All four phases for one stream count; ``None`` when the placement
+    makespan already reaches ``bound`` (the K cannot beat it)."""
+    if streams == 1:
+        return _serial_timing(state)
+    stream_of, placed_us = _place_streams(state, streams)
+    if bound is not None and placed_us >= bound:
+        return None
+    candidates = _candidate_sync_edges(state, stream_of)
+    removed = set(_redundant_sync_positions(stream_of, streams, candidates))
+    kept = sorted(
+        (
+            pair
+            for position, pair in enumerate(candidates)
+            if position not in removed
+        ),
+        key=lambda pair: (pair[1], pair[0]),
+    )
+    starts, ends, horizon = _retime(state, streams, stream_of, kept, sync_cost)
+    return _Timing(
+        streams=streams,
+        stream_of=stream_of,
+        starts=starts,
+        ends=ends,
+        makespan_us=horizon,
+        kept=kept,
+        removed=len(candidates) - len(kept),
+    )
+
+
+def _materialize(
+    state: _TraceState, timing: _Timing, sync_cost: float
+) -> StreamSchedule:
+    stream_of = timing.stream_of
+    return StreamSchedule(
+        streams=timing.streams,
+        makespan_us=timing.makespan_us,
+        serialized_us=state.serialized_us,
+        critical_path_us=state.critical_path_us,
+        assignments=tuple(
+            ScheduledLaunch(
+                index=i,
+                name=launch.name,
+                stream=stream_of[i],
+                start_us=timing.starts[i],
+                end_us=timing.ends[i],
+            )
+            for i, launch in enumerate(state.launches)
+        ),
+        events=tuple(
+            SyncEvent(
+                event_id=event_id,
+                record_index=src,
+                record_stream=stream_of[src],
+                wait_index=dst,
+                wait_stream=stream_of[dst],
+            )
+            for event_id, (src, dst) in enumerate(timing.kept)
+        ),
+        redundant_events_removed=timing.removed,
+        sync_event_us=sync_cost,
+    )
 
 
 def list_schedule(
@@ -201,101 +468,10 @@ def list_schedule(
     """
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
-    precision = Precision.parse(precision)
-    launches = list(trace)
-    if graph is None:
-        graph = DependenceGraph.build(launches)
-    weights = [
-        estimate_launch_us(launch, device, precision) for launch in launches
-    ]
-    preds: List[List[int]] = [[] for _ in launches]
-    for edge in graph.edges:
-        preds[edge.dst].append(edge.src)
-
-    stream_of = _place_streams(launches, weights, preds, streams)
-
-    # Phases 2+3: emit candidate events, then transitively reduce them.
-    # Program-order edges (consecutive launches per stream) are part of
-    # the HB graph but are fixed by the placement — only sync edges are
-    # removable.
-    candidates = _candidate_sync_edges(launches, graph, stream_of)
-    program_edges: List[Tuple[int, int]] = []
-    members: Dict[int, List[int]] = {}
-    for i, stream in enumerate(stream_of):
-        members.setdefault(stream, []).append(i)
-    for _, indices in sorted(members.items()):
-        program_edges.extend(zip(indices, indices[1:]))
-    removed = set(
-        redundant_sync_edges(len(launches), program_edges, candidates)
-    )
-    kept = sorted(
-        (
-            pair
-            for position, pair in enumerate(candidates)
-            if position not in removed
-        ),
-        key=lambda pair: (pair[1], pair[0]),
-    )
-    events = tuple(
-        SyncEvent(
-            event_id=event_id,
-            record_index=src,
-            record_stream=stream_of[src],
-            wait_index=dst,
-            wait_stream=stream_of[dst],
-        )
-        for event_id, (src, dst) in enumerate(kept)
-    )
-
-    # Phase 4: re-time the placement charging sync cost.  Program order
-    # plus the reduced event set closes over every dependence (the
-    # reduction is closure-preserving), so waiting on direct events and
-    # the stream's own tail is sufficient.  With no events (K=1, or a
-    # fully serial placement) this is the same left-to-right sum as the
-    # serialized estimate, bitwise.
-    waiters: Dict[int, List[int]] = {}
-    for src, dst in kept:
-        waiters.setdefault(dst, []).append(src)
-    sync_cost = device.sync_event_us
-    free_at = [0.0] * streams
-    ends = [0.0] * len(launches)
-    horizon = 0.0
-    assignments: List[ScheduledLaunch] = []
-    for i, launch in enumerate(launches):
-        stream = stream_of[i]
-        start = free_at[stream]
-        for record in waiters.get(i, ()):
-            start = max(start, ends[record] + sync_cost)
-        end = start + weights[i]
-        free_at[stream] = end
-        ends[i] = end
-        horizon = max(horizon, end)
-        assignments.append(
-            ScheduledLaunch(
-                index=i,
-                name=launch.name,
-                stream=stream,
-                start_us=start,
-                end_us=end,
-            )
-        )
-
-    # Serialized latency summed in program order: for K=1 the makespan is
-    # the same left-to-right sum, so the two agree bitwise.
-    serialized = 0.0
-    for w in weights:
-        serialized += w
-    _, span = graph.critical_path(device, precision)
-    return StreamSchedule(
-        streams=streams,
-        makespan_us=horizon,
-        serialized_us=serialized,
-        critical_path_us=span,
-        assignments=tuple(assignments),
-        events=events,
-        redundant_events_removed=len(candidates) - len(kept),
-        sync_event_us=sync_cost,
-    )
+    state = _trace_state(trace, device, precision, graph)
+    timing = _timing(state, streams, device.sync_event_us)
+    assert timing is not None
+    return _materialize(state, timing, device.sync_event_us)
 
 
 def best_schedule(
@@ -312,18 +488,25 @@ def best_schedule(
     in ``streams`` and always in ``[critical_path, serialized]``.  Ties
     go to the smallest stream count, so overlap whose sync cost eats
     the whole win falls back to fewer streams (ultimately K=1 with zero
-    events).
+    events).  Each launch is priced once per call, and a K whose
+    sync-free placement cannot beat the best makespan so far is pruned
+    — exact only for ``sync_event_us >= 0``, which is enforced.
     """
-    launches = list(trace)
-    if graph is None:
-        graph = DependenceGraph.build(launches)
-    best: Optional[StreamSchedule] = None
-    for k in range(1, streams + 1):
-        candidate = list_schedule(launches, device, precision, k, graph)
-        if best is None or candidate.makespan_us < best.makespan_us:
+    if streams < 1:
+        raise ValueError(f"streams must be >= 1, got {streams}")
+    sync_cost = device.sync_event_us
+    if sync_cost < 0:
+        raise ValueError(
+            f"sync_event_us must be >= 0 for placement-bound pruning, "
+            f"got {sync_cost}"
+        )
+    state = _trace_state(trace, device, precision, graph)
+    best = _serial_timing(state)
+    for k in range(2, streams + 1):
+        candidate = _timing(state, k, sync_cost, bound=best.makespan_us)
+        if candidate is not None and candidate.makespan_us < best.makespan_us:
             best = candidate
-    assert best is not None
-    return best
+    return _materialize(state, best, sync_cost)
 
 
 def scheduled_trace_us(
