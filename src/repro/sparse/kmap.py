@@ -254,6 +254,16 @@ def build_kernel_map(
     the per-dimension output and offset extremes; a query outside it raises
     the ``ShapeError`` :func:`~repro.sparse.coords.pack_coords` gives
     rather than carrying into the next field (another batch's keys).
+
+    A submanifold map (stride 1, every ``K`` odd) is built from half the
+    probes.  Its offsets are symmetric, ``offsets[V - 1 - v] ==
+    -offsets[v]``, so column ``V - 1 - v`` is the inverse of column ``v``:
+    ``nbmap[j, v] == i`` exactly when ``nbmap[i, V - 1 - v] == j``.  The
+    table is probed for ``v < V // 2``; the centre column is the identity
+    and the mirrored half is scattered from the probed one.  Their queries
+    are charged from the table layout
+    (:meth:`~repro.sparse.hashmap.CoordinateHashMap.charge_known`), so the
+    statistics equal probing every offset.
     """
     in_coords = np.asarray(in_coords, dtype=np.int32)
     ndim = in_coords.shape[1] - 1
@@ -273,9 +283,19 @@ def build_kernel_map(
     dilated = offsets.astype(np.int64) * np.asarray(tstride, dtype=np.int64)
     # Query all offsets in one vectorised batch, as a fused GPU kernel would.
     queries = pack_shifted(out_coords, out_keys, dilated)
-    nbmap = np.ascontiguousarray(
-        table.query(queries.ravel()).reshape(queries.shape).T
-    )
+    if out_coords is in_coords and all(k % 2 == 1 for k in sizes):
+        volume, num = queries.shape
+        half = volume // 2
+        found = np.empty(queries.shape, dtype=np.int32)
+        found[:half] = table.query(queries[:half].ravel()).reshape(half, num)
+        found[half] = np.arange(num, dtype=np.int32)
+        found[half + 1:] = -1
+        column, row = np.nonzero(found[:half] >= 0)
+        found[volume - 1 - column, found[column, row]] = row
+        table.charge_known(queries[half:].ravel(), found[half:].ravel())
+    else:
+        found = table.query(queries.ravel()).reshape(queries.shape)
+    nbmap = np.ascontiguousarray(found.T)
 
     key = MapKey(
         kernel_size=sizes,

@@ -6,7 +6,132 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MapError
-from repro.sparse.hashmap import CoordinateHashMap
+from repro.sparse.hashmap import _EMPTY, CoordinateHashMap, _hash_keys
+
+
+class ReferenceHashMap(CoordinateHashMap):
+    """The round-based insert and probe loops written out plainly: the
+    oracle for the slot layout, query results and every stats field."""
+
+    def _insert(self, keys, values):
+        slots = _hash_keys(keys, self._capacity).astype(np.int64)
+        pending = np.arange(len(keys))
+        while len(pending):
+            at = slots[pending]
+            occupied = self._slots_keys[at] != _EMPTY
+            free = pending[~occupied]
+            if len(free):
+                # First pending key per free target slot wins.
+                _, winners = np.unique(slots[free], return_index=True)
+                chosen = free[winners]
+                self._slots_keys[slots[chosen]] = keys[chosen]
+                self._slots_vals[slots[chosen]] = values[chosen]
+                lost = np.setdiff1d(free, chosen, assume_unique=True)
+                pending = np.concatenate([pending[occupied], lost])
+            else:
+                pending = pending[occupied]
+            slots[pending] = (slots[pending] + 1) % self._capacity
+            self.stats.insert_probes += len(pending)
+        self.stats.inserts += len(keys)
+        self.stats.insert_probes += len(keys)
+
+    def query(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        result = np.full(len(keys), -1, dtype=np.int32)
+        slots = _hash_keys(keys, self._capacity).astype(np.int64)
+        active = np.arange(len(keys))
+        self.stats.queries += len(keys)
+        while len(active):
+            self.stats.query_probes += len(active)
+            at = slots[active]
+            slot_keys = self._slots_keys[at]
+            hit = slot_keys == keys[active]
+            result[active[hit]] = self._slots_vals[at[hit]]
+            active = active[~hit & (slot_keys != _EMPTY)]
+            slots[active] = (slots[active] + 1) % self._capacity
+        return result
+
+
+def _capacity(n):
+    return 1 << (max(4, 2 * n) - 1).bit_length()
+
+
+@st.composite
+def colliding_key_sets(draw):
+    """Unique int64 keys that crowd the table: consecutive runs, keys
+    spaced by the table capacity, negative keys, at sizes on either side
+    of a power of two (where the capacity doubles)."""
+    size = draw(
+        st.sampled_from([1 << p for p in range(9)]).flatmap(
+            lambda b: st.sampled_from([b - 1, b, b + 1])
+        )
+        | st.integers(0, 300)
+    )
+    start = draw(st.integers(-(2**40), 2**40) | st.sampled_from([0, -1, 7]))
+    step = draw(st.sampled_from(
+        [1, -1, _capacity(size), -_capacity(size), 2 * _capacity(size)]
+    ) | st.integers(1, 2**20))
+    keys = start + step * np.arange(size, dtype=np.int64)
+    extra = draw(st.lists(st.integers(-(2**50), 2**50), max_size=20))
+    keys = np.concatenate([keys, np.array(extra, dtype=np.int64)])
+    _, first = np.unique(keys, return_index=True)
+    return keys[np.sort(first)]
+
+
+@st.composite
+def tables_and_queries(draw):
+    """A key set and a query batch mixing hits and misses near the keys."""
+    keys = draw(colliding_key_sets())
+    shifts = draw(st.lists(
+        st.sampled_from([0, 1, -1, 2, _capacity(len(keys))])
+        | st.integers(-(2**20), 2**20),
+        min_size=1, max_size=4,
+    ))
+    queries = np.concatenate(
+        [keys + shift for shift in shifts]
+        + [np.array(draw(st.lists(st.integers(-(2**50), 2**50), max_size=20)),
+                    dtype=np.int64)]
+    )
+    return keys, draw(st.permutations(list(queries)))
+
+
+class TestAgainstReference:
+    """Same layout, answers and accounting as the plain probe loops."""
+
+    @given(colliding_key_sets())
+    @settings(max_examples=120, deadline=None)
+    def test_insert_layout_matches_reference(self, keys):
+        table, reference = CoordinateHashMap(keys), ReferenceHashMap(keys)
+        assert np.array_equal(table._slots_keys, reference._slots_keys)
+        assert np.array_equal(table._slots_vals, reference._slots_vals)
+        assert table.stats == reference.stats
+
+    @given(tables_and_queries())
+    @settings(max_examples=120, deadline=None)
+    def test_query_matches_reference(self, case):
+        keys, queries = case
+        queries = np.array(queries, dtype=np.int64)
+        table, reference = CoordinateHashMap(keys), ReferenceHashMap(keys)
+        got = table.query(queries)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, reference.query(queries))
+        assert table.stats == reference.stats
+
+    @given(tables_and_queries())
+    @settings(max_examples=120, deadline=None)
+    def test_charge_known_equals_probing(self, case):
+        keys, queries = case
+        queries = np.array(queries, dtype=np.int64)
+        table, reference = CoordinateHashMap(keys), ReferenceHashMap(keys)
+        table.charge_known(queries, reference.query(queries))
+        assert table.stats == reference.stats
+
+    def test_charge_known_on_empty_table_and_batch(self):
+        table = CoordinateHashMap(np.array([], dtype=np.int64))
+        table.charge_known(np.array([3, 4], dtype=np.int64), np.array([-1, -1]))
+        table.charge_known(np.array([], dtype=np.int64), np.array([], int))
+        assert table.stats.queries == 2
+        assert table.stats.query_probes == 2
 
 
 class TestCoordinateHashMap:
@@ -47,12 +172,13 @@ class TestCoordinateHashMap:
 
     def test_probe_statistics_recorded(self):
         keys = np.arange(1000, dtype=np.int64)
-        table = CoordinateHashMap(keys)
-        table.query(keys)
+        table, reference = CoordinateHashMap(keys), ReferenceHashMap(keys)
+        queries = np.arange(-500, 1500, dtype=np.int64)
+        table.query(queries)
+        reference.query(queries)
+        assert table.stats == reference.stats
         assert table.stats.inserts == 1000
-        assert table.stats.queries == 1000
-        assert table.stats.query_probes >= 1000
-        assert table.stats.insert_probes >= 1000
+        assert table.stats.queries == 2000
 
     def test_negative_keys(self):
         keys = np.array([-1, -100, -(2**40)], dtype=np.int64)

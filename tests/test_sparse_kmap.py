@@ -175,9 +175,10 @@ class TestValidation:
 
 
 def reference_kernel_map(in_coords, kernel_size, stride=1, tensor_stride=1):
-    """Map construction by repeating every output row per offset and
-    packing each query row with ``pack_coords``: the oracle for the
-    broadcast-add query keys of ``build_kernel_map``."""
+    """Map construction by repeating every output row per offset, packing
+    each query row with ``pack_coords`` and probing the table for every
+    offset: the oracle for the broadcast-add query keys and the mirrored
+    submanifold columns of ``build_kernel_map``."""
     in_coords = np.asarray(in_coords, dtype=np.int32)
     ndim = in_coords.shape[1] - 1
     sizes = normalize_kernel_size(kernel_size, ndim)
@@ -255,7 +256,8 @@ def coordinate_sets(draw):
 
 
 class TestAdditiveQueryKeys:
-    """Query keys formed as ``pack(c) + packed delta`` match packing every
+    """Query keys formed as ``pack(c) + packed delta``, and submanifold
+    columns mirrored from half the offsets, match packing and probing every
     shifted row: same maps, coordinates, probe counts and errors."""
 
     @settings(max_examples=60, deadline=None)
@@ -298,6 +300,72 @@ class TestAdditiveQueryKeys:
             + message
         )
         assert_same_outcome(coords, 3, 1, tensor_stride)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coords=coordinate_sets(), data=st.data())
+    def test_mixed_kernel_sizes_match_oracle(self, coords, data):
+        ndim = coords.shape[1] - 1
+        kernel_size = data.draw(
+            st.tuples(*[st.sampled_from([1, 2, 3, 5])] * ndim)
+        )
+        for tensor_stride in (1, 2, 4):
+            assert_same_outcome(coords, kernel_size, 1, tensor_stride)
+
+    @pytest.mark.parametrize("kernel_size, stride, mirrored", [
+        (1, 1, True),
+        (3, 1, True),
+        (5, 1, True),
+        ((3, 1, 5), 1, True),
+        ((3, 2, 3), 1, False),
+        (2, 1, False),
+        (3, 2, False),
+    ])
+    @pytest.mark.parametrize("tensor_stride", [1, 2, 4])
+    @pytest.mark.parametrize("coords", [
+        np.zeros((0, 4), dtype=np.int32),
+        np.array([[0, 5, -5, 7]], dtype=np.int32),
+        np.array([[b, x, y, z] for b in (0, 1, 3)
+                  for x, y, z in [(0, 0, 0), (0, 0, 1), (2, 0, 0),
+                                  (1, 1, 1), (-4, 2, 0), (0, 4, 0)]],
+                 dtype=np.int32),
+    ], ids=["empty", "single", "multi-batch"])
+    def test_mirror_path_edge_cases(
+        self, monkeypatch, coords, kernel_size, stride, tensor_stride,
+        mirrored,
+    ):
+        charged = []
+        charge_known = CoordinateHashMap.charge_known
+
+        def counting_charge_known(table, keys, values):
+            charged.append(len(keys))
+            charge_known(table, keys, values)
+
+        monkeypatch.setattr(
+            CoordinateHashMap, "charge_known", counting_charge_known
+        )
+        assert_same_outcome(coords, kernel_size, stride, tensor_stride)
+        volume = len(kernel_offsets(kernel_size, 3))
+        # The centre column and the mirrored half are charged, not probed.
+        assert charged == ([(volume - volume // 2) * len(coords)]
+                           if mirrored else [])
+
+    @pytest.mark.parametrize("kernel_size", [3, 5, (3, 1, 5), (1, 1, 3)])
+    def test_out_of_range_raises_before_any_probe(
+        self, monkeypatch, kernel_size
+    ):
+        def forbidden(*args):
+            raise AssertionError("probed an out-of-range coordinate set")
+
+        monkeypatch.setattr(CoordinateHashMap, "query", forbidden)
+        monkeypatch.setattr(CoordinateHashMap, "charge_known", forbidden)
+        coords = np.array([[0, 0, 0, 32767], [0, 0, 0, 0]], dtype=np.int32)
+        reach = normalize_kernel_size(kernel_size, 3)[2] // 2
+        with pytest.raises(ShapeError) as err:
+            build_kernel_map(coords, kernel_size)
+        assert str(err.value) == (
+            "spatial coordinates out of packable range [-32768, 32767]: "
+            f"min={-reach}, max={32767 + reach}"
+        )
 
     def test_top_of_range_never_aliases_next_batch(self):
         # pack((b, 32767, y, z)) + (1 << 32) == pack((b + 1, -32768, y, z)):
