@@ -1,12 +1,12 @@
 """Cache-key soundness: read-set provenance audits of every memoization.
 
-The framework's speed story is four generations of memoization — the
+The framework's speed story is four generations of memoization: the
 policy cache, each replica's kernel-map cache, the runtime's per-sample
-execution memo, the autotune database — plus the gpusim trace memo.
-Every one is only as correct as its key: a key that misses an input the
-cached computation actually *reads* produces stale or aliased hits that
-silently corrupt every downstream latency number, and a key component the
-computation never reads produces needless misses.
+execution memo and the autotune database.  Every one is only as correct
+as its key: a key that misses an input the cached computation actually
+*reads* produces stale or aliased hits that silently corrupt every
+downstream latency number, and a key component the computation never
+reads produces needless misses.
 
 This module checks the keys mechanically:
 
@@ -30,11 +30,10 @@ This module checks the keys mechanically:
   a model, so model lint and serving admission do not run them.
 * **Differential fuzzing** (:func:`fuzz_cache_site`) — a seeded fuzzer
   per site that perturbs *non-key* fields and asserts byte-identical
-  cached results (and, for the trace memo, that key-field perturbations
-  re-key instead of aliasing).  Run suite-wide from ``tests/conftest.py``
-  like the trace sanitizer.
+  cached results.  Run suite-wide from ``tests/conftest.py`` like the
+  trace sanitizer.
 
-Audits are memoized per (site, schema object): the probes build tiny
+Audits are cached per (site, schema object): the probes build tiny
 scenes and runtimes, so the cost is paid once per process.
 """
 
@@ -43,8 +42,6 @@ from __future__ import annotations
 import dataclasses
 import random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
-
-from repro.gpusim.engine import PRICING_FIELDS, SCHEDULE_FIELDS
 
 
 # ---------------------------------------------------------------------- #
@@ -128,16 +125,12 @@ class KeyComponent:
     ``covers`` are dotted-path prefixes: a recorded read ``p`` is covered
     when ``p == c`` or ``p`` starts with ``c + "."`` for some cover ``c``.
     Components with empty ``covers`` document by-value key parts (flags,
-    versions) that no proxied read maps to.  ``conditional`` components
-    cover paths only read on some configurations (e.g. the multi-stream
-    scheduling fields) and are never reported as overkeyed when the probe
-    does not exercise them — the differential fuzzer checks them instead.
+    versions) that no proxied read maps to.
     """
 
     name: str
     covers: Tuple[str, ...] = ()
     note: str = ""
-    conditional: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,7 +251,6 @@ def audit_cache_site(site: "str | KeySchema") -> SiteAudit:
         component.name
         for component in schema.components
         if component.covers
-        and not component.conditional
         and not any(
             _prefix_match(path, c)
             for path in reads
@@ -405,88 +397,6 @@ def _priced_trace_us(
 # ---------------------------------------------------------------------- #
 # Built-in site registrations
 # ---------------------------------------------------------------------- #
-def _probe_trace_memo() -> ReadLog:
-    from repro.hw.specs import get_device
-    from repro.kernels.registry import Dataflow, trace_dataflow
-    from repro.precision import Precision
-
-    log = ReadLog()
-    kmap = _probe_kmap()
-    trace = trace_dataflow(
-        Dataflow.IMPLICIT_GEMM, kmap, 16, 16, precision="fp16"
-    )
-    device = wrap(get_device("a100"), "device", log)
-    launches = [wrap(launch, "launch", log) for launch in trace]
-    total = _priced_trace_us(launches, device, Precision.FP16)
-    assert total > 0.0
-    return log
-
-
-def _fuzz_trace_memo(rng: random.Random) -> Tuple[int, List[str]]:
-    from repro.gpusim import engine
-    from repro.gpusim.trace import KernelTrace
-    from repro.hw.specs import get_device
-    from repro.kernels.registry import Dataflow, trace_dataflow
-
-    failures: List[str] = []
-    device = get_device("a100")
-    kmap = _probe_kmap()
-    trace = trace_dataflow(
-        Dataflow.IMPLICIT_GEMM, kmap, 16, 16, precision="fp16"
-    )
-    baseline = engine.estimate_trace_us(trace, device, "fp16", memoize=False)
-    memoized = engine.estimate_trace_us(trace, device, "fp16")
-    if memoized != baseline:
-        failures.append(
-            f"memoized miss-path result {memoized!r} != unmemoized "
-            f"{baseline!r}"
-        )
-    if engine.estimate_trace_us(trace, device, "fp16") != baseline:
-        failures.append("memoized hit-path result differs from unmemoized")
-    trials = 2
-    # Non-key (non-pricing) fields must not change the memoized result.
-    for i in range(10):
-        copies = [dataclasses.replace(launch) for launch in trace]
-        mutated = KernelTrace(copies)
-        victim = copies[rng.randrange(len(copies))]
-        choice = rng.randrange(4)
-        if choice == 0:
-            victim.name = f"fuzzed/{i}"
-        elif choice == 1:
-            victim.fuse_group = f"fz{i}"
-        elif choice == 2:
-            victim.hoistable_scalar_ops = victim.scalar_ops * rng.random()
-        else:
-            victim.workspace_bytes = victim.workspace_bytes + rng.random()
-        got = engine.estimate_trace_us(mutated, device, "fp16")
-        trials += 1
-        if got != baseline:
-            failures.append(
-                f"perturbing non-key field (choice {choice}) changed the "
-                f"memoized estimate: {got!r} != {baseline!r}"
-            )
-    # Key-field perturbation must re-key: a trace differing in any priced
-    # field gets a distinct signature, so the memo cannot alias it to the
-    # baseline entry.  (The mutated trace is deliberately not priced — an
-    # arbitrary flops change need not stay physically consistent with the
-    # dependence-model invariants the suite sanitizer enforces.)
-    for field in PRICING_FIELDS:
-        if field in ("kind", "overlapped", "tensor_core_eligible"):
-            continue
-        perturbed = [dataclasses.replace(launch) for launch in trace]
-        value = getattr(perturbed[0], field)
-        setattr(perturbed[0], field, value * 2 + 1)
-        trials += 1
-        if engine.trace_signature(
-            perturbed, device, "fp16"
-        ) == engine.trace_signature(list(trace), device, "fp16"):
-            failures.append(
-                f"perturbing priced field {field!r} did not re-key the "
-                f"trace memo"
-            )
-    return trials, failures
-
-
 def _probe_policy_cache() -> ReadLog:
     from repro.hw.specs import get_device
     from repro.kernels.registry import Dataflow, trace_dataflow
@@ -496,7 +406,7 @@ def _probe_policy_cache() -> ReadLog:
     device = wrap(get_device("a100"), "device", log)
     scene = wrap(_probe_kmap(), "scene", log)
     best: Optional[Tuple[float, Any]] = None
-    # The tune-once decision the policy cache memoizes: rank dataflows on
+    # The tune-once decision the policy cache stores: rank dataflows on
     # a sample scene and keep the winner.
     for dataflow in (Dataflow.IMPLICIT_GEMM, Dataflow.GATHER_SCATTER):
         trace = trace_dataflow(dataflow, scene, 16, 16, precision="fp16")
@@ -689,45 +599,6 @@ _PINNED_DEVICE = Exemption(
 
 
 def _register_builtin_sites() -> None:
-    register_cache_site(
-        KeySchema(
-            site="gpusim.trace-memo",
-            description=(
-                "estimate_trace_us memo keyed by (device, precision, "
-                "streams, per-launch pricing signature)"
-            ),
-            components=(
-                KeyComponent(
-                    "launch_signature",
-                    covers=tuple(f"launch.{f}" for f in PRICING_FIELDS),
-                    note=(
-                        "PRICING_FIELDS is the single source of truth: "
-                        "the signature reads exactly the fields "
-                        "estimate_launch_us prices"
-                    ),
-                ),
-                KeyComponent(
-                    "schedule_signature",
-                    covers=tuple(f"launch.{f}" for f in SCHEDULE_FIELDS),
-                    note=(
-                        "streams > 1 additionally keys the dependence/"
-                        "scheduling fields; exercised by the fuzzer, not "
-                        "the single-stream probe"
-                    ),
-                    conditional=True,
-                ),
-                KeyComponent("device", covers=("device",)),
-                KeyComponent(
-                    "precision",
-                    note="by value, unparsed (aliases duplicate, never "
-                    "corrupt)",
-                ),
-                KeyComponent("streams", note="by value"),
-            ),
-            probe=_probe_trace_memo,
-            fuzz=_fuzz_trace_memo,
-        )
-    )
     register_cache_site(
         KeySchema(
             site="serve.policy-cache",

@@ -147,7 +147,7 @@ class LintContext:
         return self.policy.config(signature, Role.FORWARD)
 
     def trace_violations(self) -> List[TraceViolation]:
-        """Depgraph violations of ``trace`` (memoized; [] without one)."""
+        """Depgraph violations of ``trace`` (cached; [] without one)."""
         if self.trace is None:
             return []
         if self._trace_violations is None:
@@ -160,7 +160,7 @@ class LintContext:
 
     def stream_schedule(self) -> Optional["StreamSchedule"]:
         """Sync-aware best schedule of ``trace`` at the lint stream count
-        (memoized; ``None`` without a trace)."""
+        (cached; ``None`` without a trace)."""
         if self.trace is None or len(self.trace) == 0:
             return None
         if self._schedule is None:

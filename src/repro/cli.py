@@ -237,6 +237,11 @@ def _cmd_keycheck(args) -> int:
             raise ConfigError(
                 f"module {module_name!r} has no attribute {func_name!r}"
             )
+        if not callable(register):
+            raise ConfigError(
+                f"{module_name}:{func_name} is not callable "
+                f"({type(register).__name__})"
+            )
         register()
     if args.site:
         unknown = [s for s in args.site if s not in REGISTRY]

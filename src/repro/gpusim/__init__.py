@@ -22,19 +22,12 @@ The model captures the first-order effects the paper's analysis rests on:
 
 from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind, TraceSummary
 from repro.gpusim.engine import (
-    PRICING_FIELDS,
-    SCHEDULE_FIELDS,
-    TraceMemo,
-    clear_trace_memo,
     enforce_memory_budget,
     estimate_launch_us,
     estimate_trace_us,
     latency_breakdown,
     launch_prices,
-    launch_signature,
     memory_budget_bytes,
-    trace_memo_stats,
-    trace_signature,
     wave_efficiency,
 )
 from repro.gpusim.report import by_layer, layer_report, timeline
@@ -46,19 +39,12 @@ __all__ = [
     "KernelLaunch",
     "KernelTrace",
     "LaunchKind",
-    "PRICING_FIELDS",
-    "SCHEDULE_FIELDS",
-    "TraceMemo",
     "TraceSummary",
-    "clear_trace_memo",
     "enforce_memory_budget",
     "estimate_launch_us",
     "estimate_trace_us",
     "latency_breakdown",
     "launch_prices",
-    "launch_signature",
     "memory_budget_bytes",
-    "trace_memo_stats",
-    "trace_signature",
     "wave_efficiency",
 ]

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from operator import attrgetter
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from repro.errors import SimulatedOOMError
 from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind
@@ -90,154 +89,11 @@ def launch_prices(
     return [estimate_launch_us(launch, device, parsed) for launch in trace]
 
 
-# ---------------------------------------------------------------------- #
-# Trace memoization (ROADMAP item 5)
-# ---------------------------------------------------------------------- #
-
-#: Launch fields the single-stream pricing model reads.  This tuple is the
-#: single source of truth for the trace-memo key: ``launch_signature`` keys
-#: on exactly these fields, and ``analyze.provenance`` audits that the
-#: pricing functions above read nothing else.
-PRICING_FIELDS: Tuple[str, ...] = (
-    "kind",
-    "flops",
-    "dram_read_bytes",
-    "dram_write_bytes",
-    "atomic_write_bytes",
-    "scalar_ops",
-    "ctas",
-    "overlapped",
-    "tensor_core_eligible",
-    "compute_efficiency",
-)
-
-#: Additional launch fields the multi-stream scheduler reads on top of
-#: pricing: dependence edges come from named buffer accesses, tie-breaking
-#: from launch names, and workspace liveness from per-launch workspace.
-SCHEDULE_FIELDS: Tuple[str, ...] = (
-    "name",
-    "workspace_bytes",
-    "reads",
-    "writes",
-)
-
-_PRICING_GETTER = attrgetter(*PRICING_FIELDS)
-_SCHEDULE_GETTER = attrgetter(*(PRICING_FIELDS + SCHEDULE_FIELDS))
-
-
-def launch_signature(
-    launch: KernelLaunch, scheduled: bool = False
-) -> Tuple[Any, ...]:
-    """Tuple of exactly the launch fields the latency model reads.
-
-    With ``scheduled=False`` this covers the single-stream pricing path
-    (:func:`estimate_launch_us`); with ``scheduled=True`` it additionally
-    covers the dependence/scheduling fields read by ``streams > 1``
-    estimation.  ``KernelLaunch`` is mutable (optimization passes rewrite
-    launches in place), so the signature is recomputed per call rather than
-    cached on the launch: a mutated launch re-keys instead of aliasing.
-    """
-    getter = _SCHEDULE_GETTER if scheduled else _PRICING_GETTER
-    sig: Tuple[Any, ...] = getter(launch)
-    return sig
-
-
-def trace_signature(
-    trace: KernelTrace,
-    device: DeviceSpec,
-    precision: "Precision | str",
-    streams: int = 1,
-) -> Tuple[Hashable, ...]:
-    """Memo key for :func:`estimate_trace_us`.
-
-    The key is (device, precision, streams, per-launch field signatures) —
-    the kmap and layer shape are fully determined by the launch fields
-    (flops, bytes, ctas all derive from them), so this *is* the (layer
-    signature, kmap signature, device, precision, streams) key ROADMAP
-    item 5 asks for, computed from what the pricing model actually reads.
-
-    ``precision`` is keyed as passed (string or enum, unparsed): parsing on
-    the hit path would cost more than the lookup.  Spelling aliases such as
-    ``"fp16"`` vs ``Precision.FP16`` therefore occupy separate entries, but
-    each maps to the value computed from its parsed form, so aliasing can
-    only duplicate work, never corrupt a result.
-    """
-    getter = _SCHEDULE_GETTER if streams > 1 else _PRICING_GETTER
-    return (device, precision, streams, tuple(map(getter, trace)))
-
-
-class TraceMemo:
-    """Bounded FIFO memo table for :func:`estimate_trace_us` results.
-
-    Content-keyed via :func:`trace_signature`: mutating a launch between
-    calls re-keys the trace, so a stale hit is impossible by construction.
-    Eviction is insertion-ordered FIFO (deterministic, no per-hit
-    bookkeeping on the fast path).
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError(f"memo capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: Dict[Tuple[Hashable, ...], float] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Tuple[Hashable, ...]) -> Optional[float]:
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, key: Tuple[Hashable, ...], value: float) -> None:
-        entries = self._entries
-        if key not in entries and len(entries) >= self.capacity:
-            del entries[next(iter(entries))]
-            self.evictions += 1
-        entries[key] = value
-
-    def clear(self) -> None:
-        """Drop all entries and reset hit/miss/eviction counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-_TRACE_MEMO = TraceMemo()
-
-
-def trace_memo_stats() -> Dict[str, int]:
-    """Hit/miss/eviction counters of the process-wide trace memo."""
-    return _TRACE_MEMO.stats()
-
-
-def clear_trace_memo() -> None:
-    """Empty the process-wide trace memo and reset its counters."""
-    _TRACE_MEMO.clear()
-
-
 def estimate_trace_us(
     trace: KernelTrace,
     device: DeviceSpec,
     precision: "Precision | str",
     streams: int = 1,
-    memoize: bool = True,
 ) -> float:
     """Total latency of a trace in microseconds.
 
@@ -247,31 +103,17 @@ def estimate_trace_us(
     list-scheduled onto K virtual streams respecting its dependence DAG
     (:mod:`repro.opt.schedule`), so the result lands in
     ``[critical_path, serialized]``.
-
-    Results are memoized in a process-wide :class:`TraceMemo` keyed by
-    :func:`trace_signature` — repeated batches replay prior estimates
-    byte-identically instead of re-pricing every launch (ROADMAP item 5).
-    Pass ``memoize=False`` to force a fresh computation.
     """
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
-    if memoize:
-        key = trace_signature(trace, device, precision, streams)
-        cached = _TRACE_MEMO.get(key)
-        if cached is not None:
-            return cached
     parsed = Precision.parse(precision)
     if streams > 1:
         # Imported lazily: repro.opt depends on this module for launch
         # pricing, so a top-level import would be circular.
         from repro.opt.schedule import scheduled_trace_us
 
-        total = scheduled_trace_us(trace, device, parsed, streams)
-    else:
-        total = sum(launch_prices(trace, device, parsed))
-    if memoize:
-        _TRACE_MEMO.put(key, total)
-    return total
+        return scheduled_trace_us(trace, device, parsed, streams)
+    return sum(launch_prices(trace, device, parsed))
 
 
 def memory_budget_bytes(device: DeviceSpec, headroom: float = 0.0) -> float:

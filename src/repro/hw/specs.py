@@ -83,10 +83,10 @@ class DeviceSpec:
 
     def __hash__(self) -> int:
         # Device specs are immutable and sit in every memoization key the
-        # framework builds (tuning DB, policy cache, gpusim trace memo), so
-        # hashing one is a hot operation.  Cache the field-tuple hash on
-        # first use; ``dataclasses.replace`` builds a fresh instance, so the
-        # cache can never go stale.
+        # framework builds (tuning DB, policy cache), so hashing one is a
+        # hot operation.  Cache the field-tuple hash on first use;
+        # ``dataclasses.replace`` builds a fresh instance, so the cache can
+        # never go stale.
         try:
             cached: int = object.__getattribute__(self, "_cached_hash")
             return cached

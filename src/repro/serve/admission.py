@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -171,6 +172,11 @@ def parse_tenants(spec: str) -> Tuple[TenantSpec, ...]:
                     f"bad tenant value {value!r} for key {key!r} "
                     f"(tenant {name!r})"
                 ) from None
+            if not math.isfinite(number):
+                raise ConfigError(
+                    f"non-finite tenant value {value!r} for key {key!r} "
+                    f"(tenant {name!r})"
+                )
             if key in ("prio", "streams"):
                 fields[field] = int(number)
             else:

@@ -1,6 +1,6 @@
 """Deliberately unsound cache-site schema for keycheck negative tests.
 
-``register_unsound()`` plants a trace-memo variant whose declared key
+``register_unsound()`` plants a launch-pricing cache whose declared key
 omits ``launch.flops`` — a field the priced computation demonstrably
 reads — so ``python -m repro keycheck --register
 tests.broken_caches:register_unsound`` must exit 1 with an
@@ -18,13 +18,22 @@ from repro.analyze.provenance import (
     register_cache_site,
     wrap,
 )
-from repro.gpusim.engine import PRICING_FIELDS
 
-SITE = "test.broken-trace-memo"
+SITE = "test.broken-pricing-key"
 
-#: Every pricing field except the one the planted key "forgets".
-_FORGOTTEN = "flops"
-_PARTIAL_FIELDS = tuple(f for f in PRICING_FIELDS if f != _FORGOTTEN)
+#: Every launch field ``estimate_launch_us`` prices except ``flops``, the
+#: one the planted key "forgets".
+_PARTIAL_FIELDS = (
+    "kind",
+    "dram_read_bytes",
+    "dram_write_bytes",
+    "atomic_write_bytes",
+    "scalar_ops",
+    "ctas",
+    "overlapped",
+    "tensor_core_eligible",
+    "compute_efficiency",
+)
 
 
 def _probe_broken() -> ReadLog:
@@ -67,8 +76,8 @@ def register_unsound() -> None:
         KeySchema(
             site=SITE,
             description=(
-                "trace memo whose key forgets launch.flops (negative "
-                "fixture: must be reported as an unkeyed read)"
+                "launch-pricing cache whose key forgets launch.flops "
+                "(negative fixture: must be reported as an unkeyed read)"
             ),
             components=(
                 KeyComponent(

@@ -27,19 +27,19 @@ class TestExitCodes:
         assert main(["keycheck"]) == 0
         out = capsys.readouterr().out
         assert "all keys sound" in out
-        assert "gpusim.trace-memo" in out
+        assert "serve.policy-cache" in out
 
     def test_single_site_selection(self, capsys):
-        assert main(["keycheck", "--site", "gpusim.trace-memo"]) == 0
+        assert main(["keycheck", "--site", "serve.policy-cache"]) == 0
         out = capsys.readouterr().out
-        assert "gpusim.trace-memo" in out
-        assert "serve.policy-cache" not in out
+        assert "serve.policy-cache" in out
+        assert "serve.sample-memo" not in out
 
     def test_unknown_site_exits_two(self, capsys):
         assert main(["keycheck", "--site", "no.such-site"]) == 2
         err = capsys.readouterr().err
         assert "unknown cache site" in err
-        assert "gpusim.trace-memo" in err  # valid choices listed
+        assert "serve.policy-cache" in err  # valid choices listed
 
     def test_bad_register_spec_exits_two(self, capsys):
         assert main(["keycheck", "--register", "nonsense"]) == 2
@@ -56,12 +56,19 @@ class TestExitCodes:
         assert rc == 2
         assert "no attribute" in capsys.readouterr().err
 
+    def test_non_callable_register_attr_exits_two(self, capsys):
+        rc = main(["keycheck", "--register", "tests.broken_caches:SITE"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "tests.broken_caches:SITE" in err
+        assert "not callable" in err
+
     def test_planted_unsound_site_exits_one(self, clean_registry, capsys):
         rc = main(
             [
                 "keycheck",
                 "--register", BROKEN,
-                "--site", "test.broken-trace-memo",
+                "--site", "test.broken-pricing-key",
             ]
         )
         assert rc == 1
@@ -78,7 +85,6 @@ class TestJsonOutput:
         assert doc["unsound"] == []
         assert set(doc["sites"]) == {
             "autotune.tuning-db",
-            "gpusim.trace-memo",
             "serve.policy-cache",
             "serve.sample-memo",
         }
@@ -95,10 +101,10 @@ class TestJsonOutput:
 
     def test_fuzz_reports_trials(self, capsys):
         assert main(
-            ["keycheck", "--json", "--fuzz", "--site", "gpusim.trace-memo"]
+            ["keycheck", "--json", "--fuzz", "--site", "serve.policy-cache"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
-        report = doc["fuzz"]["gpusim.trace-memo"]
+        report = doc["fuzz"]["serve.policy-cache"]
         assert report["ok"] is True
         assert report["trials"] > 0
 
@@ -108,12 +114,12 @@ class TestJsonOutput:
                 "keycheck",
                 "--json",
                 "--register", BROKEN,
-                "--site", "test.broken-trace-memo",
+                "--site", "test.broken-pricing-key",
             ]
         )
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["failed"] is True
-        assert doc["unsound"] == ["test.broken-trace-memo"]
-        audit = doc["sites"]["test.broken-trace-memo"]
+        assert doc["unsound"] == ["test.broken-pricing-key"]
+        audit = doc["sites"]["test.broken-pricing-key"]
         assert audit["unkeyed"] == ["launch.flops"]

@@ -144,22 +144,6 @@ def test_audit_flags_overkeyed_component(clean_registry):
     assert audit.overkeyed == ("beta",)
 
 
-def test_conditional_component_is_never_overkeyed(clean_registry):
-    register_cache_site(
-        _schema(
-            "test.conditional",
-            [
-                KeyComponent("alpha", covers=("cfg.alpha",)),
-                KeyComponent(
-                    "beta", covers=("cfg.beta",), conditional=True
-                ),
-            ],
-            probe=_probe_alpha_only,
-        )
-    )
-    assert audit_cache_site("test.conditional").overkeyed == ()
-
-
 def test_exemption_downgrades_unkeyed_read(clean_registry):
     register_cache_site(
         _schema(
@@ -242,7 +226,6 @@ def test_probe_less_schema_rejected(clean_registry):
 # Built-in sites; audits stay out of lint and admission
 # ---------------------------------------------------------------------- #
 BUILTIN_SITES = (
-    "gpusim.trace-memo",
     "serve.policy-cache",
     "serve.sample-memo",
     "autotune.tuning-db",

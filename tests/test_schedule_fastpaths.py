@@ -360,7 +360,7 @@ class TestSummationOrders:
     def test_single_stream_estimate_is_builtin_sum(self, launches):
         prices = engine.launch_prices(launches, A100, FP16)
         assert engine.estimate_trace_us(
-            KernelTrace(launches), A100, FP16, memoize=False
+            KernelTrace(launches), A100, FP16
         ) == sum(prices)
 
     def test_single_stream_schedule_is_loop_sum(self, launches):

@@ -304,6 +304,20 @@ class TestCliSpecErrors:
         assert "bad tenant value 'high' for key 'prio'" in err
         assert "gold" in err
 
+    @pytest.mark.parametrize(
+        "item",
+        ["prio=inf", "streams=nan", "share=nan", "rps=inf", "deadline=-inf"],
+    )
+    def test_non_finite_tenant_value_names_tenant_and_key(
+        self, capsys, item
+    ):
+        code, err = self._run(capsys, "--tenants", f"gold:{item}")
+        assert code == 2
+        key = item.partition("=")[0]
+        assert "non-finite tenant value" in err
+        assert f"for key {key!r}" in err
+        assert "tenant 'gold'" in err
+
     def test_unknown_traffic_preset_lists_presets(self, capsys):
         code, err = self._run(capsys, "--traffic", "tsunami")
         assert code == 2

@@ -1,7 +1,7 @@
 """Shape-only simulation: ``simulate_only`` executions carry no feature data.
 
-A simulated run must emit exactly the launches of a numeric run (same
-trace signature, same latency) while every feature and gradient it
+A simulated run must emit exactly the launches of a numeric run (every
+launch field equal, same latency) while every feature and gradient it
 produces is a zero-strided view, so nothing it allocates scales with
 ``N x C``.
 """
@@ -12,7 +12,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.gpusim.engine import trace_signature
 from repro.models import CenterPointBackbone, MinkUNet
 from repro.nn import ExecutionContext
 from repro.opt import schedule as opt_schedule
@@ -99,10 +98,7 @@ class TestShapeOnly:
     def test_matches_numeric_trace_and_latency(self, name, backward):
         numeric = run(name, simulate_only=False, backward=backward)
         simulated = run(name, simulate_only=True, backward=backward)
-        device, precision = numeric.device, numeric.precision
-        assert trace_signature(
-            simulated.trace, device, precision, streams=2
-        ) == trace_signature(numeric.trace, device, precision, streams=2)
+        assert list(simulated.trace) == list(numeric.trace)
         assert simulated.latency_us() == numeric.latency_us()
 
     def test_every_output_is_zero_strided(self, name, backward):
