@@ -152,14 +152,16 @@ def lint_model(
     rules: Optional[Sequence[str]] = None,
     trace: Optional["KernelTrace"] = None,
     collect_trace: bool = False,
+    ir: Optional[ModelIR] = None,
 ) -> List[Finding]:
     """Statically lint one model for a deployment target.
 
     ``trace`` supplies an executed kernel trace for the dependence and
     liveness rules; ``collect_trace=True`` simulates a small forward pass
     to obtain one (3-D models only).  Without either, trace-level rules
-    are skipped.  Returns findings sorted most severe first (empty list =
-    clean).
+    are skipped.  ``ir`` reuses the model's :func:`trace_model` IR when
+    the caller already built it.  Returns findings sorted most severe
+    first (empty list = clean).
     """
     from repro.hw import get_device
 
@@ -171,7 +173,8 @@ def lint_model(
             precision=precision,
             policy=policy,
         )
-    ir = trace_model(model, in_channels=in_channels, ndim=ndim)
+    if ir is None:
+        ir = trace_model(model, in_channels=in_channels, ndim=ndim)
     ctx = LintContext(
         ir=ir,
         device=get_device(device),

@@ -28,7 +28,7 @@ from repro.kernels.wgrad import wgrad as wgrad_kernel
 from repro.kernels.wgrad import wgrad_trace
 from repro.nn.context import ExecutionContext, LayerConfig, Role, Signature
 from repro.nn.mapping_cost import map_build_trace, map_reorder_trace
-from repro.nn.module import Module, Parameter
+from repro.nn.module import ConstantInit, Module, NormalInit, Parameter
 from repro.sparse.hashmap import HashMapStats
 from repro.sparse.kernel_offsets import kernel_volume, normalize_kernel_size
 from repro.sparse.kmap import KernelMap, MapKey, build_kernel_map
@@ -94,15 +94,23 @@ class SparseConv3d(Module):
         self.transposed = transposed
         self.label = label or f"conv{id(self) % 10000}"
         volume = kernel_volume(self.kernel_size, ndim)
-        rng = np.random.default_rng(seed)
-        std = math.sqrt(2.0 / (volume * in_channels))
-        self.weight = Parameter(
-            rng.standard_normal((volume, in_channels, out_channels)) * std
+        # He-normal, drawn only when a numeric pass first reads it.
+        self.weight = Parameter(init=NormalInit(
+            shape=(volume, in_channels, out_channels),
+            seed=seed,
+            std=math.sqrt(2.0 / (volume * in_channels)),
+        ))
+        self.bias = (
+            Parameter(init=ConstantInit((out_channels,), 0.0)) if bias else None
         )
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
         self._saved: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
+    def _weights(self, ctx: ExecutionContext) -> np.ndarray:
+        """The weight values, or a shape-only view when simulating, so a
+        simulate-only run never draws them."""
+        return self.weight.shape_only() if ctx.simulate_only else self.weight.data
+
     @property
     def volume(self) -> int:
         return self.weight.shape[0]
@@ -273,7 +281,7 @@ class SparseConv3d(Module):
         config = ctx.config(signature, Role.FORWARD)
         self._mark_structure(kmap, config.dataflow.weight_stationary, ctx)
         out_feats = self._run(
-            x.feats, self.weight.data, kmap, config, ctx, "fwd"
+            x.feats, self._weights(ctx), kmap, config, ctx, "fwd"
         )
         if self.bias is not None and not ctx.simulate_only:
             out_feats = out_feats + self.bias.data.astype(out_feats.dtype)
@@ -333,7 +341,7 @@ class SparseConv3d(Module):
         if "transposed" not in kmap.analysis_cache:
             kmap.analysis_cache["transposed"] = kmap.transposed()
         t_kmap = kmap.analysis_cache["transposed"]
-        w_t = self.weight.data.transpose(0, 2, 1)
+        w_t = self._weights(ctx).transpose(0, 2, 1)
         if not ctx.simulate_only:
             w_t = np.ascontiguousarray(w_t)
         grad_in = self._run(grad_out, w_t, t_kmap, dgrad_cfg, ctx, "dgrad")
@@ -355,7 +363,7 @@ class SparseConv3d(Module):
             and wgrad_cfg.ig_config.sort
         )
         if ctx.simulate_only:
-            grad_w = np.zeros_like(self.weight.data)
+            grad_w = self.weight.shape_only()
             trace = wgrad_trace(
                 kmap,
                 self.in_channels,
@@ -383,7 +391,10 @@ class SparseConv3d(Module):
             launch.name = f"{self.label}/wgrad:{launch.name}"
         scope_buffers(trace, f"{self.label}/wgrad")
         ctx.trace.extend(trace)
-        self.weight.accumulate(grad_w)
-        if self.bias is not None and not ctx.simulate_only:
-            self.bias.accumulate(grad_out.sum(axis=0))
+        if not ctx.simulate_only:
+            self.weight.accumulate(grad_w)
+            if self.bias is not None:
+                self.bias.accumulate(grad_out.sum(axis=0))
+        elif self.weight.grad is None:
+            self.weight.grad = grad_w
         return grad_in

@@ -7,32 +7,100 @@ what it needs during a training-mode forward)."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+import dataclasses
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 
-class Parameter:
-    """A learnable array with an accumulated gradient."""
+@dataclasses.dataclass(frozen=True)
+class NormalInit:
+    """Recipe for a ``std``-scaled standard-normal tensor drawn from its own
+    ``default_rng(seed)`` stream (picklable, unlike a closure)."""
 
-    def __init__(self, data: np.ndarray):
-        self.data = np.asarray(data, dtype=np.float32)
+    shape: Tuple[int, ...]
+    seed: int
+    std: float
+
+    def draw(self) -> np.ndarray:
+        values = np.random.default_rng(self.seed).standard_normal(self.shape)
+        values *= self.std
+        return values.astype(np.float32)
+
+
+@dataclasses.dataclass(frozen=True)
+class ConstantInit:
+    """Recipe for a tensor filled with ``value``."""
+
+    shape: Tuple[int, ...]
+    value: float
+
+    def draw(self) -> np.ndarray:
+        return np.full(self.shape, self.value, dtype=np.float32)
+
+
+class Parameter:
+    """A learnable float32 array with an accumulated gradient.
+
+    Built from ``data``, or shape-only from an ``init`` recipe: shape,
+    dtype and byte count are known at once, and the values are drawn on
+    the first :attr:`data` read.  Assigning :attr:`data` first (a loaded
+    checkpoint) discards the pending draw, so simulate-only runs, which
+    read shapes alone, never draw at all.  :attr:`init` is the pending
+    recipe, ``None`` once the values exist.
+    """
+
+    def __init__(
+        self,
+        data: Optional[np.ndarray] = None,
+        *,
+        init: Union[NormalInit, ConstantInit, None] = None,
+    ):
+        if (data is None) == (init is None):
+            raise ValueError("Parameter takes exactly one of data and init")
+        self.init = init
+        self._data = None if data is None else np.asarray(data, dtype=np.float32)
         self.grad: Optional[np.ndarray] = None
 
     @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self.init.draw()
+            self.init = None
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        self.init = None
+
+    @property
     def shape(self) -> tuple:
-        return self.data.shape
+        return self.init.shape if self._data is None else self._data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(np.float32) if self._data is None else self._data.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return int(np.prod(self.shape)) * self.dtype.itemsize
+
+    def shape_only(self) -> np.ndarray:
+        """Read-only zero-strided zeros of this parameter's shape, for
+        simulate-only execution; never draws."""
+        return np.broadcast_to(np.zeros((), dtype=self.dtype), self.shape)
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+        if self.grad is None or not self.grad.flags.writeable:
+            self.grad = np.zeros(self.shape, dtype=self.dtype)
         self.grad += grad.astype(np.float32)
 
     def __repr__(self) -> str:
-        return f"Parameter(shape={self.data.shape})"
+        return f"Parameter(shape={self.shape})"
 
 
 class Module:
@@ -110,10 +178,10 @@ class Module:
             if name not in state:
                 raise KeyError(f"state dict is missing parameter {name!r}")
             value = np.asarray(state[name])
-            if value.shape != param.data.shape:
+            if value.shape != param.shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: checkpoint "
-                    f"{value.shape} vs model {param.data.shape}"
+                    f"{value.shape} vs model {param.shape}"
                 )
             param.data = value.astype(np.float32).copy()
             consumed.add(name)

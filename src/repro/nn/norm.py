@@ -9,8 +9,13 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind
 from repro.nn.context import ExecutionContext
-from repro.nn.module import Module, Parameter
+from repro.nn.module import ConstantInit, Module, Parameter
 from repro.sparse.tensor import SparseTensor
+
+
+def _constant(n: int, value: float) -> np.ndarray:
+    """A read-only float32 vector of ``n`` copies of ``value``, no storage."""
+    return np.broadcast_to(np.float32(value), (n,))
 
 
 class BatchNorm(Module):
@@ -30,10 +35,12 @@ class BatchNorm(Module):
         self.eps = eps
         self.momentum = momentum
         self.label = label or f"bn{id(self) % 10000}"
-        self.gamma = Parameter(np.ones(num_features))
-        self.beta = Parameter(np.zeros(num_features))
-        self.running_mean = np.zeros(num_features, dtype=np.float32)
-        self.running_var = np.ones(num_features, dtype=np.float32)
+        self.gamma = Parameter(init=ConstantInit((num_features,), 1.0))
+        self.beta = Parameter(init=ConstantInit((num_features,), 0.0))
+        # Read-only constants until a training forward replaces them, so
+        # building a layer allocates nothing that scales with its width.
+        self.running_mean = _constant(num_features, 0.0)
+        self.running_var = _constant(num_features, 1.0)
         self._saved: Optional[dict] = None
 
     def _charge(self, n: int, ctx: ExecutionContext, passes: int) -> None:

@@ -502,6 +502,7 @@ class ServingRuntime:
         # break the degraded-results error bound).
         from repro.analyze import precision_drop_veto, trace_model
 
+        ir = None
         try:
             ir = trace_model(model, in_channels=in_channels)
             self._precision_vetoes[workload_id] = precision_drop_veto(ir)
@@ -520,6 +521,7 @@ class ServingRuntime:
             device=self.device,
             precision=self.precision,
             collect_trace=True,
+            ir=ir,
         )
         errors = [f for f in findings if f.severity is Severity.ERROR]
         if errors:

@@ -211,14 +211,20 @@ class SparseAutotuner:
                     ordered.append(sig)
 
         cache: Dict = {}
+        # Each (group, config) cost is evaluated once: the greedy loop
+        # below re-reads every group's cost for every candidate.
+        costs: Dict[Tuple[Signature, int], float] = {}
 
         def group_cost(sig: Signature, config: LayerConfig) -> float:
-            return sum(
-                self._group_latency_us(
-                    by_sig.get(sig, []), config, device, precision, cache
-                )
-                for by_sig in per_sample_records
-            ) / len(per_sample_records)
+            key = (sig, id(config))
+            if key not in costs:
+                costs[key] = sum(
+                    self._group_latency_us(
+                        by_sig.get(sig, []), config, device, precision, cache
+                    )
+                    for by_sig in per_sample_records
+                ) / len(per_sample_records)
+            return costs[key]
 
         # Greedy group-by-group exhaustive search on end-to-end latency.
         assignment: Dict[Signature, Dict[Role, LayerConfig]] = {}

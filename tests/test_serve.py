@@ -299,6 +299,45 @@ class TestLintAdmission:
             runtime.register_model("broken", BrokenSkipNet(), in_channels=4)
         assert "broken" not in runtime._models
 
+    @pytest.mark.parametrize("workload_id", ["SK-M-0.5", "broken"])
+    def test_admission_traces_once_and_lints_like_lint_model(
+        self, workload_id, monkeypatch
+    ):
+        import repro.analyze as analyze
+        from repro.errors import AdmissionError
+        from repro.models import get_workload
+        from tests.broken_models import build_broken
+
+        traced, linted = [], []
+        real_trace, real_lint = analyze.trace_model, analyze.lint_model
+
+        def tracing(*args, **kwargs):
+            traced.append(1)
+            return real_trace(*args, **kwargs)
+
+        def linting(*args, **kwargs):
+            linted.append(real_lint(*args, **kwargs))
+            return linted[-1]
+
+        monkeypatch.setattr(analyze, "trace_model", tracing)
+        monkeypatch.setattr(analyze, "lint_model", linting)
+        runtime = ServingRuntime(small_config())
+        if workload_id == "broken":
+            model, in_channels = build_broken(), 4
+            with pytest.raises(AdmissionError, match="stride-mismatch"):
+                runtime.register_model(workload_id, model, in_channels)
+        else:
+            model = runtime.model(workload_id)
+            in_channels = get_workload(workload_id).dataset_config.in_channels
+        monkeypatch.undo()
+        assert len(traced) == 1
+        assert linted == [
+            analyze.lint_model(
+                model, in_channels=in_channels, device=runtime.device,
+                precision=runtime.precision, collect_trace=True,
+            )
+        ]
+
     def test_admission_can_be_disabled(self):
         from tests.broken_models import BrokenSkipNet
 

@@ -110,21 +110,33 @@ class TestShapeOnly:
             assert not feats.flags.writeable
 
 
-def _peak_forward_bytes(width, x):
-    model = MinkUNet(in_channels=4, num_classes=5, width=width)
-    ctx = ExecutionContext(simulate_only=True)
+def _peak_bytes(fn):
     # A cyclic collection inside the traced call frees garbage at a point
-    # set by the process's allocation history, not by this forward, which
+    # set by the process's allocation history, not by this call, which
     # moves the peak by ~1%; collect first and hold collection off.
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        model(x, ctx)
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def _peak_forward_bytes(width, x):
+    model = MinkUNet(in_channels=4, num_classes=5, width=width)
+    ctx = ExecutionContext(simulate_only=True)
+    return _peak_bytes(lambda: model(x, ctx))
+
+
+def _peak_build_and_forward_bytes(width, x):
+    def build_and_forward():
+        model = MinkUNet(in_channels=4, num_classes=5, width=width)
+        model(x, ExecutionContext(simulate_only=True))
+
+    return _peak_bytes(build_and_forward)
 
 
 def test_forward_peak_allocation_independent_of_width():
@@ -134,6 +146,16 @@ def test_forward_peak_allocation_independent_of_width():
     _peak_forward_bytes(0.25, x)
     narrow = _peak_forward_bytes(0.5, x)
     wide = _peak_forward_bytes(1.0, x)
+    assert wide <= narrow * 1.01
+
+
+def test_build_and_forward_peak_allocation_independent_of_width():
+    # Parameters and running statistics are shape-only until a numeric
+    # pass reads them, so building a wider model allocates no more either.
+    x = cloud(n=2000, extent=20)
+    _peak_build_and_forward_bytes(0.25, x)
+    narrow = _peak_build_and_forward_bytes(0.5, x)
+    wide = _peak_build_and_forward_bytes(1.0, x)
     assert wide <= narrow * 1.01
 
 

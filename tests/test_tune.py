@@ -138,6 +138,88 @@ class TestSparseAutotuner:
         )
         assert report.end_to_end_us > 0
 
+    def test_group_costs_evaluated_once_and_report_unchanged(
+        self, tiny_model, monkeypatch
+    ):
+        samples = [cloud(seed=0), cloud(seed=1)]
+        tuner = SparseAutotuner()
+        calls = []
+        real = SparseAutotuner._group_latency_us
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparseAutotuner, "_group_latency_us", counting)
+        _, report = tuner.tune(tiny_model, samples, "3090", "fp16")
+        groups = len(report.groups)
+        # At most one evaluation per (group, candidate-or-default) per sample.
+        assert len(calls) <= groups * (len(tuner.space) + 1) * len(samples)
+        monkeypatch.undo()
+
+        expected = _uncached_greedy(tuner, tiny_model, samples)
+        assert [g.signature for g in report.groups] == [
+            g.signature for g in expected.groups
+        ]
+        assert [g.chosen for g in report.groups] == [
+            g.chosen for g in expected.groups
+        ]
+        assert [g.candidate_latencies_us for g in report.groups] == [
+            g.candidate_latencies_us for g in expected.groups
+        ]
+        assert report.end_to_end_us == expected.end_to_end_us
+        assert report.default_us == expected.default_us
+
+
+def _uncached_greedy(tuner, model, samples, device="3090", precision="fp16"):
+    """The greedy search re-summing every group's cost inside every
+    end-to-end evaluation: the reference the tuner must match exactly."""
+    from repro.hw.specs import get_device
+    from repro.precision import Precision
+    from repro.tune.tuner import GroupResult, TuningReport
+
+    device, precision = get_device(device), Precision.parse(precision)
+    ordered, per_sample = [], []
+    for sample in samples:
+        ctx = ExecutionContext(
+            device=device, precision=precision, simulate_only=True
+        )
+        sigs, by_sig = discover_groups(model, sample, ctx)
+        per_sample.append(by_sig)
+        ordered += [sig for sig in sigs if sig not in ordered]
+    cache = {}
+
+    def group_cost(sig, config):
+        return sum(
+            tuner._group_latency_us(
+                by_sig.get(sig, []), config, device, precision, cache
+            )
+            for by_sig in per_sample
+        ) / len(per_sample)
+
+    chosen, results = {}, []
+    for k, sig in enumerate(ordered):
+        latencies = [
+            sum(
+                group_cost(
+                    other,
+                    chosen[other] if j < k
+                    else candidate if j == k else tuner.default,
+                )
+                for j, other in enumerate(ordered)
+            )
+            for candidate in tuner.space
+        ]
+        best = tuner.space.candidates[latencies.index(min(latencies))]
+        chosen[sig] = best
+        results.append(GroupResult(sig, best, latencies, 0))
+    return TuningReport(
+        groups=results,
+        end_to_end_us=sum(group_cost(sig, chosen[sig]) for sig in ordered),
+        default_us=sum(group_cost(sig, tuner.default) for sig in ordered),
+        tuning_seconds=0.0,
+    )
+
 
 class TestTrainingTuner:
     def test_scheme_selection_matches_paper(self):
