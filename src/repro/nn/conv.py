@@ -180,10 +180,10 @@ class SparseConv3d(Module):
                     f"{self.label}: transposed convolution found no cached "
                     f"map for {base_key}; run the matching downsample first"
                 )
+            # The same object dgrad of the downsample conv runs on: a
+            # relabelling of the stored map, free on device (empty stats).
             kmap = base.transposed()
             x.cache.put(t_key, kmap)
-            # Transposition reuses the stored pairs; only a relabeling pass
-            # is charged (already near-free, covered by the cached stats).
         return kmap, out_stride
 
     def _run(
@@ -213,8 +213,11 @@ class SparseConv3d(Module):
         # Sorting/reordering happens once per (map, config) and is reused
         # by every other layer in the group (Section 4.2): charge it on
         # first use only (per context — see MapCache note in _resolve_kmap).
+        # Keyed by pass too: an inverse conv's forward and the matching
+        # downsample's dgrad run on the same transposed map, and each pass
+        # prepares its own reordering.
         charge_mapping = ctx.charge_once(
-            (id(kmap), "reorder", config.dataflow, config.ig_config)
+            (id(kmap), "reorder", tag, config.dataflow, config.ig_config)
         )
 
         if ctx.simulate_only:
@@ -338,9 +341,7 @@ class SparseConv3d(Module):
         # dgrad: forward dataflow on the transposed map with W^T per offset.
         dgrad_cfg = ctx.config(signature, Role.DGRAD)
         self._charge_backward_prep(kmap, dgrad_cfg, ctx)
-        if "transposed" not in kmap.analysis_cache:
-            kmap.analysis_cache["transposed"] = kmap.transposed()
-        t_kmap = kmap.analysis_cache["transposed"]
+        t_kmap = kmap.transposed()
         w_t = self._weights(ctx).transpose(0, 2, 1)
         if not ctx.simulate_only:
             w_t = np.ascontiguousarray(w_t)

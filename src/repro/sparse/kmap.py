@@ -87,15 +87,17 @@ class KernelMap:
         self._pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         #: Memoized mask-reordering analyses keyed by dataflow config —
         #: mirrors real systems, which reorder each map once and reuse it
-        #: across every layer in the group (Section 4.2).
+        #: across every layer in the group (Section 4.2) — plus the
+        #: transposed map under ``"transposed"``.
         self.analysis_cache: dict = {}
         #: Storage order the map was materialised in.  Hash-built maps are
         #: natively output-stationary (the nbmap); *transposed* maps are
-        #: natively weight-stationary (pair lists swap for free, but the
-        #: transposed nbmap must be re-scattered).  Converting to the other
-        #: order costs a reordering pass (Section 4.2) — the asymmetry that
-        #: makes implicit GEMM cheap on downsampling layers and
-        #: fetch-on-demand cheap on decoder layers (Figure 18).
+        #: natively weight-stationary (on device, swapping each pair list's
+        #: roles is free, but regrouping the pairs by output is not).
+        #: Converting to the other order costs a reordering pass (Section
+        #: 4.2) — the asymmetry that makes implicit GEMM cheap on
+        #: downsampling layers and fetch-on-demand cheap on decoder layers
+        #: (Figure 18).
         self.native_weight_stationary: bool = False
 
     # ------------------------------------------------------------------ #
@@ -121,7 +123,7 @@ class KernelMap:
         sizes.flags.writeable = False
         return sizes
 
-    @property
+    @functools.cached_property
     def total_pairs(self) -> int:
         """``sum_delta |M_delta|``: total gathered rows / effective MAC rows."""
         return int(self.map_sizes.sum())
@@ -137,14 +139,18 @@ class KernelMap:
     # Representations
     # ------------------------------------------------------------------ #
     def pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Weight-stationary view: ``[(in_idx, out_idx)]`` per offset."""
+        """Weight-stationary view: ``[(in_idx, out_idx)]`` per offset.
+
+        Both int32, ``out_idx`` ascending; one ``nonzero`` over the
+        offset-major view, split at the per-offset counts.
+        """
         if self._pairs is None:
-            pairs = []
-            for k in range(self.volume):
-                out_idx = np.where(self.nbmap[:, k] >= 0)[0].astype(np.int32)
-                in_idx = self.nbmap[out_idx, k]
-                pairs.append((in_idx, out_idx))
-            self._pairs = pairs
+            cols, rows = np.nonzero(self.nbmap.T >= 0)
+            bounds = np.cumsum(self.map_sizes)[:-1]
+            out_idx = np.split(rows.astype(np.int32), bounds)
+            in_idx = np.split(self.nbmap[rows, cols], bounds)
+            # ``np.split`` yields one piece even for no bounds at V == 0.
+            self._pairs = list(zip(in_idx, out_idx))[: self.volume]
         return self._pairs
 
     def padded_nbmap(self, cta_m: int) -> np.ndarray:
@@ -170,15 +176,21 @@ class KernelMap:
         index per pair: if ``(p, q)`` is in ``M_delta`` then the transposed
         map contains ``(q, p)`` in its own ``M_delta`` (the dgrad kernel
         multiplies by ``W_delta^T``).  Well-defined because for a fixed
-        offset each input matches at most one output.
+        offset each input matches at most one output: one scatter relabels
+        every pair, and a duplicate input would overwrite an entry, leaving
+        fewer valid entries than pairs.  Built once per map; later calls
+        return the same object.
         """
+        cached = self.analysis_cache.get("transposed")
+        if cached is not None:
+            return cached
+        rows, cols = np.nonzero(self.nbmap >= 0)
         t_nbmap = np.full((self.num_inputs, self.volume), -1, dtype=np.int32)
-        for k, (in_idx, out_idx) in enumerate(self.pairs()):
-            if len(np.unique(in_idx)) != len(in_idx):
-                raise MapError(
-                    "transposed map ill-defined: duplicate inputs in one offset"
-                )
-            t_nbmap[in_idx, k] = out_idx
+        t_nbmap[self.nbmap[rows, cols], cols] = rows
+        if np.count_nonzero(t_nbmap >= 0) != len(rows):
+            raise MapError(
+                "transposed map ill-defined: duplicate inputs in one offset"
+            )
         stats = HashMapStats()  # transposition is free on device (relabeling)
         key = dataclasses.replace(self.key, transposed=not self.key.transposed)
         # The transposed map's outputs are the original inputs and vice
@@ -200,6 +212,8 @@ class KernelMap:
             in_coords=self.out_coords,
         )
         out.native_weight_stationary = True
+        out.map_sizes = self.map_sizes  # transposition keeps every count
+        self.analysis_cache["transposed"] = out
         return out
 
     # ------------------------------------------------------------------ #

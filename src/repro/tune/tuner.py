@@ -99,9 +99,7 @@ class SparseAutotuner:
             kmap = record.kmap
             c_in, c_out = record.c_in, record.c_out
             if role is Role.DGRAD:
-                if "transposed" not in kmap.analysis_cache:
-                    kmap.analysis_cache["transposed"] = kmap.transposed()
-                kmap = kmap.analysis_cache["transposed"]
+                kmap = kmap.transposed()
                 c_in, c_out = c_out, c_in
             if role is Role.WGRAD:
                 from repro.kernels.wgrad import wgrad_trace
