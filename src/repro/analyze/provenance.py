@@ -1,12 +1,12 @@
 """Cache-key soundness: read-set provenance audits of every memoization.
 
-The framework's speed story is four generations of memoization: the
-policy cache, each replica's kernel-map cache, the runtime's per-sample
-execution memo and the autotune database.  Every one is only as correct
-as its key: a key that misses an input the cached computation actually
-*reads* produces stale or aliased hits that silently corrupt every
-downstream latency number, and a key component the computation never
-reads produces needless misses.
+The framework's speed story is memoization: the policy cache (and the
+persistent policy store, which shares its key), each replica's
+kernel-map cache and the runtime's per-sample execution memo.  Every one
+is only as correct as its key: a key that misses an input the cached
+computation actually *reads* produces stale or aliased hits that silently
+corrupt every downstream latency number, and a key component the
+computation never reads produces needless misses.
 
 This module checks the keys mechanically:
 
@@ -20,8 +20,8 @@ This module checks the keys mechanically:
   place, what its key covers: :class:`KeyComponent` entries map key parts
   to the read-path prefixes they determine, ``declared_reads`` names
   by-value inputs, and :class:`Exemption` entries document reads that are
-  *deliberately* unkeyed (tune-once reuse, instance-pinned configuration,
-  quantization buckets) with the reason.
+  *deliberately* unkeyed (tune-once reuse, instance-pinned
+  configuration) with the reason.
 * **Audits** (:func:`audit_cache_site`) — run the site's probe once,
   diff the recorded read set against the schema, and report
   ``unkeyed-read`` (error: read but not keyed, not exempted) and
@@ -524,68 +524,6 @@ def _fuzz_sample_memo(rng: random.Random) -> Tuple[int, List[str]]:
     return trials, failures
 
 
-def _probe_tuning_db() -> ReadLog:
-    from repro.autotune.db import TuningKey
-    from repro.hw.specs import get_device
-    from repro.kernels.registry import Dataflow, trace_dataflow
-    from repro.precision import Precision
-
-    log = ReadLog()
-    device = wrap(get_device("a100"), "device", log)
-    scene = wrap(_probe_kmap(), "scene", log)
-    # The full cached transaction: derive the row's key from the scene's
-    # sparsity statistics, then run the measurement a TuningEntry caches
-    # (trace + price one candidate configuration on the kernel map).
-    key = TuningKey.make(
-        device,
-        (1, 3, 1, False),
-        16,
-        16,
-        "fp16",
-        num_inputs=scene.num_inputs,
-        num_outputs=scene.num_outputs,
-        mean_neighbors=scene.mean_neighbors,
-    )
-    assert key.bucket
-    trace = trace_dataflow(
-        Dataflow.IMPLICIT_GEMM, scene, 16, 16, precision="fp16"
-    )
-    us = _priced_trace_us(trace, device, Precision.FP16)
-    assert us > 0.0
-    return log
-
-
-def _fuzz_tuning_db(rng: random.Random) -> Tuple[int, List[str]]:
-    from repro.autotune.db import sparsity_bucket
-    from repro.errors import ConfigError
-
-    failures: List[str] = []
-    trials = 0
-    reference = sparsity_bucket(100_000, 100_000, 20.0)
-    for _ in range(6):
-        # Anything in [2^16, 2^17) shares 100k's floor-log2 bucket.
-        n = rng.randrange(1 << 16, 1 << 17)
-        d = 16.0 + rng.random() * 15.9  # [16, 32) shares 20's bucket
-        trials += 1
-        if sparsity_bucket(n, n, d) != reference:
-            failures.append(
-                f"same-bucket scene ({n}, {d:.2f}) got a different key"
-            )
-    for bad in (float("nan"), float("inf"), -1.0):
-        trials += 1
-        try:
-            sparsity_bucket(100, 100, bad)
-            failures.append(f"accepted mean_neighbors={bad!r}")
-        except ConfigError:
-            pass
-    trials += 1
-    if sparsity_bucket(0, 0, 0.0) == sparsity_bucket(1, 1, 1.0):
-        failures.append(
-            "zero-point scenes share a bucket with 1-point scenes"
-        )
-    return trials, failures
-
-
 _PINNED_CONFIG = Exemption(
     "config",
     "ServeConfig is frozen for the runtime's lifetime and the memo dies "
@@ -605,7 +543,8 @@ def _register_builtin_sites() -> None:
             description=(
                 "cluster-global tuned policies keyed by (model key, "
                 "device, precision) — the tune-once/reuse-everywhere "
-                "cache (Section 4.2)"
+                "cache (Section 4.2); the persistent policy store "
+                "(repro.tune.cache.PolicyStore) uses the same key"
             ),
             components=(
                 KeyComponent(
@@ -669,42 +608,6 @@ def _register_builtin_sites() -> None:
             exemptions=(_PINNED_CONFIG, _PINNED_DEVICE),
             probe=_probe_sample_memo,
             fuzz=_fuzz_sample_memo,
-        )
-    )
-    register_cache_site(
-        KeySchema(
-            site="autotune.tuning-db",
-            description=(
-                "persistent TuningEntry store keyed by TuningKey "
-                "(device, layer signature, sparsity bucket)"
-            ),
-            components=(
-                KeyComponent("device", covers=("device",)),
-                KeyComponent(
-                    "layer",
-                    note="by value: signature + channel pair + precision",
-                ),
-                KeyComponent(
-                    "bucket",
-                    covers=(
-                        "scene.num_inputs",
-                        "scene.num_outputs",
-                        "scene.mean_neighbors",
-                    ),
-                    note="floor-log2 quantization of the scene statistics",
-                ),
-            ),
-            exemptions=(
-                Exemption(
-                    "scene",
-                    "the sparsity bucket deliberately quantizes scene "
-                    "statistics (floor-log2): scenes in one bucket share "
-                    "a tuned entry so the database stays per-scale, not "
-                    "per-scene",
-                ),
-            ),
-            probe=_probe_tuning_db,
-            fuzz=_fuzz_tuning_db,
         )
     )
 

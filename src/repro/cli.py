@@ -18,10 +18,10 @@ Commands:
   execution, report its critical path and available launch parallelism,
   and check the dependence/liveness invariants (``--dot``/``--json``
   export);
-* ``autotune`` — autotuning as a service (:mod:`repro.autotune`):
-  ``fit`` a surrogate cost model on a seeded measurement grid, ``search``
-  a workload online against a persistent tuning database, ``inspect`` a
-  database, and ``merge`` replica databases;
+* ``autotune`` — the persistent policy store
+  (:class:`repro.tune.cache.PolicyStore`) behind ``serve-bench
+  --tuning-db``: ``search`` tunes a workload into it with the Sparse
+  Autotuner, ``inspect`` lists it, ``merge`` pools replica stores;
 * ``dataflows`` — list the registered sparse convolution dataflows;
 * ``lint`` — statically analyze a model (bundled workload or
   ``module:factory`` import spec) for stride/channel/map/precision
@@ -355,86 +355,36 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_autotune_fit(args) -> int:
-    from repro.autotune import SurrogateModel, training_grid
-
-    devices = [d.strip() for d in args.devices.split(",") if d.strip()]
-    if not devices:
-        raise ValueError("--devices needs at least one device name")
-    for device in devices:
-        _validate_target(device, args.precision)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    samples = training_grid(
-        devices, precision=args.precision, seed=args.seed, sizes=sizes
-    )
-    model = SurrogateModel.fit(samples)
-    report = model.fit_report(samples)
-    failed = report.median_rel_err > args.max_median_err
-    if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "devices": devices,
-                    "precision": args.precision,
-                    "seed": args.seed,
-                    "samples": report.samples,
-                    "median_rel_err": round(report.median_rel_err, 6),
-                    "mean_rel_err": round(report.mean_rel_err, 6),
-                    "p90_rel_err": round(report.p90_rel_err, 6),
-                    "by_family": {
-                        k: round(v, 6)
-                        for k, v in sorted(report.by_family.items())
-                    },
-                    "max_median_err": args.max_median_err,
-                    "failed": failed,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(report.describe())
-    if args.output:
-        model.save(args.output)
-        if not args.json:
-            print(f"coefficients saved to {args.output}")
-    if failed:
-        if not args.json:
-            print(
-                f"FAIL: median relative error "
-                f"{100 * report.median_rel_err:.1f}% exceeds the "
-                f"--max-median-err bound {100 * args.max_median_err:.1f}%"
-            )
-        return 1
-    return 0
-
-
 def _cmd_autotune_search(args) -> int:
-    from repro.autotune import OnlineTuner, SurrogateModel, TuningDatabase
-    from repro.data.datasets import make_sample
+    from repro.hw import get_device
     from repro.models import get_workload
+    from repro.precision import Precision
+    from repro.serve.cache import PolicyCache
+    from repro.serve.runtime import tuning_samples
+    from repro.tune import SparseAutotuner
+    from repro.tune.cache import PolicyStore, StoreEntry
 
     _validate_target(args.device, args.precision)
     workload = get_workload(args.workload)
-    db = TuningDatabase.load_or_create(args.db)
-    surrogate = (
-        SurrogateModel.load(args.surrogate)
-        if args.surrogate
-        else SurrogateModel.analytic()
+    store = PolicyStore.load_or_create(args.db)
+    key = PolicyCache.make_key(
+        workload.id,
+        get_device(args.device).name,
+        Precision.parse(args.precision).value,
     )
-    tuner = OnlineTuner(db, surrogate, verify_top_k=args.top_k)
-    model = workload.build_model()
-    model.eval()
-    sample = make_sample(
-        workload.dataset,
-        frames=workload.frames,
-        seed=args.seed,
-        scale=args.scale,
-    )
-    _, report = tuner.tune_model(model, sample, args.device, args.precision)
-    db.save(args.db)
+    entry = store.get(key)
+    report = None
+    if entry is None:
+        model = workload.build_model()
+        model.eval()
+        policy, report = SparseAutotuner().tune(
+            model,
+            tuning_samples(workload, args.scale, seed_base=args.seed),
+            args.device,
+            args.precision,
+        )
+        entry = store.put(key, StoreEntry(policy, report.end_to_end_us))
+    store.save(args.db)
     if args.json:
         import json
 
@@ -442,66 +392,61 @@ def _cmd_autotune_search(args) -> int:
             json.dumps(
                 {
                     "workload": workload.id,
-                    "device": args.device,
-                    "precision": args.precision,
+                    "device": key[1],
+                    "precision": key[2],
                     "db": args.db,
-                    "groups": len(report.decisions),
-                    "db_hits": report.db_hits,
-                    "db_misses": report.db_misses,
-                    "measurements": report.measurements,
-                    "entries": len(db),
+                    "groups": len(entry.policy),
+                    "db_hits": store.hits,
+                    "db_misses": store.misses,
+                    "tuned": report is not None,
+                    "end_to_end_us": round(entry.end_to_end_us, 6),
+                    "entries": len(store),
                 },
                 indent=2,
                 sort_keys=True,
             )
         )
     else:
+        print(f"{workload.id} @ {key[1]}/{key[2]}")
         print(
-            f"{workload.id} @ {args.device}/{args.precision} "
-            f"(surrogate: {args.surrogate or 'analytic prior'})"
+            report.describe()
+            if report is not None
+            else f"store hit: {len(entry.policy)} groups, "
+            f"{entry.end_to_end_us / 1e3:.2f} ms"
         )
-        print(report.describe())
-        print(f"database {args.db}: {len(db)} entries")
+        print(f"policy store {args.db}: {len(store)} entries")
     return 0
 
 
 def _cmd_autotune_inspect(args) -> int:
-    from repro.autotune import TuningDatabase
+    from repro.tune.cache import PolicyStore
 
-    db = TuningDatabase.load(args.db)
+    store = PolicyStore.load(args.db)
     if args.json:
-        print(db.to_json())
+        print(store.to_json())
         return 0
     rows = [
-        [
-            key.device,
-            key.layer,
-            key.bucket,
-            entry.config.describe(),
-            f"{entry.measured_us:.1f}",
-            f"{entry.predicted_us:.1f}",
-            str(entry.trials),
-        ]
-        for key, entry in db.items()
+        [*key, str(len(entry.policy)), f"{entry.end_to_end_us:.1f}",
+         str(entry.trials)]
+        for key, entry in store.items()
     ]
     print(
         format_table(
-            ["device", "layer", "bucket", "config", "us", "pred us",
-             "trials"],
+            ["workload", "device", "precision", "groups", "us", "trials"],
             rows,
-            title=f"tuning database {args.db} ({len(db)} entries)",
+            title=f"policy store {args.db} ({len(store)} entries)",
         )
     )
     return 0
 
 
 def _cmd_autotune_merge(args) -> int:
-    from repro.autotune import TuningDatabase
+    from repro.tune.cache import PolicyStore
 
-    merged = TuningDatabase()
+    merged = PolicyStore()
     adopted_total = 0
     for path in args.inputs:
-        replica = TuningDatabase.load(path)
+        replica = PolicyStore.load(path)
         adopted = merged.merge(replica)
         adopted_total += adopted
         if not args.json:
@@ -523,7 +468,8 @@ def _cmd_autotune_merge(args) -> int:
             )
         )
     else:
-        print(f"merged database saved to {args.output} ({len(merged)} entries)")
+        print(f"merged policy store saved to {args.output} "
+              f"({len(merged)} entries)")
     return 0
 
 
@@ -594,7 +540,7 @@ def _cmd_serve_bench(args) -> int:
     runtime = ServingRuntime(config)
     if args.tuning_db:
         print(
-            f"tuning db {args.tuning_db}: "
+            f"policy store {args.tuning_db}: "
             f"{len(runtime.tuning_db)} entries loaded"
         )
     if args.policy:
@@ -663,7 +609,7 @@ def _cmd_serve_bench(args) -> int:
         if args.tuning_db_save:
             runtime.save_tuning_db()
             print(
-                f"tuning db saved to {args.tuning_db} "
+                f"policy store saved to {args.tuning_db} "
                 f"({len(runtime.tuning_db)} entries)"
             )
     if args.json:
@@ -1223,15 +1169,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--tuning-db", default=None, metavar="PATH",
-        help="persistent autotune database: policy-cache misses consult "
-             "the online tuner (warm entries serve tuned immediately; "
-             "cold layers tune in the background on the virtual clock); "
-             "the path may not exist yet (cold start)",
+        help="persistent policy store: a policy-cache miss installs the "
+             "stored policy at once, or tunes in the background on the "
+             "virtual clock when the store has none; the path may not "
+             "exist yet (cold start)",
     )
     serve.add_argument(
         "--tuning-db-save", action="store_true",
-        help="persist what the online tuner learned back to --tuning-db "
-             "after the run",
+        help="persist what the run tuned back to --tuning-db after the run",
     )
     serve.add_argument(
         "--scale", type=float, default=0.25,
@@ -1302,87 +1247,59 @@ def build_parser() -> argparse.ArgumentParser:
 
     autotune = sub.add_parser(
         "autotune",
-        help="autotuning as a service: surrogate fit, online search, "
-             "database inspect/merge",
+        help="persistent policy store: search, inspect, merge",
         description=(
-            "Operate the repro.autotune subsystem: fit the surrogate cost "
-            "model, search a workload online against a persistent tuning "
-            "database, inspect a database, or merge replica databases.  "
-            "Exit codes: 0 = success, 1 = fit residual above "
-            "--max-median-err, 2 = usage error (unknown names, missing "
-            "database)."
+            "Operate the persistent policy store that serve-bench "
+            "--tuning-db reads: search (tune a workload into it with the "
+            "Sparse Autotuner), inspect, or merge replica stores.  Exit "
+            "codes: 0 = success, 2 = usage error (unknown names, missing "
+            "or malformed store)."
         ),
     )
     autotune_sub = autotune.add_subparsers(
         dest="autotune_command", required=True
     )
 
-    fit = autotune_sub.add_parser(
-        "fit", help="fit the surrogate cost model on a seeded grid"
-    )
-    fit.add_argument(
-        "--devices", default="a100,3090",
-        help="comma-separated device names the grid measures on",
-    )
-    fit.add_argument("--precision", default="fp16")
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument(
-        "--sizes", default="400,1200,3000",
-        help="comma-separated scene point counts of the training grid",
-    )
-    fit.add_argument("--output", help="save fitted coefficients JSON here")
-    fit.add_argument(
-        "--max-median-err", type=float, default=0.15,
-        help="exit 1 when the fit's median relative error exceeds this",
-    )
-    fit.add_argument("--json", action="store_true",
-                     help="print the fit report as JSON")
-    fit.set_defaults(func=_cmd_autotune_fit)
-
     search = autotune_sub.add_parser(
         "search",
-        help="online-tune one workload against a tuning database",
+        help="tune one workload into a policy store (a stored entry "
+             "short-circuits the tuner)",
     )
     search.add_argument("workload", help="e.g. SK-M-0.5")
     search.add_argument("--device", default="a100")
     search.add_argument("--precision", default="fp16")
     search.add_argument(
         "--db", required=True, metavar="PATH",
-        help="tuning database to consult and update (created if missing)",
+        help="policy store to consult and update (created if missing)",
     )
     search.add_argument(
-        "--surrogate", metavar="PATH",
-        help="fitted coefficients from `autotune fit --output` "
-             "(default: the analytic prior)",
+        "--seed", type=int, default=9000,
+        help="seed of the sample scene the tuner runs on (default 9000, "
+             "the scene serve-bench tunes on)",
     )
-    search.add_argument("--seed", type=int, default=0)
     search.add_argument(
         "--scale", type=float, default=0.25,
         help="scene resolution scale (wall-clock knob; 1.0 = full)",
-    )
-    search.add_argument(
-        "--top-k", type=int, default=3,
-        help="surrogate-ranked candidates verified with real traces",
     )
     search.add_argument("--json", action="store_true",
                         help="print the search summary as JSON")
     search.set_defaults(func=_cmd_autotune_search)
 
     inspect = autotune_sub.add_parser(
-        "inspect", help="show a tuning database's entries"
+        "inspect", help="show a policy store's entries"
     )
-    inspect.add_argument("db", help="tuning database path")
+    inspect.add_argument("db", help="policy store path")
     inspect.add_argument("--json", action="store_true",
-                         help="print the raw database document")
+                         help="print the raw store document")
     inspect.set_defaults(func=_cmd_autotune_inspect)
 
     merge = autotune_sub.add_parser(
-        "merge", help="merge replica tuning databases (best entry wins)"
+        "merge", help="merge replica policy stores (best entry wins)"
     )
-    merge.add_argument("inputs", nargs="+", help="replica database paths")
+    merge.add_argument("inputs", nargs="+", help="replica store paths")
     merge.add_argument(
         "--output", required=True, metavar="PATH",
-        help="write the merged database here",
+        help="write the merged store here",
     )
     merge.add_argument("--json", action="store_true",
                        help="print the merge summary as JSON")

@@ -83,8 +83,7 @@ class DeviceSpec:
 
     def __hash__(self) -> int:
         # Device specs are immutable and sit in every memoization key the
-        # framework builds (tuning DB, policy cache), so hashing one is a
-        # hot operation.  Cache the field-tuple hash on first use;
+        # framework builds, so hashing one is a hot operation.  Cache the field-tuple hash on first use;
         # ``dataclasses.replace`` builds a fresh instance, so the cache can
         # never go stale.
         try:

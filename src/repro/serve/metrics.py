@@ -73,7 +73,7 @@ class ServingMetrics:
     background_tunes: int = 0
     #: Virtual time at which the first batch was served with a *tuned*
     #: policy; -1 when no batch ever was.  The warm-vs-cold amortization
-    #: signal: a pre-warmed tuning DB pulls it toward the first arrival.
+    #: signal: a pre-warmed policy store pulls it toward the first arrival.
     time_to_first_tuned_ms: float = -1.0
     #: Total cross-stream sync events charged across all executed batches
     #: (0 when ``gpu_streams == 1``: serialized runs need no events).

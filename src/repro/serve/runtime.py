@@ -26,10 +26,11 @@ Architecture (one `serve()` call = one serving run):
   whichever copy finishes first;
 * a cluster-global :class:`~repro.serve.cache.PolicyCache` holds tuned
   :class:`~repro.nn.context.GroupPolicy` objects (pre-warmed from
-  ``python -m repro tune`` output or tuned inline), while each replica
-  owns a private :class:`~repro.serve.cache.KmapCache` — warm map state
-  lives in one device's memory, which is what cache-affinity routing
-  exploits;
+  ``python -m repro tune`` output, tuned inline, or read from and tuned
+  into a persistent :class:`~repro.tune.cache.PolicyStore`), while each
+  replica owns a private :class:`~repro.serve.cache.KmapCache` — warm
+  map state lives in one device's memory, which is what cache-affinity
+  routing exploits;
 * when the policy cache misses **under deadline pressure** the batch is
   served with the untuned default :class:`LayerConfig` instead of waiting
   for a tuner run — graceful degradation, counted and reported.
@@ -74,6 +75,24 @@ from repro.resilience import (
     model_weight_bytes,
 )
 from repro.sparse.tensor import SparseTensor
+from repro.tune.cache import PolicyStore, StoreEntry
+from repro.tune.tuner import SparseAutotuner, TuningReport
+
+
+def tuning_samples(
+    workload: Workload, scale: float, scenes: int = 1, seed_base: int = 9000
+) -> List[SparseTensor]:
+    """The scenes a serving tuner run tunes on: ``scenes`` samples of
+    ``workload`` at ``scale``, seeded ``seed_base`` upwards."""
+    from repro.data.datasets import make_sample
+
+    return [
+        make_sample(
+            workload.dataset, frames=workload.frames, seed=seed_base + i,
+            scale=scale,
+        )
+        for i in range(scenes)
+    ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,7 +130,8 @@ class ServeConfig:
         scene_scale: azimuth-resolution scale of generated scenes — a
             wall-clock knob only (simulated numbers scale with it but
             stay internally consistent; comparisons hold at any scale).
-        tune_scenes: sample scenes per inline/warmup tuner run.
+        tune_scenes: sample scenes per tuner run (warm-up, inline, or
+            background), generated from seed 9000 upwards.
         faults: injected failure model (:class:`FaultPlan`); None serves
             a healthy cluster.
         max_retries: re-dispatches granted to a request whose batch fails
@@ -123,19 +143,21 @@ class ServeConfig:
         hedge_ms: duplicate a batch onto a second replica when its
             predicted service time exceeds this (tail-latency hedging;
             the earlier copy wins); 0 disables hedging.
-        tuning_db: path to a persistent :class:`repro.autotune`
-            tuning database.  When set, policy-cache misses are resolved
-            by the online tuner: a warm DB yields a tuned policy
-            immediately (the surrogate only ranks, the DB supplies
-            verified winners), while cold layers serve degraded and
-            enqueue a background tuning job on the virtual clock.  The
-            path need not exist yet (a cold replica starts empty); use
+        tuning_db: path to a persistent policy store
+            (:class:`repro.tune.cache.PolicyStore`), keyed like the
+            policy cache.  When set, a policy-cache miss looks the key up
+            in the store: a stored policy serves the batch tuned at
+            once; on a store miss the runtime runs the same
+            :class:`~repro.tune.SparseAutotuner` call as
+            :meth:`ServingRuntime.warm_policy`, banks the result in the
+            store, and serves degraded until the tuned policy installs
+            ``background_tune_ms`` later on the virtual clock.  The path
+            need not exist yet (a cold replica starts empty); use
             :meth:`ServingRuntime.save_tuning_db` to persist what was
             learned.
-        background_tune_ms: simulated latency of one background online
-            tuning job (surrogate ranking + top-k trace verification on
-            a worker thread); the tuned policy installs once the virtual
-            clock passes it.
+        background_tune_ms: simulated latency of one background tuner
+            run on a worker thread; the tuned policy installs once the
+            virtual clock passes it.
         lint_admission: statically lint every model at admission
             (:func:`repro.analyze.lint_model`) and reject models with
             error-level findings (:class:`~repro.errors.AdmissionError`)
@@ -449,16 +471,10 @@ class ServingRuntime:
         )
         self._models: Dict[str, Module] = {}
         self._tuned_inline: set = set()
-        #: Online-tuning state (active only when config.tuning_db is set).
-        self.tuning_db = None
-        self.online_tuner = None
+        #: Persistent policy store (only when config.tuning_db is set).
+        self.tuning_db: Optional[PolicyStore] = None
         if self.config.tuning_db is not None:
-            from repro.autotune import OnlineTuner, TuningDatabase
-
-            self.tuning_db = TuningDatabase.load_or_create(
-                self.config.tuning_db
-            )
-            self.online_tuner = OnlineTuner(self.tuning_db)
+            self.tuning_db = PolicyStore.load_or_create(self.config.tuning_db)
         #: Pending background tunes: policy key -> (completes_at_ms, policy).
         self._bg_tunes: Dict[PolicyKey, Tuple[float, GroupPolicy]] = {}
         self.background_tunes = 0
@@ -559,26 +575,25 @@ class ServingRuntime:
             get_workload(workload_id).id, self.device.name, self.precision.value
         )
 
+    def _tune(
+        self, workload_id: str, seed_base: int = 9000
+    ) -> Tuple[GroupPolicy, TuningReport]:
+        """The runtime's one tuner call: :class:`SparseAutotuner` on
+        ``tune_scenes`` scenes from ``seed_base``."""
+        samples = tuning_samples(
+            get_workload(workload_id),
+            self.config.scene_scale,
+            self.config.tune_scenes,
+            seed_base,
+        )
+        return SparseAutotuner().tune(
+            self.model(workload_id), samples, self.device, self.precision
+        )
+
     def warm_policy(self, workload_id: str, seed_base: int = 9000) -> GroupPolicy:
         """Tune the workload's model now and install the policy (offline
         pre-warming — the ``python -m repro tune`` path, inlined)."""
-        from repro.tune.tuner import SparseAutotuner
-
-        workload = get_workload(workload_id)
-        from repro.data.datasets import make_sample
-
-        samples = [
-            make_sample(
-                workload.dataset,
-                frames=workload.frames,
-                seed=seed_base + i,
-                scale=self.config.scene_scale,
-            )
-            for i in range(self.config.tune_scenes)
-        ]
-        policy, _ = SparseAutotuner().tune(
-            self.model(workload_id), samples, self.device, self.precision
-        )
+        policy, _ = self._tune(workload_id, seed_base)
         return self.policy_cache.put(self.policy_key(workload_id), policy)
 
     def warm_policy_from_file(self, workload_id: str, path) -> GroupPolicy:
@@ -586,31 +601,13 @@ class ServingRuntime:
         return self.policy_cache.warm_from_file(self.policy_key(workload_id), path)
 
     def save_tuning_db(self, path=None) -> None:
-        """Persist the online tuner's database (atomic write)."""
+        """Persist the policy store (atomic write)."""
         if self.tuning_db is None:
             raise ConfigError(
-                "no tuning database active; set ServeConfig.tuning_db"
+                "no policy store active; set ServeConfig.tuning_db"
             )
         target = path if path is not None else self.config.tuning_db
         self.tuning_db.save(target)
-
-    def _tune_online(self, workload_id: str):
-        """Run the online tuner for one workload; returns (policy, report).
-
-        Uses a deterministic probe scene (the warm-policy seed) so DB keys
-        are stable across runs and replicas."""
-        from repro.data.datasets import make_sample
-
-        workload = get_workload(workload_id)
-        sample = make_sample(
-            workload.dataset,
-            frames=workload.frames,
-            seed=9000,
-            scale=self.config.scene_scale,
-        )
-        return self.online_tuner.tune_model(
-            self.model(workload_id), sample, self.device, self.precision
-        )
 
     # ------------------------------------------------------------------ #
     def _preprocess_us(self, sample: SparseTensor) -> float:
@@ -639,21 +636,20 @@ class ServingRuntime:
             if self.first_tuned_ms is None:
                 self.first_tuned_ms = now
             return policy, True, False, 0.0
-        if self.online_tuner is not None and key not in self._bg_tunes:
-            # Admission-time planning consults the surrogate + tuning DB
-            # instead of tracing.  The search itself is cheap (that is the
-            # point), so it runs here; only its *verification latency* is
-            # modeled, and only for layers the DB could not answer.
-            tuned, report = self._tune_online(workload_id)
-            if report.db_misses == 0:
-                # Fully warm: every group came out of the database — the
-                # batch is served tuned with no tuning latency at all.
-                self.policy_cache.put(key, tuned)
+        if self.tuning_db is not None and key not in self._bg_tunes:
+            entry = self.tuning_db.get(key)
+            if entry is not None:
+                # Store hit: the batch is served tuned with no tuning
+                # latency at all.
+                self.policy_cache.put(key, entry.policy)
                 if self.first_tuned_ms is None:
                     self.first_tuned_ms = now
-                return tuned, False, False, 0.0
-            # Cold layers needed real measurements: the tuned policy lands
-            # after a background-tuning delay; this batch degrades.
+                return entry.policy, False, False, 0.0
+            # Store miss: tune now and bank the result, but model the
+            # tuner as a background job — the policy installs after
+            # background_tune_ms on the virtual clock; this batch degrades.
+            tuned, report = self._tune(workload_id)
+            self.tuning_db.put(key, StoreEntry(tuned, report.end_to_end_us))
             self.background_tunes += 1
             self._bg_tunes[key] = (
                 now + self.config.background_tune_ms, tuned

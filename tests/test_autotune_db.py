@@ -1,159 +1,116 @@
-"""Tests for the persistent tuning database (`repro.autotune.db`)."""
+"""Tests for the persistent policy store (`repro.tune.cache.PolicyStore`)
+that `python -m repro autotune` and `serve-bench --tuning-db` operate on."""
 
 import dataclasses
 import json
 
 import pytest
 
-from repro.autotune import (
-    TuningDatabase,
-    TuningEntry,
-    TuningKey,
-    layer_key,
-    sparsity_bucket,
-)
 from repro.errors import ConfigError
 from repro.kernels.base import SMALL_TILE
 from repro.kernels.registry import Dataflow
-from repro.nn.context import LayerConfig
+from repro.nn.context import GroupPolicy, LayerConfig, Role
+from repro.serve.cache import PolicyCache
+from repro.tune.cache import PolicyStore, StoreEntry, flat_key, parse_key
 
 SIG = ((1, 1, 1), (3, 3, 3), (1, 1, 1), False)
 
 
-def make_key(device="a100", c_in=16, c_out=32, n=100_000, m=100_000, d=20.0):
-    return TuningKey.make(
-        device=device,
-        signature=SIG,
-        c_in=c_in,
-        c_out=c_out,
-        precision="fp16",
-        num_inputs=n,
-        num_outputs=m,
-        mean_neighbors=d,
-    )
+def make_key(workload="SK-M-0.5", device="A100", precision="fp16"):
+    return PolicyCache.make_key(workload, device, precision)
 
 
-def make_entry(measured=100.0, predicted=90.0, trials=1, **config_kwargs):
-    return TuningEntry(
-        config=LayerConfig(**config_kwargs),
-        measured_us=measured,
-        predicted_us=predicted,
-        trials=trials,
-    )
+def make_entry(e2e=100.0, trials=1, **config_kwargs):
+    policy = GroupPolicy({SIG: {Role.FORWARD: LayerConfig(**config_kwargs)}})
+    return StoreEntry(policy=policy, end_to_end_us=e2e, trials=trials)
+
+
+def contents(store):
+    return [(key, entry.to_dict()) for key, entry in store.items()]
 
 
 class TestKeys:
-    def test_sparsity_bucket_quantizes_by_log2(self):
-        # 100k and 130k voxels share a bucket; 10k does not.
-        assert sparsity_bucket(100_000, 100_000, 20.0) == sparsity_bucket(
-            130_000, 130_000, 25.0
-        )
-        assert sparsity_bucket(100_000, 100_000, 20.0) != sparsity_bucket(
-            10_000, 10_000, 20.0
-        )
-
-    def test_bucket_handles_degenerate_inputs(self):
-        # Zero-point scenes get the explicit -1 bucket, distinct from any
-        # real (however small) scene.
-        assert sparsity_bucket(0, 0, 0.0) == "n-1:m-1:d-1"
-        assert sparsity_bucket(0, 0, 0.0) != sparsity_bucket(1, 1, 1.0)
-        # Sub-unit densities share bucket 0 with density 1.
-        assert sparsity_bucket(1, 1, 0.5) == sparsity_bucket(1, 1, 1.0)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_bucket_rejects_non_finite_density(self, bad):
-        with pytest.raises(ConfigError, match="mean_neighbors"):
-            sparsity_bucket(100, 100, bad)
-
-    def test_bucket_rejects_bad_counts_naming_the_field(self):
-        with pytest.raises(ConfigError, match="num_inputs"):
-            sparsity_bucket(-5, 100, 20.0)
-        with pytest.raises(ConfigError, match="num_outputs"):
-            sparsity_bucket(100, float("nan"), 20.0)
-        with pytest.raises(ConfigError, match="num_inputs"):
-            sparsity_bucket(True, 100, 20.0)
-
-    def test_make_propagates_stat_validation(self):
-        with pytest.raises(ConfigError, match="mean_neighbors"):
-            make_key(d=float("nan"))
-        with pytest.raises(ConfigError, match="num_inputs"):
-            make_key(n=-3)
-
-    def test_layer_key_includes_channels_and_precision(self):
-        base = layer_key(SIG, 16, 32, "fp16")
-        assert layer_key(SIG, 16, 64, "fp16") != base
-        assert layer_key(SIG, 16, 32, "fp32") != base
-
-    def test_make_normalizes_device_name(self):
-        assert make_key(device="a100") == make_key(device="A100")
-
     def test_flat_parse_round_trip(self):
-        key = make_key()
-        assert TuningKey.parse(key.flat()) == key
+        key = make_key(device="RTX 3090")
+        assert parse_key(flat_key(key)) == key
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ConfigError):
-            TuningKey.parse("only-one-part")
+            parse_key("only-one-part")
+
+    def test_separator_in_component_rejected(self):
+        with pytest.raises(ConfigError, match="separator"):
+            flat_key(make_key(workload="a||b"))
 
 
 class TestEntryOrder:
     def test_lower_latency_beats(self):
-        assert make_entry(measured=50.0).beats(make_entry(measured=60.0))
-        assert not make_entry(measured=60.0).beats(make_entry(measured=50.0))
+        assert make_entry(e2e=50.0).beats(make_entry(e2e=60.0))
+        assert not make_entry(e2e=60.0).beats(make_entry(e2e=50.0))
 
     def test_tie_breaks_deterministically(self):
-        a = make_entry(measured=50.0, dataflow=Dataflow.IMPLICIT_GEMM)
-        b = make_entry(measured=50.0, dataflow=Dataflow.GATHER_SCATTER)
+        a = make_entry(e2e=50.0, dataflow=Dataflow.IMPLICIT_GEMM)
+        b = make_entry(e2e=50.0, dataflow=Dataflow.GATHER_SCATTER)
         # Exactly one wins, and the relation is antisymmetric.
         assert a.beats(b) != b.beats(a)
 
     def test_round_trip(self):
         entry = make_entry(schedule=SMALL_TILE, gs_chunks=2)
-        assert TuningEntry.from_dict(entry.to_dict()) == entry
+        again = StoreEntry.from_dict(entry.to_dict())
+        assert again.to_dict() == entry.to_dict()
+        assert again.policy.config(SIG) == entry.policy.config(SIG)
 
     def test_malformed_entry_raises_config_error(self):
-        with pytest.raises(ConfigError):
-            TuningEntry.from_dict({"measured_us": 1.0})
+        with pytest.raises(ConfigError, match="'policy'"):
+            StoreEntry.from_dict({"end_to_end_us": 1.0, "trials": 1})
+        bad = make_entry().to_dict()
+        bad["trials"] = 0
+        with pytest.raises(ConfigError, match="'trials'"):
+            StoreEntry.from_dict(bad)
+        bad = make_entry().to_dict()
+        bad["end_to_end_us"] = float("nan")
+        with pytest.raises(ConfigError, match="'end_to_end_us'"):
+            StoreEntry.from_dict(bad)
 
 
 class TestDatabase:
     def test_get_counts_hits_and_misses(self):
-        db = TuningDatabase()
+        store = PolicyStore()
         key = make_key()
-        assert db.get(key) is None
-        db.put(key, make_entry())
-        assert db.get(key) is not None
-        assert (db.hits, db.misses) == (1, 1)
-        assert db.hit_rate == 0.5
+        assert store.get(key) is None
+        store.put(key, make_entry())
+        assert store.get(key) is not None
+        assert (store.hits, store.misses) == (1, 1)
 
     def test_peek_does_not_count(self):
-        db = TuningDatabase()
-        db.peek(make_key())
-        assert (db.hits, db.misses) == (0, 0)
+        store = PolicyStore()
+        store.peek(make_key())
+        assert (store.hits, store.misses) == (0, 0)
 
     def test_put_keeps_better_existing_entry(self):
-        db = TuningDatabase()
+        store = PolicyStore()
         key = make_key()
-        best = make_entry(measured=10.0)
-        db.put(key, best)
-        kept = db.put(key, make_entry(measured=20.0))
-        assert kept == best
-        assert db.peek(key) == best
+        best = make_entry(e2e=10.0)
+        store.put(key, best)
+        kept = store.put(key, make_entry(e2e=20.0))
+        assert kept is best
+        assert store.peek(key) is best
 
     def test_save_load_round_trip(self, tmp_path):
-        db = TuningDatabase()
-        db.put(make_key(), make_entry(schedule=SMALL_TILE))
-        db.put(make_key(c_out=64), make_entry(measured=42.0, gs_chunks=2))
-        path = tmp_path / "db.json"
-        db.save(path)
-        loaded = TuningDatabase.load(path)
+        store = PolicyStore()
+        store.put(make_key(), make_entry(schedule=SMALL_TILE))
+        store.put(make_key(precision="fp32"), make_entry(42.0, gs_chunks=2))
+        path = tmp_path / "store.json"
+        store.save(path)
+        loaded = PolicyStore.load(path)
         assert len(loaded) == 2
-        assert list(loaded.items()) == list(db.items())
+        assert contents(loaded) == contents(store)
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        a, b = TuningDatabase(), TuningDatabase()
+        a, b = PolicyStore(), PolicyStore()
         # Insert in opposite orders: serialization must not care.
-        keys = [make_key(), make_key(c_out=64), make_key(device="3090")]
+        keys = [make_key(), make_key(precision="fp32"),
+                make_key(device="RTX 3090")]
         for key in keys:
             a.put(key, make_entry())
         for key in reversed(keys):
@@ -164,68 +121,85 @@ class TestDatabase:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_load_missing_raises_config_error(self, tmp_path):
-        with pytest.raises(ConfigError):
-            TuningDatabase.load(tmp_path / "missing.json")
+        with pytest.raises(ConfigError, match="does not exist"):
+            PolicyStore.load(tmp_path / "missing.json")
 
     def test_load_or_create_starts_empty(self, tmp_path):
-        db = TuningDatabase.load_or_create(tmp_path / "missing.json")
-        assert len(db) == 0
+        store = PolicyStore.load_or_create(tmp_path / "missing.json")
+        assert len(store) == 0
 
     def test_corrupt_and_wrong_schema_rejected(self, tmp_path):
-        path = tmp_path / "db.json"
+        path = tmp_path / "store.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            TuningDatabase.load(path)
+        with pytest.raises(ConfigError, match="store.json"):
+            PolicyStore.load(path)
         path.write_text(json.dumps({"schema": 999, "entries": {}}))
-        with pytest.raises(ConfigError):
-            TuningDatabase.load(path)
+        with pytest.raises(ConfigError, match="schema"):
+            PolicyStore.load(path)
+
+    def test_malformed_policy_names_file_entry_and_field(self, tmp_path):
+        store = PolicyStore()
+        store.put(make_key(), make_entry())
+        doc = json.loads(store.to_json())
+        (entry,) = doc["entries"].values()
+        (by_role,) = entry["policy"].values()
+        del by_role["forward"]["tile"]
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            PolicyStore.load(path)
+        message = str(exc.value)
+        assert str(path) in message
+        assert "SK-M-0.5||A100||fp16" in message
+        assert "'tile'" in message
 
 
 class TestMerge:
     def test_merge_adopts_new_and_better(self):
-        a, b = TuningDatabase(), TuningDatabase()
-        shared, only_b = make_key(), make_key(c_out=64)
-        a.put(shared, make_entry(measured=100.0))
-        b.put(shared, make_entry(measured=50.0))
+        a, b = PolicyStore(), PolicyStore()
+        shared, only_b = make_key(), make_key(precision="fp32")
+        a.put(shared, make_entry(e2e=100.0))
+        b.put(shared, make_entry(e2e=50.0))
         b.put(only_b, make_entry())
         adopted = a.merge(b)
         assert adopted == 2
-        assert a.peek(shared).measured_us == 50.0
+        assert a.peek(shared).end_to_end_us == 50.0
         assert only_b in a
 
     def test_merge_pools_trial_counts(self):
-        a, b = TuningDatabase(), TuningDatabase()
+        a, b = PolicyStore(), PolicyStore()
         key = make_key()
-        a.put(key, make_entry(measured=100.0, trials=3))
-        b.put(key, make_entry(measured=50.0, trials=2))
+        a.put(key, make_entry(e2e=100.0, trials=3))
+        b.put(key, make_entry(e2e=50.0, trials=2))
         a.merge(b)
         assert a.peek(key).trials == 5
         # Losing direction pools too.
-        c = TuningDatabase()
-        c.put(key, make_entry(measured=100.0, trials=3))
-        d = TuningDatabase()
-        d.put(key, make_entry(measured=50.0, trials=2))
+        c = PolicyStore()
+        c.put(key, make_entry(e2e=100.0, trials=3))
+        d = PolicyStore()
+        d.put(key, make_entry(e2e=50.0, trials=2))
         d.merge(c)
         assert d.peek(key).trials == 5
 
     def test_merge_order_independent(self):
-        def replica(measured, c_out):
-            db = TuningDatabase()
-            db.put(make_key(), make_entry(measured=measured))
-            db.put(make_key(c_out=c_out), make_entry())
-            return db
+        def replica(e2e, precision):
+            store = PolicyStore()
+            store.put(make_key(), make_entry(e2e=e2e))
+            store.put(make_key(precision=precision), make_entry())
+            return store
 
-        ab, ba = TuningDatabase(), TuningDatabase()
-        ab.merge(replica(100.0, 64))
-        ab.merge(replica(50.0, 128))
-        ba.merge(replica(50.0, 128))
-        ba.merge(replica(100.0, 64))
+        ab, ba = PolicyStore(), PolicyStore()
+        ab.merge(replica(100.0, "fp32"))
+        ab.merge(replica(50.0, "tf32"))
+        ba.merge(replica(50.0, "tf32"))
+        ba.merge(replica(100.0, "fp32"))
 
-        def strip(db):
-            # Trial pooling differs by merge path; the winning configs
+        def strip(store):
+            # Trial pooling differs by merge path; the winning policies
             # and latencies must not.
             return [
-                (k, dataclasses.replace(e, trials=1)) for k, e in db.items()
+                (key, dataclasses.replace(entry, trials=1).to_dict())
+                for key, entry in store.items()
             ]
 
         assert strip(ab) == strip(ba)

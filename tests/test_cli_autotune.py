@@ -1,42 +1,10 @@
-"""CLI tests for `python -m repro autotune` (exit codes 0/1/2)."""
+"""CLI tests for `python -m repro autotune` (exit codes 0/2)."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-
-
-@pytest.fixture()
-def fast_fit_args():
-    # One small device grid keeps wall-clock low.
-    return ["autotune", "fit", "--devices", "3090", "--sizes", "300"]
-
-
-class TestFit:
-    def test_fit_exits_zero_and_saves(self, fast_fit_args, tmp_path, capsys):
-        out = tmp_path / "surrogate.json"
-        rc = main(fast_fit_args + ["--output", str(out)])
-        assert rc == 0
-        assert out.exists()
-        assert "median rel err" in capsys.readouterr().out
-
-    def test_fit_json_document(self, fast_fit_args, capsys):
-        rc = main(fast_fit_args + ["--json"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["failed"] is False
-        assert doc["median_rel_err"] < 0.15
-
-    def test_fit_fails_on_impossible_bound(self, fast_fit_args, capsys):
-        rc = main(fast_fit_args + ["--max-median-err", "0.0001"])
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_unknown_device_exits_2(self, capsys):
-        rc = main(["autotune", "fit", "--devices", "nope", "--sizes", "300"])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestSearch:
@@ -71,7 +39,28 @@ class TestSearch:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["db_misses"] == 0
-        assert doc["measurements"] == 0
+        assert doc["tuned"] is False
+
+    def test_search_fills_the_key_serving_reads(self, tmp_path, capsys):
+        """Default seed and scale match serve-bench's background tune, so
+        a searched store serves its first batch tuned."""
+        from repro.serve import ServeConfig, ServingRuntime
+        from repro.serve.arrivals import PoissonArrivals, generate_requests
+
+        db = tmp_path / "db.json"
+        rc = main(["autotune", "search", "SK-M-0.5", "--device", "3090",
+                   "--db", str(db), "--scale", "0.1"])
+        assert rc == 0
+        runtime = ServingRuntime(
+            ServeConfig(device="3090", scene_scale=0.1, tuning_db=str(db))
+        )
+        metrics = runtime.serve(
+            generate_requests(
+                "SK-M-0.5", PoissonArrivals(rate_per_s=40, seed=3), count=4
+            )
+        ).metrics
+        assert (metrics.tuning_db_hits, metrics.tuning_db_misses) == (1, 0)
+        assert metrics.degraded == 0
 
     def test_unknown_workload_exits_2(self, tmp_path, capsys):
         rc = main(
@@ -94,8 +83,8 @@ class TestInspectMerge:
         rc = main(["autotune", "inspect", str(seeded_db)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "tuning database" in out
-        assert "3090" in out
+        assert "policy store" in out
+        assert "RTX 3090" in out
 
     def test_inspect_json_is_db_document(self, seeded_db, capsys):
         capsys.readouterr()
@@ -142,7 +131,7 @@ class TestUsageErrors:
             main(["autotune", "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "fit" in err and "search" in err and "merge" in err
+        assert "inspect" in err and "search" in err and "merge" in err
 
     def test_bare_autotune_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

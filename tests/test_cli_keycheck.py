@@ -84,7 +84,6 @@ class TestJsonOutput:
         assert doc["failed"] is False
         assert doc["unsound"] == []
         assert set(doc["sites"]) == {
-            "autotune.tuning-db",
             "serve.policy-cache",
             "serve.sample-memo",
         }

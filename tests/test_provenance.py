@@ -228,7 +228,6 @@ def test_probe_less_schema_rejected(clean_registry):
 BUILTIN_SITES = (
     "serve.policy-cache",
     "serve.sample-memo",
-    "autotune.tuning-db",
 )
 
 

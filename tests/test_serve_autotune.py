@@ -1,8 +1,9 @@
-"""Serving-integration tests for the online autotuner.
+"""Serving-integration tests for the persistent policy store.
 
-The acceptance criterion: serve-bench with a pre-warmed tuning DB shows
+The acceptance criterion: serve-bench with a pre-warmed store shows
 measurably lower time-to-first-tuned-config than a cold start, and the
-amortization is visible in the metrics.
+amortization is visible in the metrics.  A cold store tunes with the
+same Sparse Autotuner call as ``warm_policy``.
 """
 
 import pytest
@@ -50,7 +51,6 @@ class TestConfig:
     def test_no_tuning_db_means_no_tuner(self):
         runtime = ServingRuntime(ServeConfig(scene_scale=SCALE))
         assert runtime.tuning_db is None
-        assert runtime.online_tuner is None
         with pytest.raises(Exception):
             runtime.save_tuning_db()
 
@@ -69,9 +69,9 @@ class TestColdStart:
         path = tmp_path / "db.json"
         runtime, _ = serve_once(path)
         runtime.save_tuning_db()
-        from repro.autotune import TuningDatabase
+        from repro.tune.cache import PolicyStore
 
-        saved = TuningDatabase.load(path)
+        saved = PolicyStore.load(path)
         assert len(saved) == len(runtime.tuning_db)
 
 
@@ -114,3 +114,70 @@ class TestDeterminism:
         _, first = serve_once(tmp_path / "a.json")
         _, second = serve_once(tmp_path / "b.json")
         assert first.to_json() == second.to_json()
+
+
+class TestOneTuner:
+    """A cold store tunes with the paper's group tuner, so the policy it
+    installs is the one ``SparseAutotuner`` picks, never worse than the
+    untuned default on the tuned scene."""
+
+    def test_background_tune_installs_sparse_autotuner_policy(
+        self, tmp_path
+    ):
+        from repro.models import get_workload
+        from repro.nn import ExecutionContext, FixedPolicy
+        from repro.serve.runtime import tuning_samples
+        from repro.tune import SparseAutotuner
+        from repro.tune.cache import policy_to_dict
+
+        config = ServeConfig(
+            device="a100",
+            scene_scale=SCALE,
+            tuning_db=str(tmp_path / "db.json"),
+        )
+        runtime = ServingRuntime(config)
+        metrics = runtime.serve(requests()).metrics
+        assert metrics.tuning_db_misses == 1
+        assert metrics.background_tunes == 1
+        key = runtime.policy_key(WORKLOAD)
+        installed = runtime.policy_cache.get(key)
+        assert installed is not None
+
+        workload = get_workload(WORKLOAD)
+        samples = tuning_samples(workload, SCALE, config.tune_scenes)
+        model = workload.build_model()
+        model.eval()
+        expected, report = SparseAutotuner().tune(
+            model, samples, "a100", "fp16"
+        )
+        assert policy_to_dict(installed) == policy_to_dict(expected)
+        stored = runtime.tuning_db.peek(key)
+        assert stored.end_to_end_us == report.end_to_end_us
+
+        probe = tuning_samples(workload, SCALE)[0]
+        latency = {}
+        for name, policy in (
+            ("tuned", installed), ("default", FixedPolicy())
+        ):
+            ctx = ExecutionContext(
+                device="a100", precision="fp16", policy=policy,
+                simulate_only=True,
+            )
+            probe.cache.clear()
+            runtime.model(WORKLOAD)(probe, ctx)
+            latency[name] = ctx.latency_us()
+        assert latency["tuned"] <= latency["default"]
+
+    def test_store_hit_skips_the_tuner(self, tmp_path, monkeypatch):
+        from repro.tune.tuner import SparseAutotuner
+
+        path = tmp_path / "db.json"
+        cold_runtime, _ = serve_once(path)
+        cold_runtime.save_tuning_db()
+
+        def no_tuning(*args, **kwargs):
+            raise AssertionError("a stored policy must not be re-tuned")
+
+        monkeypatch.setattr(SparseAutotuner, "tune", no_tuning)
+        _, warm = serve_once(path)
+        assert (warm.tuning_db_hits, warm.tuning_db_misses) == (1, 0)

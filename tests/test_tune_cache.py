@@ -5,6 +5,8 @@ must assign the identical :class:`LayerConfig` to every (signature, role)
 — and therefore produce the identical simulated end-to-end latency.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.nn import ExecutionContext
 from repro.nn.context import GroupPolicy, LayerConfig, Role
 from repro.sparse import SparseTensor
 from repro.tune import SparseAutotuner, load_policy, save_policy
+from repro.tune.cache import config_to_dict
 
 
 def cloud(n=400, extent=18, seed=0):
@@ -113,8 +116,6 @@ class TestRoundTrip:
 
     def test_legacy_policy_without_gs_chunks_loads(self, tmp_path):
         """Policies written before gs_chunks existed load at the default."""
-        import json
-
         config = LayerConfig()
         policy = GroupPolicy({("sig",): {Role.FORWARD: config}})
         path = tmp_path / "policy.json"
@@ -126,3 +127,75 @@ class TestRoundTrip:
         path.write_text(json.dumps(payload))
         loaded = load_policy(path)
         assert loaded.config(("sig",)).gs_chunks == 1
+
+
+def _valid_payload():
+    policy = GroupPolicy({(1, 3, 1, False): {Role.FORWARD: LayerConfig()}})
+    return {
+        repr(signature): {
+            role.value: config_to_dict(config)
+            for role, config in by_role.items()
+        }
+        for signature, by_role in policy.items()
+    }
+
+
+def _drop_tile(payload):
+    (by_role,) = payload.values()
+    del by_role["forward"]["tile"]
+    return json.dumps(payload)
+
+
+def _bad_dataflow(payload):
+    (by_role,) = payload.values()
+    by_role["forward"]["dataflow"] = "warp_drive"
+    return json.dumps(payload)
+
+
+def _non_literal_signature(payload):
+    (by_role,) = payload.values()
+    return json.dumps({"__import__('os').getcwd()": by_role})
+
+
+class TestMalformedPolicyFiles:
+    """A malformed ``--policy`` file exits 2 with a message naming the
+    file and the field, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "make_text, field",
+        [
+            (_drop_tile, "'tile'"),
+            (_bad_dataflow, "'dataflow'"),
+            (_non_literal_signature, "signature"),
+            (lambda payload: "{not json", "not valid JSON"),
+        ],
+        ids=["missing-tile", "unknown-dataflow", "non-literal-signature",
+             "non-json"],
+    )
+    def test_serve_bench_exits_2_naming_file_and_field(
+        self, tmp_path, make_text, field
+    ):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = tmp_path / "policy.json"
+        path.write_text(make_text(_valid_payload()))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve-bench", "--workload",
+             "SK-M-0.5", "--policy", str(path), "--requests", "1",
+             "--scale", "0.05"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr
+        assert field in proc.stderr
+
+    def test_valid_payload_loads(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(_valid_payload()))
+        assert len(load_policy(path)) == 1
