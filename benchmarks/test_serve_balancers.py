@@ -21,10 +21,10 @@ import pytest
 
 from repro.serve import (
     FaultPlan,
-    PoissonArrivals,
     ServeConfig,
     ServingRuntime,
     generate_requests,
+    parse_traffic,
 )
 from repro.serve.balancer import BALANCERS
 from repro.utils.format import format_table
@@ -71,7 +71,9 @@ def run_cell(balancer: str, condition: str, hedge_ms: float = 0.0):
     )
     requests = generate_requests(
         WORKLOAD,
-        PoissonArrivals(rate_per_s=CONDITIONS[condition]["rate_per_s"], seed=0),
+        parse_traffic(
+            f"steady:rate={CONDITIONS[condition]['rate_per_s']}", seed=0
+        ),
         count=REQUESTS, num_streams=STREAMS, deadline_ms=1000.0,
     )
     return ServingRuntime(config).serve(requests)

@@ -15,10 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.serve import (
-    PoissonArrivals,
     ServeConfig,
     ServingRuntime,
     generate_requests,
+    parse_traffic,
 )
 from repro.utils.format import format_table
 
@@ -37,7 +37,7 @@ def run_cell(device: str, rate: float, warm: bool):
     if warm:
         runtime.warm_policy(WORKLOAD)
     requests = generate_requests(
-        WORKLOAD, PoissonArrivals(rate_per_s=rate, seed=0),
+        WORKLOAD, parse_traffic(f"steady:rate={rate}", seed=0),
         count=REQUESTS, num_streams=3, deadline_ms=300.0,
     )
     return runtime.serve(requests)

@@ -477,9 +477,7 @@ def _cmd_serve_bench(args) -> int:
     from repro.models import get_workload
     from repro.serve import (
         AutoscalePolicy,
-        BurstyArrivals,
         FaultPlan,
-        PoissonArrivals,
         ServeConfig,
         ServingRuntime,
         generate_requests,
@@ -494,7 +492,7 @@ def _cmd_serve_bench(args) -> int:
     fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
     if args.faults:
         faults = FaultPlan.parse(args.faults, seed=fault_seed)
-    if args.oom_rate > 0:
+    if args.oom_rate != 0:  # FaultPlan rejects negative and NaN rates
         import dataclasses
 
         faults = dataclasses.replace(
@@ -566,16 +564,13 @@ def _cmd_serve_bench(args) -> int:
         )
     else:
         if args.arrivals == "bursty":
-            arrivals = BurstyArrivals(
-                base_rate_per_s=args.rate,
-                burst_rate_per_s=args.burst_rate or 4 * args.rate,
-                seed=args.seed,
-            )
+            peak = 4 * args.rate if args.burst_rate is None else args.burst_rate
+            spec = f"bursty:base={args.rate},peak={peak}"
         else:
-            arrivals = PoissonArrivals(rate_per_s=args.rate, seed=args.seed)
+            spec = f"steady:rate={args.rate}"
         requests = generate_requests(
             workload.id,
-            arrivals,
+            parse_traffic(spec, seed=args.seed),
             count=args.requests,
             num_streams=args.streams,
             deadline_ms=args.deadline_ms,
@@ -1196,7 +1191,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--traffic", default=None, metavar="SPEC",
         help="trace-driven arrival program (overrides --arrivals/--rate): "
-             "'steady', 'flash', 'diurnal', or preset:key=value,... "
+             "'steady', 'bursty', 'flash', 'diurnal', or preset:key=value,... "
              "e.g. 'flash:peak=400,ramp=200'",
     )
     serve.add_argument(

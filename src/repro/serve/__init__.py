@@ -1,7 +1,8 @@
 """Request-driven inference serving runtime (``repro.serve``).
 
 Turns the one-shot ``measure``/``tune`` machinery into a serving system:
-synthetic LiDAR scenes arrive as a request stream (Poisson or bursty),
+synthetic LiDAR scenes arrive as a request stream drawn from a traffic
+preset (steady, bursty, flash crowd, diurnal),
 a dynamic batcher groups them under a point budget and deadline window,
 and a cluster of N simulated device replicas serves batches behind a
 pluggable load balancer (round-robin, least-loaded, join-shortest-queue,
@@ -33,8 +34,8 @@ Overload robustness (multi-tenant serving) layers on top:
 Entry points: ``python -m repro serve-bench`` (CLI) or::
 
     from repro.serve import (
-        FaultPlan, PoissonArrivals, ServeConfig, ServingRuntime,
-        generate_requests,
+        FaultPlan, ServeConfig, ServingRuntime, generate_requests,
+        parse_traffic,
     )
 
     runtime = ServingRuntime(ServeConfig(
@@ -43,7 +44,7 @@ Entry points: ``python -m repro serve-bench`` (CLI) or::
     ))
     runtime.warm_policy("SK-M-1.0")       # optional: pre-warm tuned policy
     requests = generate_requests(
-        "SK-M-1.0", PoissonArrivals(rate_per_s=30, seed=0), count=64
+        "SK-M-1.0", parse_traffic("steady:rate=30", seed=0), count=64
     )
     result = runtime.serve(requests)
     print(result.describe())
@@ -51,13 +52,11 @@ Entry points: ``python -m repro serve-bench`` (CLI) or::
 
 from repro.serve.admission import (
     DEFAULT_TENANT,
-    PriorityRequestQueue,
     RetryBudget,
     TenantSpec,
     TokenBucket,
     parse_tenants,
 )
-from repro.serve.arrivals import BurstyArrivals, PoissonArrivals, generate_requests
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler, ScaleEvent
 from repro.serve.balancer import (
     BALANCERS,
@@ -85,20 +84,17 @@ from repro.serve.traffic import (
     TRAFFIC_PRESETS,
     TrafficSegment,
     TrafficTrace,
+    generate_requests,
     generate_traffic_requests,
     parse_traffic,
 )
 
 __all__ = [
     "DEFAULT_TENANT",
-    "PriorityRequestQueue",
     "RetryBudget",
     "TenantSpec",
     "TokenBucket",
     "parse_tenants",
-    "BurstyArrivals",
-    "PoissonArrivals",
-    "generate_requests",
     "AutoscalePolicy",
     "Autoscaler",
     "ScaleEvent",
@@ -133,6 +129,7 @@ __all__ = [
     "TRAFFIC_PRESETS",
     "TrafficSegment",
     "TrafficTrace",
+    "generate_requests",
     "generate_traffic_requests",
     "parse_traffic",
 ]

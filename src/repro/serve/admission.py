@@ -16,11 +16,13 @@ mechanisms the runtime composes into predictable degradation:
   plus a small constant floor so cold tenants can retry at all).  When a
   replica stall fails a hundred batches at once, the budget bounds the
   total retry volume to a fraction of the tenant's goodput instead of
-  letting every failure multiply into ``max_retries`` re-dispatches;
-* :class:`PriorityRequestQueue` — a bounded queue that sheds
-  **lowest-priority-first** under pressure: an arriving high-priority
-  request evicts the worst queued lower-priority request instead of
-  being dropped on the floor FIFO-style.
+  letting every failure multiply into ``max_retries`` re-dispatches.
+
+The priority classes are enforced by the runtime's one
+:class:`~repro.serve.batcher.RequestQueue`, which dispatches best class
+first and sheds **lowest-priority-first** under pressure: an arriving
+high-priority request evicts the worst queued lower-priority request
+instead of being dropped on the floor FIFO-style.
 
 All state advances only on the virtual clock; a seeded run is
 byte-identical regardless of tenant count.
@@ -28,14 +30,11 @@ byte-identical regardless of tenant count.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
-from repro.serve.batcher import RequestQueue
-from repro.serve.request import InferenceRequest
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,92 +257,3 @@ class RetryBudget:
 
     def record_success(self) -> None:
         self.successes += 1
-
-
-class PriorityRequestQueue(RequestQueue):
-    """Bounded queue ordered by (priority class, admission order).
-
-    Dispatch order is highest class first (priority 0 before 1) and FIFO
-    within a class.  Under pressure the queue sheds lowest-priority-first:
-    :meth:`admit_displacing` evicts the most recently admitted request of
-    the *worst* class when a strictly better-class request arrives at a
-    full queue.  Retried requests re-enter at the head of their class
-    (they have already waited a service attempt plus backoff).
-    """
-
-    def __init__(self, max_depth: int = 64):
-        super().__init__(max_depth=max_depth)
-        self._seq = 0
-        self._keys: List[Tuple[int, int]] = []  # sorted (priority, seq)
-
-    def _insert(self, request: InferenceRequest, seq: int) -> None:
-        key = (request.priority, seq)
-        pos = bisect.bisect_left(self._keys, key)
-        self._keys.insert(pos, key)
-        self._items.insert(pos, request)
-
-    def admit(self, request: InferenceRequest) -> bool:
-        if len(self._items) >= self.max_depth:
-            self.shed_count += 1
-            return False
-        self._seq += 1
-        self._insert(request, self._seq)
-        return True
-
-    def admit_displacing(
-        self, request: InferenceRequest
-    ) -> Optional[InferenceRequest]:
-        """Admit ``request``, shedding lowest-priority-first under pressure.
-
-        Returns the request that was shed: ``None`` when there was room,
-        the displaced lower-priority victim when the arrival bumped one,
-        or ``request`` itself when it *is* the lowest class present.
-        """
-        if len(self._items) < self.max_depth:
-            self._seq += 1
-            self._insert(request, self._seq)
-            return None
-        worst = self._items[-1]  # largest (priority, seq): worst class,
-        if worst.priority > request.priority:  # youngest within it
-            self._items.pop()
-            self._keys.pop()
-            self.shed_count += 1
-            self._seq += 1
-            self._insert(request, self._seq)
-            return worst
-        self.shed_count += 1
-        return request
-
-    def requeue(self, request: InferenceRequest) -> None:
-        """Re-enqueue a retried request at the head of its class."""
-        # seq below every live entry: first among equals.
-        self._seq += 1
-        key = (request.priority, -self._seq)
-        pos = bisect.bisect_left(self._keys, key)
-        self._keys.insert(pos, key)
-        self._items.insert(pos, request)
-
-    def expire(self, now_ms: float, timeout_ms: float) -> List[InferenceRequest]:
-        expired = [
-            r for r in self._items if now_ms - r.arrival_ms >= timeout_ms
-        ]
-        if expired:
-            dead = {r.request_id for r in expired}
-            kept = [
-                (key, item)
-                for key, item in zip(self._keys, self._items)
-                if item.request_id not in dead
-            ]
-            self._keys = [key for key, _ in kept]
-            self._items = [item for _, item in kept]
-        return expired
-
-    def take(self, requests: List[InferenceRequest]) -> None:
-        taken = {r.request_id for r in requests}
-        kept = [
-            (key, item)
-            for key, item in zip(self._keys, self._items)
-            if item.request_id not in taken
-        ]
-        self._keys = [key for key, _ in kept]
-        self._items = [item for _, item in kept]

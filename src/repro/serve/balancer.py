@@ -121,10 +121,7 @@ class CacheAffinityBalancer(LoadBalancer):
         scene_keys = {request.scene_key for request in batch}
 
         def warmth(replica) -> int:
-            cache = replica.kmap_cache
-            if cache is None:
-                return 0
-            return sum(1 for key in scene_keys if key in cache)
+            return sum(1 for key in scene_keys if key in replica.kmap_cache)
 
         return min(
             candidates,

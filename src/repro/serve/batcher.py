@@ -2,8 +2,10 @@
 
 Admission control is the queue's job: it is bounded (``max_depth``), and a
 request arriving at a full queue is *shed* immediately — backpressure
-instead of unbounded latency growth.  The batcher then groups queued
-requests into dispatches under two constraints:
+instead of unbounded latency growth.  The queue orders requests by
+priority class, then admission order, and can shed lowest-priority-first.
+The batcher then groups queued requests into dispatches under two
+constraints:
 
 * a **point-count budget** — sparse-conv batch cost scales with total
   voxels, not request count, so the budget caps the batch's service time;
@@ -16,40 +18,86 @@ share a launch sequence).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-from typing import Callable, List, Optional
+import itertools
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.serve.request import InferenceRequest
 
 
 class RequestQueue:
-    """FIFO queue with a hard depth bound (admission control)."""
+    """Bounded queue ordered by (priority class, admission order).
+
+    Dispatch order is best class first (priority 0 before 1) and FIFO
+    within a class, so a single-class queue is a plain FIFO.  A request
+    arriving at a full queue is shed (:meth:`admit`); under
+    lowest-priority-first shedding (:meth:`admit_displacing`) it instead
+    evicts the youngest queued request of a strictly worse class.
+    """
 
     def __init__(self, max_depth: int = 64):
         if max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
         self.max_depth = max_depth
         self._items: List[InferenceRequest] = []
+        self._keys: List[Tuple[int, int]] = []  # sorted (priority, seq)
+        self._seq = itertools.count(1)
         self.shed_count = 0
+
+    def _insert(self, request: InferenceRequest, seq: int) -> None:
+        key = (request.priority, seq)
+        pos = bisect.bisect_left(self._keys, key)
+        self._keys.insert(pos, key)
+        self._items.insert(pos, request)
 
     def admit(self, request: InferenceRequest) -> bool:
         """Enqueue ``request``; False (and counted) when the queue is full."""
         if len(self._items) >= self.max_depth:
             self.shed_count += 1
             return False
-        self._items.append(request)
+        self._insert(request, next(self._seq))
         return True
 
+    def admit_displacing(
+        self, request: InferenceRequest
+    ) -> Optional[InferenceRequest]:
+        """Admit ``request``, shedding lowest-priority-first under pressure.
+
+        Returns the request that was shed: ``None`` when there was room,
+        the displaced lower-priority victim when the arrival bumped one,
+        or ``request`` itself when it *is* the lowest class present.
+        """
+        if self.admit(request):
+            return None
+        worst = self._items[-1]  # largest (priority, seq): worst class,
+        if worst.priority > request.priority:  # youngest within it
+            self._items.pop()
+            self._keys.pop()
+            self._insert(request, next(self._seq))
+            return worst
+        return request
+
     def requeue(self, request: InferenceRequest) -> None:
-        """Re-enqueue a retried request at the head of the line.
+        """Re-enqueue a retried request at the head of its class.
 
         Retries bypass admission control: the request was already admitted
         once and shedding it now would turn a transient replica fault into
         a dropped request.  Head placement bounds retry latency — the
         request has already waited a full service attempt plus backoff.
         """
-        self._items.insert(0, request)
+        # seq below every live entry: first among equals.
+        self._insert(request, -next(self._seq))
+
+    def _remove(self, dead: Set[int]) -> None:
+        kept = [
+            (key, item)
+            for key, item in zip(self._keys, self._items)
+            if item.request_id not in dead
+        ]
+        self._keys = [key for key, _ in kept]
+        self._items = [item for _, item in kept]
 
     def expire(
         self, now_ms: float, timeout_ms: float
@@ -59,17 +107,11 @@ class RequestQueue:
             r for r in self._items if now_ms - r.arrival_ms >= timeout_ms
         ]
         if expired:
-            dead = {r.request_id for r in expired}
-            self._items = [
-                r for r in self._items if r.request_id not in dead
-            ]
+            self._remove({r.request_id for r in expired})
         return expired
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
 
     @property
     def oldest(self) -> Optional[InferenceRequest]:
@@ -80,8 +122,7 @@ class RequestQueue:
 
     def take(self, requests: List[InferenceRequest]) -> None:
         """Remove a batch the batcher formed (must be queued members)."""
-        taken = {r.request_id for r in requests}
-        self._items = [r for r in self._items if r.request_id not in taken]
+        self._remove({r.request_id for r in requests})
 
 
 @dataclasses.dataclass

@@ -2,13 +2,14 @@
 
 Architecture (one `serve()` call = one serving run):
 
-* a precomputed **request schedule** (from :mod:`repro.serve.arrivals`)
-  drives a discrete-event loop — events are request arrivals, device
-  completions, batching-window timers and retry re-admissions, all on one
-  virtual clock;
-* a bounded :class:`~repro.serve.batcher.RequestQueue` applies admission
-  control (overflowing arrivals are shed; optionally, queued requests
-  older than ``timeout_ms`` are dropped), and a
+* a precomputed **request schedule** (from :mod:`repro.serve.traffic`)
+  drives a discrete-event loop (:class:`_ServeLoop`) — events are request
+  arrivals, device completions, batching-window and recovery timers,
+  retry re-admissions and autoscaler ticks, all on one virtual clock;
+* a bounded :class:`~repro.serve.batcher.RequestQueue`, ordered by
+  priority class then admission order, applies admission control
+  (overflowing arrivals are shed, lowest priority first; optionally,
+  queued requests older than ``timeout_ms`` are dropped), and a
   :class:`~repro.serve.batcher.DynamicBatcher` groups queued requests
   under a point budget and deadline window;
 * **N device replicas** (:class:`DeviceReplica`) serve batches; a pluggable
@@ -44,8 +45,9 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AdmissionError, ConfigError, SimulatedOOMError
 from repro.gpusim.engine import enforce_memory_budget, memory_budget_bytes
@@ -54,12 +56,7 @@ from repro.models.registry import Workload, get_workload
 from repro.nn.context import ExecutionContext, FixedPolicy, GroupPolicy, LayerConfig
 from repro.nn.module import Module
 from repro.precision import Precision
-from repro.serve.admission import (
-    PriorityRequestQueue,
-    RetryBudget,
-    TenantSpec,
-    TokenBucket,
-)
+from repro.serve.admission import RetryBudget, TenantSpec, TokenBucket
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.balancer import BALANCERS, get_balancer
 from repro.serve.batcher import DynamicBatcher, RequestQueue
@@ -93,6 +90,14 @@ def tuning_samples(
         )
         for i in range(scenes)
     ]
+
+
+#: :class:`ServeConfig` fields that must be ``>= 0``.
+_NON_NEGATIVE_FIELDS = frozenset({
+    "dispatch_overhead_us", "preprocess_us_per_point", "tune_penalty_ms",
+    "max_retries", "retry_backoff_ms", "timeout_ms", "hedge_ms",
+    "background_tune_ms", "breaker_failures", "slo_ms",
+})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,6 +247,12 @@ class ServeConfig:
     slo_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
+            if field.name in _NON_NEGATIVE_FIELDS and value < 0:
+                raise ConfigError(f"{field.name} must be >= 0, got {value}")
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         if self.gpu_streams < 1:
@@ -262,18 +273,6 @@ class ServeConfig:
             raise ConfigError(
                 f"pressure_fraction must be in (0, 1], got {self.pressure_fraction}"
             )
-        if self.dispatch_overhead_us < 0 or self.preprocess_us_per_point < 0:
-            raise ConfigError("overheads must be non-negative")
-        if self.tune_penalty_ms < 0:
-            raise ConfigError("tune_penalty_ms must be non-negative")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_ms < 0:
-            raise ConfigError("retry_backoff_ms must be non-negative")
-        if self.timeout_ms < 0 or self.hedge_ms < 0:
-            raise ConfigError("timeout_ms / hedge_ms must be non-negative")
-        if self.background_tune_ms < 0:
-            raise ConfigError("background_tune_ms must be non-negative")
         if self.tuning_db is not None and not str(self.tuning_db).strip():
             raise ConfigError("tuning_db path must be non-empty when set")
         if not 0.0 <= self.mem_headroom < 1.0:
@@ -283,17 +282,11 @@ class ServeConfig:
         names = [t.name for t in self.tenants]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate tenant names in roster: {names}")
-        if self.breaker_failures < 0:
-            raise ConfigError(
-                f"breaker_failures must be >= 0, got {self.breaker_failures}"
-            )
         if self.breaker_cooldown_ms <= 0:
             raise ConfigError(
                 f"breaker_cooldown_ms must be positive, "
                 f"got {self.breaker_cooldown_ms}"
             )
-        if self.slo_ms < 0:
-            raise ConfigError(f"slo_ms must be >= 0, got {self.slo_ms}")
 
 
 @dataclasses.dataclass
@@ -313,7 +306,7 @@ class DeviceReplica:
     batches: int = 0
     inflight: int = 0
     free_at_ms: float = 0.0
-    kmap_cache: Optional[KmapCache] = None
+    kmap_cache: KmapCache = dataclasses.field(default_factory=KmapCache)
     failures: int = 0
     retries_served: int = 0
     hedges_served: int = 0
@@ -426,9 +419,6 @@ class SceneProvider:
                 scale=self.scale,
             )
         return self._samples[key]
-
-    def points(self, workload: Workload, request: InferenceRequest) -> int:
-        return self.sample(workload, request).num_points
 
 
 @dataclasses.dataclass
@@ -693,9 +683,6 @@ class ServingRuntime:
         model = self.model(workload_id)
         policy, policy_hit, degraded, extra_ms = self._resolve_policy(batch, now)
         kmap_cache = replica.kmap_cache
-        if kmap_cache is None:  # replicas built outside serve(): no reuse
-            kmap_cache = KmapCache(capacity=self.config.kmap_cache_size)
-            replica.kmap_cache = kmap_cache
         samples = [self.scenes.sample(workload, r) for r in batch]
         # One GPU stream and no possible eviction: per-scene costs are
         # independent of batchmates and batch order, so the batch cost
@@ -821,6 +808,24 @@ class ServingRuntime:
             charges=tuple(charges),
         )
 
+    def _forward(
+        self, model: Module, sample: SparseTensor, ctx: ExecutionContext
+    ) -> float:
+        """Run ``sample`` through ``model`` in ``ctx``; returns the
+        sample's feature peak, the largest live (input + output)
+        activation pair along the network."""
+        shapes: List[Tuple[int, int, int, int]] = []
+        ctx.recorder = lambda signature=None, kmap=None, c_in=0, c_out=0, label="": (
+            shapes.append((c_in, c_out, kmap.num_inputs, kmap.num_outputs))
+        )
+        model(sample, ctx)
+        ctx.recorder = None
+        itemsize = float(self.precision.itemsize)
+        return max(
+            (itemsize * (ni * ci + no * co) for ci, co, ni, no in shapes),
+            default=0.0,
+        )
+
     def _simulate_sample(
         self,
         sample: SparseTensor,
@@ -845,21 +850,12 @@ class ServingRuntime:
         )
         if warmth:
             ctx.precharge(warmth)
-        shapes: List[Tuple[int, int, int, int]] = []
-        ctx.recorder = lambda signature=None, kmap=None, c_in=0, c_out=0, label="": (
-            shapes.append((c_in, c_out, kmap.num_inputs, kmap.num_outputs))
-        )
-        model(sample, ctx)
-        ctx.recorder = None
-        itemsize = float(self.precision.itemsize)
+        feature_bytes = self._forward(model, sample, ctx)
         return _SampleCost(
             latency_us=ctx.latency_us(),
             stages=tuple(ctx.breakdown_us().items()),
             preprocess_us=self._preprocess_us(sample),
-            feature_bytes=max(
-                (itemsize * (ni * ci + no * co) for ci, co, ni, no in shapes),
-                default=0.0,
-            ),
+            feature_bytes=feature_bytes,
             peak_workspace_bytes=ctx.trace.summary().peak_workspace_bytes,
             charge=(
                 frozenset() if warmth is not None
@@ -893,7 +889,6 @@ class ServingRuntime:
         kmap_hits: List[bool] = []
         preprocess_us = 0.0
         feature_bytes = 0.0
-        itemsize = float(self.precision.itemsize)
         for request, sample in zip(batch, samples):
             entry = kmap_cache.get(request.scene_key)
             hit = entry is not None
@@ -901,12 +896,7 @@ class ServingRuntime:
             if entry is not None:
                 ctx.precharge(entry.charge_keys)
             before = ctx.charged_keys()
-            shapes: List[Tuple[int, int, int, int]] = []
-            ctx.recorder = lambda signature=None, kmap=None, c_in=0, c_out=0, label="": (
-                shapes.append((c_in, c_out, kmap.num_inputs, kmap.num_outputs))
-            )
-            model(sample, ctx)
-            ctx.recorder = None
+            sample_feature_bytes = self._forward(model, sample, ctx)
             if not hit:
                 charge = frozenset(ctx.charged_keys() - before)
                 charges.append((request.scene_key, charge))
@@ -915,12 +905,7 @@ class ServingRuntime:
                     KmapEntry(sample=sample, charge_keys=charge),
                 )
             preprocess_us += self._preprocess_us(sample)
-            # One sample's feature peak: the largest live (input + output)
-            # activation pair along the network; batch members co-reside.
-            feature_bytes += max(
-                (itemsize * (ni * ci + no * co) for ci, co, ni, no in shapes),
-                default=0.0,
-            )
+            feature_bytes += sample_feature_bytes  # batch members co-reside
 
         budget = memory_budget_bytes(spec, self.config.mem_headroom)
         resident = self._weight_bytes[workload_id] + feature_bytes
@@ -1010,21 +995,38 @@ class ServingRuntime:
     # ------------------------------------------------------------------ #
     def serve(self, requests: Sequence[InferenceRequest]) -> ServeResult:
         """Run the discrete-event serving loop over ``requests``."""
+        return _ServeLoop(self, requests).run()
+
+
+#: Event kinds of :class:`_ServeLoop`, in handler-table order.
+ARRIVAL, FREE, TIMER, RETRY, SCALE = range(5)
+
+
+class _ServeLoop:
+    """One serving run: the discrete-event loop behind
+    :meth:`ServingRuntime.serve`.
+
+    Events are ``(at, seq, kind, payload)`` heap entries on one virtual
+    clock — request arrivals, replica completions (``FREE``), batching
+    and recovery timers, retry re-admissions and autoscaler ticks — and
+    ``seq`` (push order) breaks time ties, so a seeded run is
+    byte-identical.  Each kind has a named handler; after every event the
+    loop dispatches whatever queued work is ready.
+    """
+
+    def __init__(
+        self, runtime: ServingRuntime, requests: Sequence[InferenceRequest]
+    ):
         if not requests:
             raise ConfigError("serve() needs at least one request")
-        config = self.config
-        balancer = get_balancer(config.balancer)
-        plan = config.faults or NO_FAULTS
-        first_arrival_ms = min(r.arrival_ms for r in requests)
-
-        def make_breaker() -> Optional[CircuitBreaker]:
-            if config.breaker_failures > 0:
-                return CircuitBreaker(
-                    config.breaker_failures, config.breaker_cooldown_ms
-                )
-            return None
-
-        autoscaler = (
+        config = runtime.config
+        self.runtime = runtime
+        self.config = config
+        self.requests = requests
+        self.balancer = get_balancer(config.balancer)
+        self.plan = config.faults or NO_FAULTS
+        self.first_arrival_ms = min(r.arrival_ms for r in requests)
+        self.autoscaler = (
             Autoscaler(config.autoscale)
             if config.autoscale is not None else None
         )
@@ -1034,18 +1036,11 @@ class ServingRuntime:
                 max(initial_replicas, config.autoscale.min_replicas),
                 config.autoscale.max_replicas,
             )
-        injector = FaultInjector(plan, initial_replicas)
-        replicas = [
-            DeviceReplica(
-                index=i,
-                spec=self.device,
-                kmap_cache=KmapCache(capacity=config.kmap_cache_size),
-                breaker=make_breaker(),
-                provisioned_at_ms=first_arrival_ms,
-            )
-            for i in range(initial_replicas)
-        ]
-        replicas_peak = initial_replicas
+        self.injector = FaultInjector(self.plan, initial_replicas)
+        self.replicas: List[DeviceReplica] = []
+        for _ in range(initial_replicas):
+            self._add_replica(provisioned_at_ms=self.first_arrival_ms)
+        self.replicas_peak = initial_replicas
 
         # Tenant state: roster (configured tenants plus any tenant names
         # the schedule carries that the roster does not), per-tenant token
@@ -1058,12 +1053,12 @@ class ServingRuntime:
                 tenant_specs[request.tenant] = TenantSpec(
                     name=request.tenant, priority=request.priority
                 )
-        buckets: Dict[str, TokenBucket] = {
+        self.buckets: Dict[str, TokenBucket] = {
             name: TokenBucket(spec.quota_rps, spec.quota_burst)
             for name, spec in tenant_specs.items()
             if spec.quota_rps > 0
         }
-        budgets: Dict[str, RetryBudget] = {
+        self.budgets: Dict[str, RetryBudget] = {
             name: RetryBudget(
                 spec.retry_budget if spec.retry_budget >= 0
                 else config.retry_budget
@@ -1071,412 +1066,431 @@ class ServingRuntime:
             for name, spec in tenant_specs.items()
         }
 
-        # Priority-aware queueing only once it can matter: a roster or a
-        # schedule with more than one class.  Single-class runs keep the
-        # legacy FIFO queue (identical dispatch order to prior releases).
-        multi_class = len({r.priority for r in requests}) > 1
-        use_priority = bool(config.tenants) or multi_class
-        queue: RequestQueue = (
-            PriorityRequestQueue(max_depth=config.queue_depth)
-            if use_priority else RequestQueue(max_depth=config.queue_depth)
-        )
-        shed_by_priority = use_priority and config.priority_shedding
-        workload_cache: Dict[str, Workload] = {}
-        db_hits_before = self.tuning_db.hits if self.tuning_db else 0
-        db_misses_before = self.tuning_db.misses if self.tuning_db else 0
-        bg_tunes_before = self.background_tunes
-
-        def scene_points(request: InferenceRequest) -> int:
-            workload = workload_cache.setdefault(
-                request.workload_id, get_workload(request.workload_id)
-            )
-            return self.scenes.points(workload, request)
-
-        batcher = DynamicBatcher(
+        self.queue = RequestQueue(max_depth=config.queue_depth)
+        db = runtime.tuning_db
+        self.db_hits_before = db.hits if db else 0
+        self.db_misses_before = db.misses if db else 0
+        self.bg_tunes_before = runtime.background_tunes
+        self.batcher = DynamicBatcher(
             point_budget=config.point_budget,
             max_batch_requests=config.max_batch_requests,
             window_ms=config.batch_window_ms,
-            scene_points=scene_points,
+            scene_points=self._scene_points,
         )
 
-        outcomes: Dict[int, RequestOutcome] = {}
-        attempts: Dict[int, int] = {}
-        depth_samples: List[Tuple[float, int]] = []
-        stage_totals: Dict[str, float] = {}
-        events: List[Tuple[float, int, int, object]] = []
-        timer_times: set = set()
-        seq = 0
-        ARRIVAL, FREE, TIMER, RETRY, SCALE = 0, 1, 2, 3, 4
-        for request in sorted(requests, key=lambda r: (r.arrival_ms, r.request_id)):
-            heapq.heappush(events, (request.arrival_ms, seq, ARRIVAL, request))
-            seq += 1
-        arrivals_pending = len(requests)
-        retries_pending = 0
-        batch_counter = 0
-        oom_events = 0
-        ladder_steps = 0
-        sync_events_total = 0
-
-        def push_event(at: float, kind: int, payload: object) -> None:
-            nonlocal seq
-            heapq.heappush(events, (at, seq, kind, payload))
-            seq += 1
-
-        def push_timer(at: float) -> None:
-            if at not in timer_times:
-                timer_times.add(at)
-                push_event(at, TIMER, None)
-
-        if autoscaler is not None:
-            push_event(
-                first_arrival_ms + config.autoscale.interval_ms, SCALE, None
+        self.outcomes: Dict[int, RequestOutcome] = {}
+        self.attempts: Dict[int, int] = {}
+        self.depth_samples: List[Tuple[float, int]] = []
+        self.stage_totals: Dict[str, float] = {}
+        self.events: List[Tuple[float, int, int, Any]] = []
+        self.timer_times: Set[float] = set()
+        self.seq = 0
+        for request in sorted(
+            requests, key=lambda r: (r.arrival_ms, r.request_id)
+        ):
+            self._push(request.arrival_ms, ARRIVAL, request)
+        self.arrivals_pending = len(requests)
+        self.retries_pending = self.batch_counter = 0
+        self.oom_events = self.ladder_steps = self.sync_events_total = 0
+        self.end_ms = self.first_arrival_ms
+        if config.autoscale is not None:
+            self._push(
+                self.first_arrival_ms + config.autoscale.interval_ms,
+                SCALE, None,
             )
 
-        def slo_missed(outcome: RequestOutcome) -> bool:
-            """Did the request miss the run's latency target?"""
-            if not outcome.completed or outcome.finish_ms is None:
-                return True
-            target = (
-                config.slo_ms if config.slo_ms > 0
-                else outcome.request.deadline_ms
-            )
-            return outcome.finish_ms - outcome.request.arrival_ms > target
+    # ------------------------------------------------------------------ #
+    def run(self) -> ServeResult:
+        handlers = (
+            self._on_arrival, self._on_free, self._on_timer,
+            self._on_retry, self._on_scale,
+        )
+        while self.events:
+            now, _, kind, payload = heapq.heappop(self.events)
+            self.end_ms = max(self.end_ms, now)
+            handlers[kind](now, payload)
+            self._try_dispatch(now)
+        return self.result()
 
-        def resolve(outcome: RequestOutcome) -> None:
-            """Record a terminal outcome; feeds the retry budget (each
-            success accrues budget) and the autoscaler's window."""
-            outcomes[outcome.request.request_id] = outcome
-            if outcome.completed:
-                budget = budgets.get(outcome.request.tenant)
-                if budget is not None:
-                    budget.record_success()
-            if autoscaler is not None and outcome.finish_ms is not None:
-                autoscaler.observe(
-                    outcome.finish_ms,
-                    outcome.finish_ms - outcome.request.arrival_ms,
-                    outcome.request.priority,
-                    slo_missed(outcome),
+    def _push(self, at: float, kind: int, payload: Any) -> None:
+        heapq.heappush(self.events, (at, self.seq, kind, payload))
+        self.seq += 1
+
+    def _push_timer(self, at: float) -> None:
+        if at not in self.timer_times:
+            self.timer_times.add(at)
+            self._push(at, TIMER, None)
+
+    def _add_replica(
+        self, provisioned_at_ms: float, free_at_ms: float = 0.0
+    ) -> None:
+        config = self.config
+        self.replicas.append(DeviceReplica(
+            index=len(self.replicas),
+            spec=self.runtime.device,
+            kmap_cache=KmapCache(capacity=config.kmap_cache_size),
+            breaker=(
+                CircuitBreaker(
+                    config.breaker_failures, config.breaker_cooldown_ms
                 )
+                if config.breaker_failures > 0 else None
+            ),
+            provisioned_at_ms=provisioned_at_ms,
+            free_at_ms=free_at_ms,
+        ))
 
-        def candidates(now: float) -> Tuple[List[DeviceReplica], Optional[float]]:
-            """Replicas a batch may be dispatched to, and — when none are
-            available — the earliest recovery time to retry at (a stall
-            window's end or an open breaker's half-open probe time)."""
-            out: List[DeviceReplica] = []
-            recover: Optional[float] = None
-            for replica in replicas:
-                if replica.retired or replica.draining:
-                    continue
-                until = injector.stalled_until(replica.index, now)
-                if until is not None:  # draining: no new work until recovery
-                    recover = until if recover is None else min(recover, until)
-                    continue
-                if replica.breaker is not None and not replica.breaker.allows(now):
-                    probe_at = replica.breaker.next_probe_at_ms()
-                    if probe_at is not None:
-                        recover = (
-                            probe_at if recover is None
-                            else min(recover, probe_at)
-                        )
-                    continue
-                if replica.inflight >= config.replica_queue_depth:
-                    continue
-                out.append(replica)
-            return out, recover
+    def _scene_points(self, request: InferenceRequest) -> int:
+        workload = get_workload(request.workload_id)
+        return self.runtime.scenes.sample(workload, request).num_points
 
-        def expire_queue(now: float) -> None:
-            if config.timeout_ms <= 0:
-                return
-            for request in queue.expire(now, config.timeout_ms):
-                resolve(RequestOutcome(
+    @property
+    def _more_coming(self) -> bool:
+        """Are arrivals or retries still scheduled?"""
+        return self.arrivals_pending + self.retries_pending > 0
+
+    # ------------------------------------------------------------------ #
+    def _on_arrival(self, now: float, request: InferenceRequest) -> None:
+        self.arrivals_pending -= 1
+        bucket = self.buckets.get(request.tenant)
+        if bucket is not None and not bucket.take(now):
+            # Over quota: shed at arrival, before queue admission.
+            self._resolve(RequestOutcome(
+                request=request,
+                status=RequestStatus.SHED,
+                attempts=0,
+                quota_denied=True,
+            ))
+        elif self.config.priority_shedding:
+            victim = self.queue.admit_displacing(request)
+            if victim is not None:
+                self._resolve(RequestOutcome(
+                    request=victim,
+                    status=RequestStatus.SHED,
+                    attempts=self.attempts.get(victim.request_id, 0),
+                ))
+        elif not self.queue.admit(request):
+            self._resolve(RequestOutcome(
+                request=request, status=RequestStatus.SHED, attempts=0
+            ))
+        self.depth_samples.append((now, len(self.queue)))
+
+    def _on_free(self, now: float, payload: Tuple[int, bool]) -> None:
+        replica_index, attempt_failed = payload
+        freed = self.replicas[replica_index]
+        freed.inflight -= 1
+        if freed.breaker is not None:
+            # Breakers observe at batch *resolution* time — when the
+            # failure would actually surface to the router.
+            if attempt_failed:
+                freed.breaker.record_failure(now)
+            else:
+                freed.breaker.record_success(now)
+        if freed.draining and freed.inflight == 0:
+            freed.draining = False
+            freed.retired_at_ms = now
+
+    def _on_timer(self, now: float, payload: None) -> None:
+        """A batching window or recovery time passed: the dispatch that
+        follows every event is all a timer asks for."""
+
+    def _on_retry(self, now: float, request: InferenceRequest) -> None:
+        self.retries_pending -= 1
+        timeout_ms = self.config.timeout_ms
+        if timeout_ms > 0 and now - request.arrival_ms >= timeout_ms:
+            self._resolve(RequestOutcome(
+                request=request,
+                status=RequestStatus.TIMED_OUT,
+                attempts=self.attempts.get(request.request_id, 0),
+            ))
+        else:
+            self.queue.requeue(request)
+        self.depth_samples.append((now, len(self.queue)))
+
+    def _on_scale(self, now: float, payload: None) -> None:
+        policy, autoscaler = self.config.autoscale, self.autoscaler
+        assert policy is not None and autoscaler is not None
+        active = [
+            r for r in self.replicas if not r.retired and not r.draining
+        ]
+        busy = sum(
+            1 for r in active if r.inflight > 0 or r.free_at_ms > now
+        )
+        action = autoscaler.decide(
+            now,
+            replicas=len(active),
+            queue_depth=len(self.queue),
+            utilization=busy / len(active) if active else 1.0,
+            batch_capacity=self.config.max_batch_requests,
+        )
+        if action == "up":
+            # The new replica joins with cold kmap/policy warmth and is
+            # unavailable for warmup_ms (model load, CUDA context); its
+            # early batches pay cold-cache costs on top — warmup is real,
+            # not free capacity.
+            self._add_replica(
+                provisioned_at_ms=now, free_at_ms=now + policy.warmup_ms
+            )
+            self.replicas_peak = max(self.replicas_peak, len(active) + 1)
+        elif action == "down":
+            # Drain the youngest replica (coldest caches on average); it
+            # retires once in-flight work resolves.
+            victim = max(
+                active, key=lambda r: (r.provisioned_at_ms, r.index)
+            )
+            if victim.inflight == 0:
+                victim.retired_at_ms = now
+            else:
+                victim.draining = True
+        if (
+            self._more_coming
+            or len(self.queue) > 0
+            or any(r.inflight for r in self.replicas)
+        ):
+            self._push(now + policy.interval_ms, SCALE, None)
+
+    # ------------------------------------------------------------------ #
+    def _slo_missed(self, outcome: RequestOutcome) -> bool:
+        """Did the request miss the run's latency target?"""
+        if not outcome.completed or outcome.finish_ms is None:
+            return True
+        target = (
+            self.config.slo_ms if self.config.slo_ms > 0
+            else outcome.request.deadline_ms
+        )
+        return outcome.finish_ms - outcome.request.arrival_ms > target
+
+    def _resolve(self, outcome: RequestOutcome) -> None:
+        """Record a terminal outcome; feeds the retry budget (each success
+        accrues budget) and the autoscaler's window."""
+        self.outcomes[outcome.request.request_id] = outcome
+        if outcome.completed:
+            budget = self.budgets.get(outcome.request.tenant)
+            if budget is not None:
+                budget.record_success()
+        if self.autoscaler is not None and outcome.finish_ms is not None:
+            self.autoscaler.observe(
+                outcome.finish_ms,
+                outcome.finish_ms - outcome.request.arrival_ms,
+                outcome.request.priority,
+                self._slo_missed(outcome),
+            )
+
+    def _candidates(
+        self, now: float
+    ) -> Tuple[List[DeviceReplica], Optional[float]]:
+        """Replicas a batch may be dispatched to, and — when none are
+        available — the earliest recovery time to retry at (a stall
+        window's end or an open breaker's half-open probe time)."""
+        out: List[DeviceReplica] = []
+        recover: Optional[float] = None
+        for replica in self.replicas:
+            if replica.retired or replica.draining:
+                continue
+            until = self.injector.stalled_until(replica.index, now)
+            if until is not None:  # draining: no new work until recovery
+                recover = until if recover is None else min(recover, until)
+                continue
+            if replica.breaker is not None and not replica.breaker.allows(now):
+                probe_at = replica.breaker.next_probe_at_ms()
+                if probe_at is not None:
+                    recover = (
+                        probe_at if recover is None else min(recover, probe_at)
+                    )
+                continue
+            if replica.inflight >= self.config.replica_queue_depth:
+                continue
+            out.append(replica)
+        return out, recover
+
+    def _run_attempt(
+        self,
+        batch: List[InferenceRequest],
+        replica: DeviceReplica,
+        now: float,
+    ) -> _Attempt:
+        """Occupy ``replica`` with one copy of ``batch``."""
+        batch_id = self.batch_counter
+        self.batch_counter += 1
+        injector = self.injector
+        ooms_before = replica.ooms
+        run = self.runtime._execute(
+            batch, now, replica, forced_oom=injector.batch_ooms(batch_id)
+        )
+        self.sync_events_total += run.sync_events
+        if replica.ooms > ooms_before:
+            self.oom_events += 1
+            self.ladder_steps += len(run.ladder)
+        service_ms = run.service_ms * injector.slow_factor(replica.index)
+        failed = injector.batch_fails(batch_id)
+        if failed:
+            # The attempt errors out partway through; the replica still
+            # burned a fraction of the batch's service time.
+            service_ms *= self.plan.fail_cost_fraction
+            replica.failures += 1
+        start = max(now, replica.free_at_ms)
+        finish = start + service_ms
+        replica.free_at_ms = finish
+        replica.busy_ms += service_ms
+        replica.batches += 1
+        replica.inflight += 1
+        replica.retries_served += sum(
+            1 for r in batch if self.attempts.get(r.request_id, 0) > 1
+        )
+        if replica.breaker is not None:
+            replica.breaker.on_dispatch()
+        for stage, us in run.stages.items():
+            self.stage_totals[stage] = self.stage_totals.get(stage, 0.0) + us
+        self._push(finish, FREE, (replica.index, failed))
+        return _Attempt(
+            replica=replica,
+            batch_id=batch_id,
+            start_ms=start,
+            finish_ms=finish,
+            service_ms=service_ms,
+            failed=failed,
+            policy_hit=run.policy_hit,
+            degraded=run.degraded,
+            kmap_hits=run.kmap_hits,
+            ladder=run.ladder,
+        )
+
+    def _dispatch(self, batch: List[InferenceRequest], now: float) -> None:
+        """Balance, optionally hedge, then resolve or schedule retries."""
+        config = self.config
+        attempts = self.attempts
+        for request in batch:
+            attempts[request.request_id] = (
+                attempts.get(request.request_id, 0) + 1
+            )
+        cands, _ = self._candidates(now)
+        primary = self.balancer.select(cands, batch, now)
+        first = self._run_attempt(batch, primary, now)
+        hedge: Optional[_Attempt] = None
+        if config.hedge_ms > 0 and first.service_ms > config.hedge_ms:
+            spare = [
+                r for r in cands
+                if r is not primary
+                and r.inflight < config.replica_queue_depth
+            ]
+            if spare:
+                second = min(
+                    spare,
+                    key=lambda r: (
+                        max(r.free_at_ms - now, 0.0), r.busy_ms, r.index
+                    ),
+                )
+                hedge = self._run_attempt(batch, second, now)
+                second.hedges_served += 1
+
+        tries = [a for a in (first, hedge) if a is not None]
+        winners = [a for a in tries if not a.failed]
+        if winners:
+            winner = min(winners, key=lambda a: (a.finish_ms, a.batch_id))
+            for request, kmap_hit in zip(batch, winner.kmap_hits):
+                self._resolve(RequestOutcome(
+                    request=request,
+                    status=(
+                        RequestStatus.DEGRADED
+                        if winner.degraded
+                        else RequestStatus.COMPLETED
+                    ),
+                    start_ms=winner.start_ms,
+                    finish_ms=winner.finish_ms,
+                    batch_id=winner.batch_id,
+                    batch_size=len(batch),
+                    replica=winner.replica.index,
+                    policy_hit=winner.policy_hit,
+                    kmap_hit=kmap_hit,
+                    service_ms=winner.service_ms,
+                    attempts=attempts[request.request_id],
+                    hedged=hedge is not None,
+                    hedge_won=hedge is not None and winner is hedge,
+                    ladder=winner.ladder,
+                ))
+            return
+        # Every copy failed: the error surfaces once the last copy
+        # resolves; retry after exponential backoff — if the tenant's
+        # retry budget grants one — or give up.
+        resolved = max(a.finish_ms for a in tries)
+        last = max(tries, key=lambda a: (a.finish_ms, a.batch_id))
+        for request in batch:
+            tried = attempts[request.request_id]
+            budget_denied = False
+            if tried <= config.max_retries:
+                budget = self.budgets.get(request.tenant)
+                if budget is None or budget.allow():
+                    backoff = config.retry_backoff_ms * (2 ** (tried - 1))
+                    if config.retry_jitter:
+                        # Seeded per (request, attempt): spreads a failure
+                        # wave's retries over [0.5, 1.5) of the base
+                        # backoff without losing determinism.
+                        backoff *= 0.5 + random.Random(
+                            f"{self.plan.seed}/retryjitter/"
+                            f"{request.request_id}/{tried}"
+                        ).random()
+                    self._push(resolved + backoff, RETRY, request)
+                    self.retries_pending += 1
+                    continue
+                budget_denied = True
+            self._resolve(RequestOutcome(
+                request=request,
+                status=RequestStatus.FAILED,
+                start_ms=last.start_ms,
+                finish_ms=resolved,
+                batch_id=last.batch_id,
+                batch_size=len(batch),
+                replica=last.replica.index,
+                service_ms=last.service_ms,
+                attempts=tried,
+                hedged=hedge is not None,
+                budget_exhausted=budget_denied,
+            ))
+
+    def _try_dispatch(self, now: float) -> None:
+        """Time out stale queued requests, dispatch every ready batch, and
+        arm a timer for the next batching decision."""
+        queue, batcher = self.queue, self.batcher
+        if self.config.timeout_ms > 0:
+            for request in queue.expire(now, self.config.timeout_ms):
+                self._resolve(RequestOutcome(
                     request=request,
                     status=RequestStatus.TIMED_OUT,
-                    attempts=attempts.get(request.request_id, 0),
+                    attempts=self.attempts.get(request.request_id, 0),
                 ))
-
-        def run_attempt(
-            batch: List[InferenceRequest], replica: DeviceReplica, now: float
-        ) -> _Attempt:
-            """Occupy ``replica`` with one copy of ``batch``."""
-            nonlocal batch_counter, oom_events, ladder_steps
-            nonlocal sync_events_total
-            batch_id = batch_counter
-            batch_counter += 1
-            forced_oom = injector.batch_ooms(batch_id)
-            ooms_before = replica.ooms
-            run = self._execute(batch, now, replica, forced_oom=forced_oom)
-            sync_events_total += run.sync_events
-            if replica.ooms > ooms_before:
-                oom_events += 1
-                ladder_steps += len(run.ladder)
-            service_ms = run.service_ms * injector.slow_factor(replica.index)
-            failed = injector.batch_fails(batch_id)
-            if failed:
-                # The attempt errors out partway through; the replica still
-                # burned a fraction of the batch's service time.
-                service_ms *= plan.fail_cost_fraction
-                replica.failures += 1
-            start = max(now, replica.free_at_ms)
-            finish = start + service_ms
-            replica.free_at_ms = finish
-            replica.busy_ms += service_ms
-            replica.batches += 1
-            replica.inflight += 1
-            replica.retries_served += sum(
-                1 for r in batch if attempts.get(r.request_id, 0) > 1
-            )
-            if replica.breaker is not None:
-                replica.breaker.on_dispatch()
-            for stage, us in run.stages.items():
-                stage_totals[stage] = stage_totals.get(stage, 0.0) + us
-            push_event(finish, FREE, (replica.index, failed))
-            return _Attempt(
-                replica=replica,
-                batch_id=batch_id,
-                start_ms=start,
-                finish_ms=finish,
-                service_ms=service_ms,
-                failed=failed,
-                policy_hit=run.policy_hit,
-                degraded=run.degraded,
-                kmap_hits=run.kmap_hits,
-                ladder=run.ladder,
-            )
-
-        def dispatch(batch: List[InferenceRequest], now: float) -> None:
-            """Balance, optionally hedge, then resolve or schedule retries."""
-            nonlocal retries_pending
-            for request in batch:
-                attempts[request.request_id] = (
-                    attempts.get(request.request_id, 0) + 1
-                )
-            cands, _ = candidates(now)
-            primary = balancer.select(cands, batch, now)
-            first = run_attempt(batch, primary, now)
-            hedge: Optional[_Attempt] = None
-            if config.hedge_ms > 0 and first.service_ms > config.hedge_ms:
-                spare = [
-                    r for r in cands
-                    if r is not primary
-                    and r.inflight < config.replica_queue_depth
-                ]
-                if spare:
-                    second = min(
-                        spare,
-                        key=lambda r: (
-                            max(r.free_at_ms - now, 0.0), r.busy_ms, r.index
-                        ),
-                    )
-                    hedge = run_attempt(batch, second, now)
-                    second.hedges_served += 1
-
-            tries = [a for a in (first, hedge) if a is not None]
-            winners = [a for a in tries if not a.failed]
-            if winners:
-                winner = min(winners, key=lambda a: (a.finish_ms, a.batch_id))
-                for request, kmap_hit in zip(batch, winner.kmap_hits):
-                    resolve(RequestOutcome(
-                        request=request,
-                        status=(
-                            RequestStatus.DEGRADED
-                            if winner.degraded
-                            else RequestStatus.COMPLETED
-                        ),
-                        start_ms=winner.start_ms,
-                        finish_ms=winner.finish_ms,
-                        batch_id=winner.batch_id,
-                        batch_size=len(batch),
-                        replica=winner.replica.index,
-                        policy_hit=winner.policy_hit,
-                        kmap_hit=kmap_hit,
-                        service_ms=winner.service_ms,
-                        attempts=attempts[request.request_id],
-                        hedged=hedge is not None,
-                        hedge_won=hedge is not None and winner is hedge,
-                        ladder=winner.ladder,
-                    ))
-                return
-            # Every copy failed: the error surfaces once the last copy
-            # resolves; retry after exponential backoff — if the tenant's
-            # retry budget grants one — or give up.
-            resolved = max(a.finish_ms for a in tries)
-            last = max(tries, key=lambda a: (a.finish_ms, a.batch_id))
-            for request in batch:
-                tried = attempts[request.request_id]
-                budget_denied = False
-                if tried <= config.max_retries:
-                    budget = budgets.get(request.tenant)
-                    if budget is None or budget.allow():
-                        backoff = config.retry_backoff_ms * (2 ** (tried - 1))
-                        if config.retry_jitter:
-                            # Seeded per (request, attempt): spreads a
-                            # failure wave's retries over [0.5, 1.5) of the
-                            # base backoff without losing determinism.
-                            backoff *= 0.5 + random.Random(
-                                f"{plan.seed}/retryjitter/"
-                                f"{request.request_id}/{tried}"
-                            ).random()
-                        push_event(resolved + backoff, RETRY, request)
-                        retries_pending += 1
-                        continue
-                    budget_denied = True
-                resolve(RequestOutcome(
-                    request=request,
-                    status=RequestStatus.FAILED,
-                    start_ms=last.start_ms,
-                    finish_ms=resolved,
-                    batch_id=last.batch_id,
-                    batch_size=len(batch),
-                    replica=last.replica.index,
-                    service_ms=last.service_ms,
-                    attempts=tried,
-                    hedged=hedge is not None,
-                    budget_exhausted=budget_denied,
-                ))
-
-        def try_dispatch(now: float) -> None:
-            expire_queue(now)
-            while queue:
-                cands, recover = candidates(now)
-                if not cands:
-                    if recover is not None and not any(
-                        r.inflight for r in replicas
-                    ):
-                        push_timer(recover)  # fully stalled: rejoin later
-                    break
-                more = (arrivals_pending + retries_pending) > 0
-                if not batcher.ready(queue, now, more_arrivals=more):
-                    break
-                batch = batcher.form_batch(queue, now)
-                if not batch:
-                    break
-                dispatch(batch, now)
-                depth_samples.append((now, len(queue)))
-            if queue and (arrivals_pending + retries_pending) > 0:
-                decision = batcher.next_decision_ms(queue)
-                if decision is not None and decision > now:
-                    push_timer(decision)
-
-        end_ms = first_arrival_ms
-        while events:
-            now, _, kind, payload = heapq.heappop(events)
-            end_ms = max(end_ms, now)
-            if kind == ARRIVAL:
-                arrivals_pending -= 1
-                request = payload
-                bucket = buckets.get(request.tenant)
-                if bucket is not None and not bucket.take(now):
-                    # Over quota: shed at arrival, before queue admission.
-                    resolve(RequestOutcome(
-                        request=request,
-                        status=RequestStatus.SHED,
-                        attempts=0,
-                        quota_denied=True,
-                    ))
-                elif shed_by_priority and isinstance(
-                    queue, PriorityRequestQueue
+        while queue:
+            cands, recover = self._candidates(now)
+            if not cands:
+                if recover is not None and not any(
+                    r.inflight for r in self.replicas
                 ):
-                    victim = queue.admit_displacing(request)
-                    if victim is not None:
-                        resolve(RequestOutcome(
-                            request=victim,
-                            status=RequestStatus.SHED,
-                            attempts=attempts.get(victim.request_id, 0),
-                        ))
-                elif not queue.admit(request):
-                    resolve(RequestOutcome(
-                        request=request, status=RequestStatus.SHED, attempts=0
-                    ))
-                depth_samples.append((now, len(queue)))
-            elif kind == FREE:
-                replica_index, attempt_failed = payload
-                freed = replicas[replica_index]
-                freed.inflight -= 1
-                if freed.breaker is not None:
-                    # Breakers observe at batch *resolution* time — when
-                    # the failure would actually surface to the router.
-                    if attempt_failed:
-                        freed.breaker.record_failure(now)
-                    else:
-                        freed.breaker.record_success(now)
-                if freed.draining and freed.inflight == 0:
-                    freed.draining = False
-                    freed.retired_at_ms = now
-            elif kind == RETRY:
-                retries_pending -= 1
-                request = payload
-                if (
-                    config.timeout_ms > 0
-                    and now - request.arrival_ms >= config.timeout_ms
-                ):
-                    resolve(RequestOutcome(
-                        request=request,
-                        status=RequestStatus.TIMED_OUT,
-                        attempts=attempts.get(request.request_id, 0),
-                    ))
-                else:
-                    queue.requeue(request)
-                depth_samples.append((now, len(queue)))
-            elif kind == SCALE and autoscaler is not None:
-                active = [
-                    r for r in replicas if not r.retired and not r.draining
-                ]
-                busy = sum(
-                    1 for r in active
-                    if r.inflight > 0 or r.free_at_ms > now
-                )
-                utilization = busy / len(active) if active else 1.0
-                action = autoscaler.decide(
-                    now,
-                    replicas=len(active),
-                    queue_depth=len(queue),
-                    utilization=utilization,
-                    batch_capacity=config.max_batch_requests,
-                )
-                if action == "up":
-                    # The new replica joins with cold kmap/policy warmth
-                    # and is unavailable for warmup_ms (model load, CUDA
-                    # context); its early batches pay cold-cache costs on
-                    # top — warmup is real, not free capacity.
-                    replicas.append(DeviceReplica(
-                        index=len(replicas),
-                        spec=self.device,
-                        kmap_cache=KmapCache(
-                            capacity=config.kmap_cache_size
-                        ),
-                        breaker=make_breaker(),
-                        provisioned_at_ms=now,
-                        free_at_ms=now + config.autoscale.warmup_ms,
-                    ))
-                    replicas_peak = max(replicas_peak, len(active) + 1)
-                elif action == "down":
-                    # Drain the youngest replica (coldest caches on
-                    # average); it retires once in-flight work resolves.
-                    victim = max(
-                        active,
-                        key=lambda r: (r.provisioned_at_ms, r.index),
-                    )
-                    if victim.inflight == 0:
-                        victim.retired_at_ms = now
-                    else:
-                        victim.draining = True
-                if (
-                    arrivals_pending + retries_pending > 0
-                    or len(queue) > 0
-                    or any(r.inflight for r in replicas)
-                ):
-                    push_event(
-                        now + config.autoscale.interval_ms, SCALE, None
-                    )
-            try_dispatch(now)
+                    self._push_timer(recover)  # fully stalled: rejoin later
+                break
+            if not batcher.ready(queue, now, more_arrivals=self._more_coming):
+                break
+            batch = batcher.form_batch(queue, now)
+            if not batch:
+                break
+            self._dispatch(batch, now)
+            self.depth_samples.append((now, len(queue)))
+        if queue and self._more_coming:
+            decision = batcher.next_decision_ms(queue)
+            if decision is not None and decision > now:
+                self._push_timer(decision)
 
-        ordered = [outcomes[r.request_id] for r in requests]
+    # ------------------------------------------------------------------ #
+    def result(self) -> ServeResult:
+        """Roll the finished run up into a :class:`ServeResult`."""
+        runtime, config = self.runtime, self.config
+        replicas, injector = self.replicas, self.injector
+        autoscaler, db = self.autoscaler, runtime.tuning_db
+        ordered = [self.outcomes[r.request_id] for r in self.requests]
         kmap_hits = sum(r.kmap_cache.hits for r in replicas)
         kmap_total = kmap_hits + sum(r.kmap_cache.misses for r in replicas)
         autoscaled = autoscaler is not None
         spans = {
             r.index: max(
-                (r.retired_at_ms if r.retired_at_ms is not None else end_ms)
+                (r.retired_at_ms if r.retired_at_ms is not None
+                 else self.end_ms)
                 - r.provisioned_at_ms,
                 0.0,
             )
@@ -1506,36 +1520,31 @@ class ServingRuntime:
         breakers = [r.breaker for r in replicas if r.breaker is not None]
         metrics = compute_metrics(
             ordered,
-            depth_samples,
-            policy_hit_rate=self.policy_cache.hit_rate,
+            self.depth_samples,
+            policy_hit_rate=runtime.policy_cache.hit_rate,
             kmap_hit_rate=kmap_hits / kmap_total if kmap_total else 0.0,
             kmap_evictions=sum(r.kmap_cache.evictions for r in replicas),
-            batches=batch_counter,
+            batches=self.batch_counter,
             replica_busy_ms=sum(r.busy_ms for r in replicas),
             replicas=sum(1 for r in replicas if not r.retired),
-            stage_us_totals=stage_totals,
+            stage_us_totals=self.stage_totals,
             replica_stalls=injector.stall_windows,
             batch_failures=injector.batch_failures,
-            oom_events=oom_events,
-            ladder_steps=ladder_steps,
+            oom_events=self.oom_events,
+            ladder_steps=self.ladder_steps,
             balancer=config.balancer,
-            tuning_db_hits=(
-                self.tuning_db.hits - db_hits_before if self.tuning_db else 0
-            ),
-            tuning_db_misses=(
-                self.tuning_db.misses - db_misses_before
-                if self.tuning_db else 0
-            ),
-            background_tunes=self.background_tunes - bg_tunes_before,
+            tuning_db_hits=db.hits - self.db_hits_before if db else 0,
+            tuning_db_misses=db.misses - self.db_misses_before if db else 0,
+            background_tunes=runtime.background_tunes - self.bg_tunes_before,
             time_to_first_tuned_ms=(
-                self.first_tuned_ms if self.first_tuned_ms is not None
+                runtime.first_tuned_ms if runtime.first_tuned_ms is not None
                 else -1.0
             ),
-            sync_events=sync_events_total,
+            sync_events=self.sync_events_total,
             per_replica=per_replica,
-            quota_denied=sum(b.denied for b in buckets.values()),
+            quota_denied=sum(b.denied for b in self.buckets.values()),
             retry_budget_exhausted=sum(
-                b.exhausted for b in budgets.values()
+                b.exhausted for b in self.budgets.values()
             ),
             breaker_opens=sum(b.opens for b in breakers),
             breaker_closes=sum(b.closes for b in breakers),
@@ -1544,7 +1553,7 @@ class ServingRuntime:
             scale_downs=(
                 autoscaler.scale_downs if autoscaler is not None else 0
             ),
-            replicas_peak=replicas_peak,
+            replicas_peak=self.replicas_peak,
             provisioned_ms=sum(spans.values()) if autoscaled else 0.0,
             slo_ms=config.slo_ms,
         )

@@ -1,24 +1,25 @@
-"""Trace-driven arrival programs and multi-tenant request generation.
+"""Arrival programs and request generation for the serving runtime.
 
-The fixed-rate processes of :mod:`repro.serve.arrivals` model a service
-that is always provisioned for its load.  Production sparse-conv serving
-is the opposite: traffic follows *programs* — diurnal curves, flash
-crowds with a ramp/peak/decay envelope, launch-day step functions — and
-the interesting regimes are exactly the ones a static replica count was
-not provisioned for.  This module makes the arrival process a first-class
-composable object:
+Production sparse-conv serving traffic follows *programs* — diurnal
+curves, flash crowds with a ramp/peak/decay envelope, on/off bursts —
+and the interesting regimes are exactly the ones a static replica count
+was not provisioned for.  This module is the runtime's one arrival
+model:
 
 * a :class:`TrafficSegment` is one piece of the rate curve — constant,
   linear ramp, or sinusoid — with a duration on the virtual clock;
 * a :class:`TrafficTrace` concatenates segments into a rate program
-  ``rate_at(t)`` and samples arrival times from it (piecewise-seeded, so
-  a fixed spec and seed always yield the identical schedule).  Traces
-  cycle: request counts larger than one period replay the program, which
-  is what turns one flash-crowd envelope into a sustained stress sweep;
+  ``rate_at(t)`` and samples arrival times from it (seeded, so a fixed
+  spec and seed always yield the identical schedule).  Traces cycle:
+  request counts larger than one period replay the program, which is
+  what turns one flash-crowd envelope into a sustained stress sweep;
 * :func:`parse_traffic` builds a trace from a CLI spec such as
   ``flash:base=20,peak=200,ramp=300,hold=1000,decay=500`` (presets:
-  ``steady``, ``flash``, ``diurnal``);
-* :func:`generate_traffic_requests` turns a trace plus a tenant roster
+  ``steady`` — memoryless traffic at a fixed rate; ``bursty`` — ``on``
+  ms at ``peak``, then ``off`` ms at ``base``; ``flash``; ``diurnal``);
+* :func:`generate_requests` turns a trace into a single-workload
+  schedule over round-robin scene streams, and
+  :func:`generate_traffic_requests` turns a trace plus a tenant roster
   (:class:`~repro.serve.admission.TenantSpec`) into one merged request
   schedule: each arrival is assigned a tenant (seeded, share-weighted), a
   workload drawn from the tenant's mix, a scene stream, a priority class
@@ -65,6 +66,11 @@ class TrafficSegment:
     shape: str = "const"
 
     def __post_init__(self) -> None:
+        for name in ("duration_ms", "start_rate", "end_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"segment {name} must be finite, got {getattr(self, name)}"
+                )
         if self.duration_ms <= 0:
             raise ConfigError(
                 f"segment duration must be positive, got {self.duration_ms}"
@@ -99,11 +105,10 @@ class TrafficSegment:
 class TrafficTrace:
     """A rate program: concatenated segments, cycled, seeded sampling.
 
-    The sampling rule matches :class:`~repro.serve.arrivals.BurstyArrivals`:
-    the next inter-arrival gap is exponential at the rate in effect when
-    the previous request arrived.  Exact enough for a serving benchmark,
-    and exactly reproducible — ``times_ms`` is a pure function of
-    ``(segments, seed)``.
+    The next inter-arrival gap is exponential at the rate in effect when
+    the previous request arrived (no thinning).  Exact enough for a
+    serving benchmark, and exactly reproducible — ``times_ms`` is a pure
+    function of ``(segments, seed)``.
     """
 
     segments: Tuple[TrafficSegment, ...]
@@ -150,6 +155,7 @@ class TrafficTrace:
 #: Preset spec keys: preset name -> (accepted keys -> default value).
 TRAFFIC_PRESETS: Dict[str, Dict[str, float]] = {
     "steady": {"rate": 30.0, "period": 1000.0},
+    "bursty": {"base": 30.0, "peak": 120.0, "on": 250.0, "off": 750.0},
     "flash": {
         "base": 20.0,
         "peak": 200.0,
@@ -167,6 +173,11 @@ def _preset_segments(name: str, params: Dict[str, float]) -> Tuple[TrafficSegmen
     if name == "steady":
         return (
             TrafficSegment(duration_ms=params["period"], start_rate=params["rate"]),
+        )
+    if name == "bursty":
+        return (
+            TrafficSegment(duration_ms=params["on"], start_rate=params["peak"]),
+            TrafficSegment(duration_ms=params["off"], start_rate=params["base"]),
         )
     if name == "flash":
         base, peak = params["base"], params["peak"]
@@ -206,9 +217,9 @@ def parse_traffic(spec: str, seed: int = 0) -> TrafficTrace:
 
     Format: ``preset`` or ``preset:key=value,key=value`` — for example
     ``flash``, ``flash:peak=400,ramp=200`` or ``diurnal:period=60000``.
-    Unknown presets, unknown keys and non-numeric values raise
-    :class:`~repro.errors.ConfigError` naming the offending token and the
-    valid choices.
+    Unknown presets, unknown keys and non-numeric, non-positive or
+    non-finite values raise :class:`~repro.errors.ConfigError` naming the
+    offending token and the valid choices.
     """
     name, _, rest = spec.strip().partition(":")
     name = name.strip()
@@ -237,14 +248,59 @@ def parse_traffic(spec: str, seed: int = 0) -> TrafficTrace:
             raise ConfigError(
                 f"bad traffic value {value!r} for key {key!r}"
             ) from None
-        if params[key] <= 0:
+        if not 0 < params[key] < math.inf:
             raise ConfigError(
-                f"traffic key {key!r} must be positive, got {value!r}"
+                f"traffic key {key!r} must be positive and finite, "
+                f"got {value!r}"
             )
     return TrafficTrace(segments=_preset_segments(name, params), seed=seed)
 
 
 # --------------------------------------------------------------------- #
+def _check_deadline(deadline_ms: float) -> None:
+    if not 0 < deadline_ms < math.inf:
+        raise ConfigError(
+            f"deadline_ms must be positive and finite, got {deadline_ms}"
+        )
+
+
+def generate_requests(
+    workload_id: str,
+    trace: TrafficTrace,
+    count: int,
+    num_streams: int = 4,
+    deadline_ms: float = 200.0,
+    scene_seed_base: int = 0,
+) -> List[InferenceRequest]:
+    """Build a single-workload request schedule from a rate program.
+
+    Streams are assigned round-robin, modelling ``num_streams`` vehicles
+    whose frames interleave on the wire.  All frames of a stream share a
+    ``scene_seed`` (identical geometry), which is what the serve-side
+    kernel-map cache exploits.
+    """
+    _check_deadline(deadline_ms)
+    if num_streams < 1:
+        raise ConfigError(f"num_streams must be >= 1, got {num_streams}")
+    frame_counters = [0] * num_streams
+    requests: List[InferenceRequest] = []
+    for i, t in enumerate(trace.times_ms(count)):
+        stream = i % num_streams
+        requests.append(
+            InferenceRequest(
+                request_id=i,
+                workload_id=workload_id,
+                stream_id=stream,
+                frame_index=frame_counters[stream],
+                scene_seed=scene_seed_base * 10007 + stream,
+                arrival_ms=float(t),
+                deadline_ms=deadline_ms,
+            )
+        )
+        frame_counters[stream] += 1
+    return requests
+
+
 def generate_traffic_requests(
     trace: TrafficTrace,
     count: int,
@@ -273,8 +329,7 @@ def generate_traffic_requests(
     """
     from repro.models.registry import get_workload
 
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
+    _check_deadline(deadline_ms)
     roster: List[TenantSpec] = list(tenants) or [
         dataclasses.replace(DEFAULT_TENANT, mix=(default_workload,))
     ]

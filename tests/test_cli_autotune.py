@@ -45,7 +45,7 @@ class TestSearch:
         """Default seed and scale match serve-bench's background tune, so
         a searched store serves its first batch tuned."""
         from repro.serve import ServeConfig, ServingRuntime
-        from repro.serve.arrivals import PoissonArrivals, generate_requests
+        from repro.serve.traffic import generate_requests, parse_traffic
 
         db = tmp_path / "db.json"
         rc = main(["autotune", "search", "SK-M-0.5", "--device", "3090",
@@ -56,7 +56,7 @@ class TestSearch:
         )
         metrics = runtime.serve(
             generate_requests(
-                "SK-M-0.5", PoissonArrivals(rate_per_s=40, seed=3), count=4
+                "SK-M-0.5", parse_traffic("steady:rate=40", seed=3), count=4
             )
         ).metrics
         assert (metrics.tuning_db_hits, metrics.tuning_db_misses) == (1, 0)

@@ -582,17 +582,17 @@ class TestPeakMemoryLint:
 from repro.serve import (  # noqa: E402
     FaultInjector,
     FaultPlan,
-    PoissonArrivals,
     ServeConfig,
     ServingRuntime,
     generate_requests,
+    parse_traffic,
 )
 
 
 @pytest.fixture(scope="module")
 def oom_schedule():
     return generate_requests(
-        WORKLOAD, PoissonArrivals(rate_per_s=80, seed=5),
+        WORKLOAD, parse_traffic("steady:rate=80", seed=5),
         count=8, num_streams=2, deadline_ms=2000.0,
     )
 

@@ -31,10 +31,10 @@ from repro.opt import schedule as opt_schedule
 from repro.opt.schedule import best_schedule, list_schedule
 from repro.precision import Precision
 from repro.serve import (
-    PoissonArrivals,
     ServeConfig,
     ServingRuntime,
     generate_requests,
+    parse_traffic,
 )
 from tests.test_opt_scheduler import random_dag_trace
 
@@ -147,7 +147,7 @@ def serving_batches():
             return real(trace, device, precision, streams, graph)
 
         requests = generate_requests(
-            workload, PoissonArrivals(rate_per_s=40, seed=0),
+            workload, parse_traffic("steady:rate=40", seed=0),
             count=4, num_streams=2, deadline_ms=300.0,
         )
         runtime = ServingRuntime(ServeConfig(

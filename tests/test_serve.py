@@ -1,22 +1,23 @@
 """Tests for the serving runtime: arrivals, batching, caches, scheduling,
 admission control and the warm-vs-cold latency contract."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.serve import (
-    BurstyArrivals,
     DynamicBatcher,
     InferenceRequest,
     KmapCache,
     KmapEntry,
-    PoissonArrivals,
     PolicyCache,
     RequestQueue,
     RequestStatus,
     ServeConfig,
     ServingRuntime,
     generate_requests,
+    parse_traffic,
 )
 from repro.sparse.tensor import SparseTensor
 
@@ -38,32 +39,75 @@ def make_request(i, arrival_ms, points_seed=0, workload=WORKLOAD,
     )
 
 
+def poisson_times(rate_per_s, seed, count):
+    """The fixed-rate Poisson sampler the ``steady`` preset replaced."""
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.exponential(1000.0 / rate_per_s, size=count)).tolist()
+
+
+def on_off_times(base, peak, period_ms, fraction, seed, count):
+    """The on/off sampler the ``bursty`` preset replaced: each gap is drawn
+    at the rate in effect at the previous arrival."""
+    rng = np.random.default_rng(seed)
+    times, t = [], 0.0
+    for _ in range(count):
+        burst = (t % period_ms) / period_ms < fraction
+        t += rng.exponential(1000.0 / (peak if burst else base))
+        times.append(t)
+    return times
+
+
 class TestArrivals:
     def test_poisson_deterministic_and_sorted(self):
-        a = PoissonArrivals(rate_per_s=50, seed=3)
+        a = parse_traffic("steady:rate=50", seed=3)
         t1, t2 = a.times_ms(100), a.times_ms(100)
         assert t1 == t2
         assert t1 == sorted(t1)
 
     def test_poisson_mean_rate(self):
-        times = PoissonArrivals(rate_per_s=100, seed=0).times_ms(2000)
+        times = parse_traffic("steady:rate=100", seed=0).times_ms(2000)
         mean_gap = times[-1] / len(times)
         assert mean_gap == pytest.approx(10.0, rel=0.1)  # 100/s = 10 ms
 
     def test_bursty_denser_in_burst_phase(self):
-        a = BurstyArrivals(
-            base_rate_per_s=20, burst_rate_per_s=400,
-            period_ms=1000.0, burst_fraction=0.25, seed=1,
-        )
+        a = parse_traffic("bursty:base=20,peak=400,on=250,off=750", seed=1)
         times = np.asarray(a.times_ms(800))
         phases = (times % 1000.0) / 1000.0
         in_burst = np.count_nonzero(phases < 0.25)
         # 25% of the time carries far more than 25% of the arrivals.
         assert in_burst > 0.5 * len(times)
 
+    @pytest.mark.parametrize("rate", [0.5, 7.0, 30.0, 123.25, 2000.0, 5000.0])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 17])
+    def test_steady_preset_is_the_poisson_sampler(self, rate, seed):
+        trace = parse_traffic(f"steady:rate={rate}", seed=seed)
+        assert trace.times_ms(300) == poisson_times(rate, seed, 300)
+
+    @pytest.mark.parametrize(
+        "period,fraction", [(1000.0, 0.25), (400.0, 0.5), (2000.0, 0.125)]
+    )
+    @pytest.mark.parametrize("base,peak", [(30.0, 120.0), (5.0, 400.0)])
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_bursty_preset_is_the_on_off_sampler(
+        self, period, fraction, base, peak, seed
+    ):
+        on = period * fraction
+        trace = parse_traffic(
+            f"bursty:base={base},peak={peak},on={on},off={period - on}",
+            seed=seed,
+        )
+        expected = on_off_times(base, peak, period, fraction, seed, 300)
+        assert trace.times_ms(300) == expected
+
+    def test_bursty_defaults_are_the_cli_defaults(self):
+        # serve-bench --arrivals bursty at the default --rate 30.
+        assert parse_traffic("bursty", seed=4).times_ms(200) == on_off_times(
+            30.0, 120.0, 1000.0, 0.25, 4, 200
+        )
+
     def test_generate_requests_streams_share_scene_seed(self):
         reqs = generate_requests(
-            WORKLOAD, PoissonArrivals(rate_per_s=10, seed=0),
+            WORKLOAD, parse_traffic("steady:rate=10", seed=0),
             count=12, num_streams=3,
         )
         assert len(reqs) == 12
@@ -79,9 +123,15 @@ class TestArrivals:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            generate_requests(WORKLOAD, PoissonArrivals(10), count=0)
+            generate_requests(WORKLOAD, parse_traffic("steady"), count=0)
         with pytest.raises(ConfigError):
-            PoissonArrivals(rate_per_s=-1)
+            parse_traffic("steady:rate=-1")
+        for deadline in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="deadline_ms"):
+                generate_requests(
+                    WORKLOAD, parse_traffic("steady"), count=4,
+                    deadline_ms=deadline,
+                )
 
 
 class TestCaches:
@@ -121,6 +171,49 @@ class TestBatcher:
         assert queue.admit(make_request(1, 1.0))
         assert not queue.admit(make_request(2, 2.0))
         assert queue.shed_count == 1 and len(queue) == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_class_queue_matches_a_fifo_list(self, seed):
+        # One priority class: the (priority, seq)-ordered queue must act as
+        # a plain FIFO list with retries at the head.
+        rng = random.Random(seed)
+        queue = RequestQueue(max_depth=6)
+        ref, shed, now = [], 0, 0.0
+        for i in range(400):
+            now += rng.random()
+            op = rng.choice(
+                ("admit", "admit_displacing", "requeue", "expire", "take")
+            )
+            if op in ("admit", "admit_displacing"):
+                request = make_request(i, now)
+                room = len(ref) < queue.max_depth
+                if op == "admit":
+                    assert queue.admit(request) is room
+                else:
+                    victim = queue.admit_displacing(request)
+                    assert victim is (None if room else request)
+                if room:
+                    ref.append(request)
+                else:
+                    shed += 1
+            elif op == "requeue":
+                request = make_request(i, now - 5.0 * rng.random())
+                queue.requeue(request)
+                ref.insert(0, request)
+            elif op == "expire":
+                timeout = rng.uniform(1.0, 10.0)
+                gone = [r for r in ref if now - r.arrival_ms >= timeout]
+                assert queue.expire(now, timeout) == gone
+                ref = [r for r in ref if r not in gone]
+            else:
+                taken = rng.sample(ref, rng.randint(0, len(ref)))
+                queue.take(taken)
+                ref = [r for r in ref if r not in taken]
+            assert [r.request_id for r in queue.peek()] == [
+                r.request_id for r in ref
+            ]
+            assert queue.oldest is (ref[0] if ref else None)
+            assert queue.shed_count == shed and len(queue) == len(ref)
 
     def test_batch_respects_point_budget(self):
         queue = RequestQueue(max_depth=8)
@@ -170,7 +263,7 @@ class TestBatcher:
 @pytest.fixture(scope="module")
 def small_schedule():
     return generate_requests(
-        WORKLOAD, PoissonArrivals(rate_per_s=40, seed=0),
+        WORKLOAD, parse_traffic("steady:rate=40", seed=0),
         count=10, num_streams=2, deadline_ms=300.0,
     )
 
@@ -239,7 +332,7 @@ class TestRuntime:
 
     def test_overload_sheds_and_bounds_queue(self):
         requests = generate_requests(
-            WORKLOAD, PoissonArrivals(rate_per_s=2000, seed=1),
+            WORKLOAD, parse_traffic("steady:rate=2000", seed=1),
             count=40, num_streams=2, deadline_ms=100.0,
         )
         config = small_config(queue_depth=8)
@@ -250,7 +343,7 @@ class TestRuntime:
 
     def test_more_replicas_cut_tail_latency_under_load(self):
         requests = generate_requests(
-            WORKLOAD, PoissonArrivals(rate_per_s=2000, seed=2),
+            WORKLOAD, parse_traffic("steady:rate=2000", seed=2),
             count=24, num_streams=2, deadline_ms=500.0,
         )
         one = ServingRuntime(

@@ -9,7 +9,7 @@ same Sparse Autotuner call as ``warm_policy``.
 import pytest
 
 from repro.serve import ServeConfig, ServingRuntime
-from repro.serve.arrivals import PoissonArrivals, generate_requests
+from repro.serve.traffic import generate_requests, parse_traffic
 
 WORKLOAD = "SK-M-0.5"
 SCALE = 0.1
@@ -18,7 +18,7 @@ SCALE = 0.1
 def requests(count=16, seed=3):
     return generate_requests(
         WORKLOAD,
-        PoissonArrivals(rate_per_s=40, seed=seed),
+        parse_traffic("steady:rate=40", seed=seed),
         count=count,
     )
 

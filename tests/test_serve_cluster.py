@@ -15,12 +15,12 @@ from repro.serve import (
     FaultPlan,
     InferenceRequest,
     KmapCache,
-    PoissonArrivals,
     RequestStatus,
     ServeConfig,
     ServingRuntime,
     generate_requests,
     get_balancer,
+    parse_traffic,
 )
 
 WORKLOAD = "SK-M-0.5"
@@ -35,7 +35,7 @@ def make_replica(index, busy_ms=0.0, inflight=0, free_at_ms=0.0, cache=None):
         busy_ms=busy_ms,
         inflight=inflight,
         free_at_ms=free_at_ms,
-        kmap_cache=cache,
+        kmap_cache=KmapCache() if cache is None else cache,
     )
 
 
@@ -197,7 +197,7 @@ class TestFaultModel:
 @pytest.fixture(scope="module")
 def faulty_schedule():
     return generate_requests(
-        WORKLOAD, PoissonArrivals(rate_per_s=150, seed=4),
+        WORKLOAD, parse_traffic("steady:rate=150", seed=4),
         count=16, num_streams=3, deadline_ms=500.0,
     )
 
@@ -248,7 +248,7 @@ class TestFaultyServing:
 
     def test_stalled_cluster_drains_and_recovers(self):
         requests = generate_requests(
-            WORKLOAD, PoissonArrivals(rate_per_s=100, seed=5),
+            WORKLOAD, parse_traffic("steady:rate=100", seed=5),
             count=12, num_streams=2, deadline_ms=1000.0,
         )
         config = cluster_config(
@@ -264,7 +264,7 @@ class TestFaultyServing:
 
     def test_timeout_drops_stale_queued_requests(self):
         requests = generate_requests(
-            WORKLOAD, PoissonArrivals(rate_per_s=3000, seed=6),
+            WORKLOAD, parse_traffic("steady:rate=3000", seed=6),
             count=24, num_streams=2, deadline_ms=1000.0,
         )
         config = cluster_config(queue_depth=64, timeout_ms=15.0)
@@ -278,7 +278,7 @@ class TestFaultyServing:
 
     def test_hedging_duplicates_slow_batches_and_cuts_tail(self):
         requests = generate_requests(
-            WORKLOAD, PoissonArrivals(rate_per_s=60, seed=7),
+            WORKLOAD, parse_traffic("steady:rate=60", seed=7),
             count=16, num_streams=2, deadline_ms=1000.0,
         )
         skew = FaultPlan.parse("skew=4,skew_replica=0", seed=0)
@@ -334,7 +334,7 @@ class TestBalancedScheduling:
         # replica: round-robin routing thrashes every cache, affinity
         # pins each stream to one replica and keeps it warm.
         requests = generate_requests(
-            WORKLOAD, PoissonArrivals(rate_per_s=25, seed=8),
+            WORKLOAD, parse_traffic("steady:rate=25", seed=8),
             count=24, num_streams=4, deadline_ms=1000.0,
         )
         def run(balancer):
@@ -353,7 +353,7 @@ class TestBalancedScheduling:
 
     def test_jsq_spreads_inflight_batches(self):
         requests = generate_requests(
-            WORKLOAD, PoissonArrivals(rate_per_s=400, seed=9),
+            WORKLOAD, parse_traffic("steady:rate=400", seed=9),
             count=16, num_streams=2, deadline_ms=1000.0,
         )
         config = cluster_config(

@@ -28,12 +28,12 @@ import pytest
 
 from repro.serve import (
     FaultPlan,
-    PoissonArrivals,
     ServeConfig,
     ServingMetrics,
     ServingRuntime,
     generate_requests,
     parse_tenants,
+    parse_traffic,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "serving_metrics_schema.json"
@@ -50,7 +50,7 @@ def served_metrics():
         breaker_failures=2,
     )
     requests = generate_requests(
-        "SK-M-0.5", PoissonArrivals(rate_per_s=200, seed=1), count=24,
+        "SK-M-0.5", parse_traffic("steady:rate=200", seed=1), count=24,
     )
     return ServingRuntime(config).serve(requests).metrics
 

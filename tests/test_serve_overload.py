@@ -15,7 +15,6 @@ from repro.serve import (
     BreakerState,
     CircuitBreaker,
     FaultPlan,
-    PoissonArrivals,
     RequestStatus,
     ServeConfig,
     ServingRuntime,
@@ -317,6 +316,51 @@ class TestCliSpecErrors:
         assert "non-finite tenant value" in err
         assert f"for key {key!r}" in err
         assert "tenant 'gold'" in err
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("--rate", "nan"), "'rate'"),
+            (("--rate", "inf"), "'rate'"),
+            (("--traffic", "steady:rate=nan"), "'rate'"),
+            (("--traffic", "flash:peak=inf"), "'peak'"),
+            (("--traffic", "diurnal:period=nan"), "'period'"),
+            (("--arrivals", "bursty", "--burst-rate", "nan"), "'peak'"),
+            (("--timeout-ms", "nan"), "timeout_ms"),
+            (("--hedge-ms", "nan"), "hedge_ms"),
+            (("--window-ms", "nan"), "batch_window_ms"),
+            (("--slo-ms", "nan"), "slo_ms"),
+            (("--retry-backoff-ms", "nan"), "retry_backoff_ms"),
+            (("--retry-budget", "nan"), "retry_budget"),
+            (("--deadline-ms", "nan"), "deadline_ms"),
+            (("--deadline-ms", "inf"), "deadline_ms"),
+        ],
+    )
+    def test_non_finite_serving_value_names_key_or_field(
+        self, capsys, argv, name
+    ):
+        code, err = self._run(
+            capsys, "--requests", "2", "--scale", "0.05", *argv
+        )
+        assert code == 2
+        assert name in err and "finite" in err
+        assert "Traceback" not in err
+
+    def test_zero_burst_rate_exits_2(self, capsys):
+        code, err = self._run(
+            capsys, "--requests", "2", "--scale", "0.05",
+            "--arrivals", "bursty", "--burst-rate", "0",
+        )
+        assert code == 2
+        assert "traffic key 'peak' must be positive" in err
+
+    @pytest.mark.parametrize("rate", ["nan", "-0.5"])
+    def test_bad_oom_rate_exits_2(self, capsys, rate):
+        code, err = self._run(
+            capsys, "--requests", "2", "--scale", "0.05", "--oom-rate", rate
+        )
+        assert code == 2
+        assert "oom_rate must be in [0, 1)" in err
 
     def test_unknown_traffic_preset_lists_presets(self, capsys):
         code, err = self._run(capsys, "--traffic", "tsunami")

@@ -16,7 +16,7 @@ from repro.serve import (
     parse_traffic,
     parse_tenants,
 )
-from repro.serve.admission import PriorityRequestQueue
+from repro.serve.batcher import RequestQueue
 from repro.serve.traffic import MIN_RATE_PER_S, TRAFFIC_PRESETS
 
 
@@ -60,6 +60,21 @@ class TestSegmentsAndTrace:
         with pytest.raises(ConfigError, match="shape"):
             TrafficSegment(duration_ms=10.0, start_rate=1.0, shape="square")
 
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("duration_ms", dict(duration_ms=float("inf"), start_rate=1.0)),
+            ("start_rate", dict(duration_ms=10.0, start_rate=float("nan"))),
+            ("end_rate", dict(
+                duration_ms=10.0, start_rate=1.0, end_rate=float("nan"),
+                shape="linear",
+            )),
+        ],
+    )
+    def test_segment_rejects_non_finite_values(self, field, kwargs):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            TrafficSegment(**kwargs)
+
     def test_trace_cycles_over_period(self):
         trace = TrafficTrace(segments=(
             TrafficSegment(duration_ms=100.0, start_rate=10.0),
@@ -102,6 +117,12 @@ class TestParseTraffic:
     def test_presets_parse_with_defaults(self):
         for preset in TRAFFIC_PRESETS:
             assert parse_traffic(preset).period_ms > 0
+
+    def test_bursty_is_peak_then_base(self):
+        trace = parse_traffic("bursty:base=10,peak=90,on=100,off=300")
+        assert trace.period_ms == 400.0
+        assert trace.rate_at(50.0) == 90.0 and trace.rate_at(150.0) == 10.0
+        assert trace.rate_at(450.0) == 90.0  # cycles
 
     def test_override_keys(self):
         trace = parse_traffic("steady:rate=77,period=500")
@@ -211,7 +232,7 @@ class TestAdmissionPrimitives:
         assert all(budget.allow() for _ in range(100))
 
     def test_priority_queue_sheds_lowest_priority_first(self):
-        queue = PriorityRequestQueue(max_depth=2)
+        queue = RequestQueue(max_depth=2)
         low = make_request(1, priority=5)
         mid = make_request(2, priority=2)
         high = make_request(3, priority=0)
@@ -226,7 +247,7 @@ class TestAdmissionPrimitives:
         assert queue.shed_count == 2
 
     def test_priority_queue_orders_by_class_then_fifo(self):
-        queue = PriorityRequestQueue(max_depth=8)
+        queue = RequestQueue(max_depth=8)
         first_low = make_request(1, arrival_ms=0.0, priority=4)
         late_high = make_request(2, arrival_ms=5.0, priority=0)
         later_high = make_request(3, arrival_ms=9.0, priority=0)

@@ -16,10 +16,10 @@ from repro.models import CenterPointBackbone, MinkUNet
 from repro.nn import ExecutionContext
 from repro.opt import schedule as opt_schedule
 from repro.serve import (
-    PoissonArrivals,
     ServeConfig,
     ServingRuntime,
     generate_requests,
+    parse_traffic,
 )
 from repro.sparse import SparseTensor
 from repro.sparse.kmap import build_kernel_map
@@ -189,7 +189,7 @@ def test_multistream_serving_schedules_each_batch_once(monkeypatch):
 
     monkeypatch.setattr(opt_schedule, "best_schedule", counting)
     requests = generate_requests(
-        "NS-M-1f", PoissonArrivals(rate_per_s=40, seed=0),
+        "NS-M-1f", parse_traffic("steady:rate=40", seed=0),
         count=4, num_streams=2, deadline_ms=300.0,
     )
     runtime = ServingRuntime(ServeConfig(
