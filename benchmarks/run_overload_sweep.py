@@ -10,9 +10,9 @@ contract the layer must keep:
 * per-tenant SLO attainment and cost-per-million-requests reported,
 * two identical-seed runs produce byte-identical ``--json`` output.
 
-Writes a summary to ``benchmarks/results/overload_sweep.json``.  This is
-the slow offline gate (tens of minutes of wall clock); CI runs the same
-CLI at a reduced request count as a smoke test.
+Writes a summary to ``benchmarks/results/overload_sweep.json`` and exits
+1 on any acceptance failure.  One run takes about 20 s of wall clock on a
+2-core host, so the sweep (two runs) is a CI step.
 
 Run with::
 

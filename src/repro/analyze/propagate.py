@@ -235,7 +235,10 @@ def _trace_conv(
                 )
             )
 
-    weight = np.asarray(module.weight.data, dtype=np.float64)
+    # Transient read: a pending draw is not kept.  |w| reduces exactly in
+    # float32; the squares are float64, so the rms is that of a float64
+    # copy, bit for bit.
+    weight = module.weight.peek()
     tracer.nodes.append(
         IRNode(
             path=path,
@@ -252,7 +255,9 @@ def _trace_conv(
             pointwise=module.is_pointwise,
             signature=module.signature(x.stride),
             weight_abs_max=float(np.max(np.abs(weight))) if weight.size else 0.0,
-            weight_rms=float(np.sqrt(np.mean(weight * weight)))
+            weight_rms=float(
+                np.sqrt(np.mean(np.square(weight, dtype=np.float64)))
+            )
             if weight.size
             else 0.0,
         )

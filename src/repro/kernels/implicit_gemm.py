@@ -41,7 +41,7 @@ from repro.kernels.base import (
     matmul_accumulate,
 )
 from repro.precision import Precision
-from repro.sparse.bitmask import MaskReordering, warp_mac_slots
+from repro.sparse.bitmask import mac_slots
 from repro.sparse.kmap import KernelMap
 
 #: Scalar ops per radix-sort pass per key (compare/scatter on CUDA cores).
@@ -197,28 +197,12 @@ def implicit_gemm_trace(
         if schedule.pad_maps
         else num_rows
     )
-    cache_key = (
-        "ig_slots", config.num_splits, config.sort, schedule.warp_rows, pad_rows
-    )
-    if cache_key in kmap.analysis_cache:
-        effective_total, issued_total = kmap.analysis_cache[cache_key]
-    else:
-        reorder = MaskReordering.build(
-            nbmap, num_splits=config.num_splits, sort=config.sort
+    cache_key = ("ig_slots", config.num_splits, config.sort, schedule.warp_rows)
+    if cache_key not in kmap.analysis_cache:
+        kmap.analysis_cache[cache_key] = mac_slots(
+            nbmap, config.num_splits, config.sort, schedule.warp_rows
         )
-        effective_total = 0
-        issued_total = 0
-        for submap in reorder.reordered_submaps(nbmap):
-            masks = submap >= 0
-            if schedule.pad_maps and pad_rows > num_rows:
-                masks = np.concatenate(
-                    [masks,
-                     np.zeros((pad_rows - num_rows, masks.shape[1]), bool)]
-                )
-            effective, issued = warp_mac_slots(masks, schedule.warp_rows)
-            effective_total += effective
-            issued_total += issued
-        kmap.analysis_cache[cache_key] = (effective_total, issued_total)
+    effective_total, issued_total = kmap.analysis_cache[cache_key]
     ctas_total = config.num_splits * gemm_ctas(pad_rows, c_out, schedule)
 
     a_loads = float(issued_total) * c_in

@@ -74,6 +74,12 @@ class Parameter:
         self._data = value
         self.init = None
 
+    def peek(self) -> np.ndarray:
+        """The values, without filling in a pending draw: the held array
+        if there is one, else a fresh draw that is not stored, so
+        :attr:`init` stays pending.  Treat the result as read-only."""
+        return self.init.draw() if self._data is None else self._data
+
     @property
     def shape(self) -> tuple:
         return self.init.shape if self._data is None else self._data.shape

@@ -1191,7 +1191,10 @@ class _ServeLoop:
 
     def _on_timer(self, now: float, payload: None) -> None:
         """A batching window or recovery time passed: the dispatch that
-        follows every event is all a timer asks for."""
+        follows every event is all a timer asks for.  Timers are pushed
+        at or after the clock, so earlier times can no longer dedupe a
+        push and are dropped."""
+        self.timer_times = {t for t in self.timer_times if t >= now}
 
     def _on_retry(self, now: float, request: InferenceRequest) -> None:
         self.retries_pending -= 1

@@ -41,12 +41,6 @@ from repro.errors import ConfigError
 from repro.serve.admission import DEFAULT_TENANT, TenantSpec
 from repro.serve.request import InferenceRequest
 
-#: Arrival-rate floor (requests per simulated second).  A rate program is
-#: never allowed to reach zero: sampling draws the next inter-arrival gap
-#: from the rate in effect *now*, and a zero rate would stall the clock.
-MIN_RATE_PER_S = 1e-3
-
-
 @dataclasses.dataclass(frozen=True)
 class TrafficSegment:
     """One piece of a rate program.
@@ -127,9 +121,9 @@ class TrafficTrace:
         offset = t_ms % self.period_ms
         for segment in self.segments:
             if offset < segment.duration_ms:
-                return max(segment.rate_at(offset), MIN_RATE_PER_S)
+                return segment.rate_at(offset)
             offset -= segment.duration_ms
-        return max(self.segments[-1].end_rate, MIN_RATE_PER_S)
+        return self.segments[-1].end_rate
 
     def times_ms(self, count: int) -> List[float]:
         """``count`` seeded arrival times sampled from the rate program."""
@@ -139,7 +133,13 @@ class TrafficTrace:
         times: List[float] = []
         t = 0.0
         for _ in range(count):
-            t += rng.exponential(1000.0 / self.rate_at(t))
+            rate = self.rate_at(t)
+            t += rng.exponential(1000.0 / rate)
+            if not math.isfinite(t):
+                raise ConfigError(
+                    f"traffic rate {rate}/s is too low: arrival times "
+                    f"overflow the clock"
+                )
             times.append(t)
         return times
 

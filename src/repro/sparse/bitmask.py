@@ -116,20 +116,40 @@ def warp_mac_slots(masks: np.ndarray, warp_rows: int) -> Tuple[int, int]:
         ``(effective, issued)`` MAC slots, in units of
         ``rows x offsets`` (multiply by ``2 * C_in * C_out`` for FLOPs).
         ``issued - effective`` is the redundant computation of Figure 5.
+        All-False rows appended at the end (map padding) change neither.
     """
     if warp_rows < 1:
         raise ConfigError(f"warp_rows must be >= 1, got {warp_rows}")
     n, volume = masks.shape
     effective = int(np.count_nonzero(masks))
-    pad = (-n) % warp_rows
-    if pad:
-        masks = np.concatenate(
-            [masks, np.zeros((pad, volume), dtype=bool)], axis=0
-        )
-    grouped = masks.reshape(-1, warp_rows, volume)
-    active_warps = grouped.any(axis=1)  # (num_warps, V)
-    issued = int(np.count_nonzero(active_warps)) * warp_rows
-    return effective, issued
+    full = n - n % warp_rows
+    grouped = masks[:full].reshape(-1, warp_rows, volume)
+    active_warps = int(np.count_nonzero(grouped.any(axis=1)))
+    if full < n:  # the last, partial warp
+        active_warps += int(np.count_nonzero(masks[full:].any(axis=0)))
+    return effective, active_warps * warp_rows
+
+
+def mac_slots(
+    nbmap: np.ndarray, num_splits: int, sort: bool, warp_rows: int
+) -> Tuple[int, int]:
+    """``(effective, issued)`` MAC slots summed over the split segments.
+
+    Each segment is counted on its own bitmasks gathered in execution
+    order (:func:`sort_bitmasks` when ``sort``, else map order), as
+    :class:`MaskReordering` would run it; no reordered map is built.
+    """
+    present = compute_bitmasks(nbmap)
+    effective_total = 0
+    issued_total = 0
+    for segment in split_offsets(nbmap.shape[1], num_splits):
+        masks = present[:, segment[0]:segment[-1] + 1]
+        if sort:
+            masks = masks[sort_bitmasks(masks)]
+        effective, issued = warp_mac_slots(masks, warp_rows)
+        effective_total += effective
+        issued_total += issued
+    return effective_total, issued_total
 
 
 def redundancy_ratio(
@@ -140,13 +160,7 @@ def redundancy_ratio(
     This is the quantity plotted in Figure 11 (redundant computation vs the
     number of splits).  Returns ``inf`` for an empty map.
     """
-    reorder = MaskReordering.build(nbmap, num_splits=num_splits, sort=sort)
-    effective_total = 0
-    issued_total = 0
-    for submap in reorder.reordered_submaps(nbmap):
-        effective, issued = warp_mac_slots(submap >= 0, warp_rows)
-        effective_total += effective
-        issued_total += issued
-    if effective_total == 0:
+    effective, issued = mac_slots(nbmap, num_splits, sort, warp_rows)
+    if effective == 0:
         return float("inf")
-    return issued_total / effective_total
+    return issued / effective

@@ -4,6 +4,8 @@ Every parameter knows its shape, dtype and byte count from its init
 recipe.  Its values are drawn from the layer's own ``default_rng(seed)``
 stream the first time ``.data`` is read, so they are byte-identical to an
 eager draw, and simulate-only set-up and execution never draw them.
+Serving admission reads each conv weight once through ``peek`` and keeps
+no drawn values.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.analyze import trace_model
 from repro.baselines.engines import get_engine
 from repro.data.datasets import make_sample
 from repro.models import WORKLOADS, MinkUNet, get_workload
@@ -21,6 +24,7 @@ from repro.nn.conv import SparseConv3d
 from repro.nn.module import ConstantInit, NormalInit, Parameter
 from repro.nn.optim import SGD
 from repro.resilience import model_weight_bytes
+from repro.serve import ServingRuntime
 from repro.sparse import SparseTensor
 from repro.sparse.tensor import shape_only_feats
 
@@ -182,3 +186,90 @@ def test_numeric_training_from_lazy_and_eager_weights_is_identical():
     assert sorted(lazy) == sorted(expected)
     for name, value in expected.items():
         assert lazy[name].tobytes() == value.tobytes(), name
+
+
+def test_peek_reads_without_keeping_a_draw():
+    init = NormalInit(shape=(4, 3, 2), seed=5, std=0.5)
+    param = Parameter(init=init)
+    first = param.peek()
+    assert param.init is init and param._data is None
+    assert first.tobytes() == param.peek().tobytes() == init.draw().tobytes()
+    held = param.data
+    assert param.peek() is held
+
+
+#: The two models the serving benchmark admits.
+SERVING_MIX = ("SK-M-0.5", "NS-M-1f")
+
+
+def test_serving_admission_draws_each_conv_once_and_keeps_none(monkeypatch):
+    calls = {}
+    draw = NormalInit.draw
+
+    def counting_draw(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return draw(self)
+
+    monkeypatch.setattr(NormalInit, "draw", counting_draw)
+    runtime = ServingRuntime()
+    weights = [
+        module.weight
+        for workload_id in SERVING_MIX
+        for _, module in runtime.model(workload_id).named_modules()
+        if isinstance(module, SparseConv3d)
+    ]
+    assert weights
+    assert all(w.init is not None and w._data is None for w in weights)
+    assert calls == {id(w.init): 1 for w in weights}
+
+
+def _float64_stats(weight):
+    """The value-range statistics as computed on a float64 copy."""
+    w64 = np.asarray(weight, dtype=np.float64)
+    return float(np.max(np.abs(w64))), float(np.sqrt(np.mean(w64 * w64)))
+
+
+def _assert_ir_stats_match_float64(model, in_channels):
+    ir = trace_model(model, in_channels=in_channels)
+    modules = dict(model.named_modules(type(model).__name__))
+    convs = [node for node in ir.nodes if node.kind == "conv"]
+    assert convs
+    for node in convs:
+        expected = _float64_stats(modules[node.path].weight.data)
+        got = (node.weight_abs_max, node.weight_rms)
+        # Bit for bit: NaN payloads and the sign of zero included.
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (
+            node.path, got, expected
+        )
+
+
+@pytest.mark.parametrize("workload_id", sorted(WORKLOADS))
+def test_ir_weight_stats_match_float64_formula(workload_id):
+    workload = get_workload(workload_id)
+    _assert_ir_stats_match_float64(
+        workload.build_model(), workload.dataset_config.in_channels
+    )
+
+
+def test_ir_weight_stats_match_float64_formula_on_special_values():
+    model = small_model()
+    state = model.state_dict()
+    names = [
+        name for name, module in model.named_modules()
+        if isinstance(module, SparseConv3d)
+    ]
+    nan, inf, neg_zero = (f"{n}.weight" for n in names[:3])
+    state[nan].flat[[0, 7]] = np.nan
+    state[inf].flat[0] = np.inf
+    state[inf].flat[-1] = -np.inf
+    state[neg_zero][...] = -0.0
+    model = small_model()
+    model.load_state_dict(state)
+    _assert_ir_stats_match_float64(model, in_channels=4)
+    ir = {node.path: node for node in trace_model(model, in_channels=4).nodes}
+    nan, inf, neg_zero = (ir[f"MinkUNet.{n}"] for n in names[:3])
+    assert np.isnan(nan.weight_abs_max) and np.isnan(nan.weight_rms)
+    assert inf.weight_abs_max == inf.weight_rms == np.inf
+    # |-0.0| is +0.0: the maximum must not keep the sign of zero.
+    assert np.float64(neg_zero.weight_abs_max).tobytes() == bytes(8)
+    assert np.float64(neg_zero.weight_rms).tobytes() == bytes(8)

@@ -373,6 +373,15 @@ class TestCliSpecErrors:
         assert code == 2
         assert "must be positive" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("--rate", "0"), ("--traffic", "steady:rate=0")]
+    )
+    def test_zero_rate_exits_2_naming_the_field(self, capsys, argv):
+        code, err = self._run(capsys, "--requests", "2", *argv)
+        assert code == 2
+        assert "traffic key 'rate' must be positive" in err
+        assert "Traceback" not in err
+
 
 class TestDeterminismAndCounterfactual:
     def test_flash_crowd_run_is_byte_identical(self):

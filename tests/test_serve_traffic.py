@@ -17,7 +17,7 @@ from repro.serve import (
     parse_tenants,
 )
 from repro.serve.batcher import RequestQueue
-from repro.serve.traffic import MIN_RATE_PER_S, TRAFFIC_PRESETS
+from repro.serve.traffic import TRAFFIC_PRESETS
 
 
 def make_request(i, arrival_ms=0.0, priority=0, tenant="default",
@@ -85,9 +85,14 @@ class TestSegmentsAndTrace:
         assert trace.rate_at(150.0) == 50.0
         assert trace.rate_at(250.0) == 10.0  # second cycle
 
-    def test_rate_never_zero(self):
+    def test_tiny_rate_is_served_as_asked(self):
         trace = parse_traffic("steady:rate=0.0001")
-        assert trace.rate_at(0.0) >= MIN_RATE_PER_S
+        assert trace.rate_at(0.0) == 0.0001
+        assert trace.rate_at(1e9) == 0.0001
+
+    def test_rate_whose_arrivals_overflow_is_rejected(self):
+        with pytest.raises(ConfigError, match="too low"):
+            parse_traffic("steady:rate=1e-310").times_ms(2)
 
     def test_times_are_deterministic_and_monotone(self):
         trace = parse_traffic("flash", seed=3)

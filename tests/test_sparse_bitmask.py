@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.sparse.bitmask import (
     MaskReordering,
     compute_bitmasks,
+    mac_slots,
     redundancy_ratio,
     sort_bitmasks,
     split_offsets,
@@ -158,6 +159,41 @@ class TestMaskReordering:
                 for s in reorder.reordered_submaps(nbmap)
             )
             assert total == np.count_nonzero(nbmap >= 0)
+
+
+def reference_mac_slots(nbmap, num_splits, sort, warp_rows, pad_rows=0):
+    """Warp-by-warp count over the reordered submaps, with ``pad_rows``
+    all-absent rows appended (a map padded to the tile size)."""
+    reorder = MaskReordering.build(nbmap, num_splits=num_splits, sort=sort)
+    effective = issued = 0
+    for submap in reorder.reordered_submaps(nbmap):
+        masks = np.concatenate(
+            [submap >= 0, np.zeros((pad_rows, submap.shape[1]), bool)]
+        )
+        effective += int(masks.sum())
+        for start in range(0, len(masks), warp_rows):
+            issued += warp_rows * int(
+                masks[start:start + warp_rows].any(axis=0).sum()
+            )
+    return effective, issued
+
+
+class TestMacSlots:
+    @pytest.mark.parametrize("rows", [0, 1, 37, 96])
+    @pytest.mark.parametrize("splits,sort", [(1, False), (1, True), (3, True),
+                                             (4, False), (27, True)])
+    @pytest.mark.parametrize("warp_rows", [1, 4, 32])
+    def test_matches_padded_reordered_submaps(self, rows, splits, sort,
+                                              warp_rows):
+        rng = np.random.default_rng(rows * 100 + splits)
+        nbmap = np.where(
+            rng.random((rows, 27)) < 0.3, rng.integers(0, 64, (rows, 27)), -1
+        ).astype(np.int32)
+        got = mac_slots(nbmap, splits, sort, warp_rows)
+        for pad_rows in (0, 5, 128):
+            assert got == reference_mac_slots(
+                nbmap, splits, sort, warp_rows, pad_rows
+            )
 
 
 class TestRedundancyRatio:
