@@ -12,6 +12,11 @@ the committed ``benchmarks/golden/<experiment>.txt`` byte for byte: a
 change that moves any simulated number fails here.  After an intentional
 model change, regenerate with ``pytest benchmarks --benchmark-disable``
 and copy ``benchmarks/results/*.txt`` over ``benchmarks/golden/``.
+
+Every execution a table prices runs through the trace check
+(:func:`repro.analyze.sanitize_trace`, set as
+:data:`repro.gpusim.engine.TRACE_CHECK` as in the tier-1 suite), so a
+table built from a trace the sanitizer rejects fails here too.
 """
 
 from __future__ import annotations
@@ -20,8 +25,17 @@ import pathlib
 
 import pytest
 
+from repro.analyze import sanitize_trace
+from repro.gpusim import engine
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def sanitize_all_traces(monkeypatch):
+    monkeypatch.setattr(engine, "TRACE_CHECK", sanitize_trace)
+    yield
 
 
 @pytest.fixture(scope="session")

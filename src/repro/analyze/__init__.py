@@ -17,7 +17,7 @@ used by the CLI, CI, and the serving runtime's admission controller.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from repro.analyze.depgraph import (
     DepEdge,
@@ -92,6 +92,9 @@ from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.nn.module import Module
 from repro.precision import Precision
+
+if TYPE_CHECKING:
+    from repro.opt.schedule import StreamSchedule
 
 
 def analyze_model(
@@ -210,6 +213,26 @@ def lint_workload(
     )
 
 
+def sanitize_trace(
+    trace: KernelTrace,
+    device: DeviceSpec,
+    precision: Precision,
+    schedule: Optional["StreamSchedule"] = None,
+) -> None:
+    """The trace check (:data:`repro.gpusim.engine.TRACE_CHECK`): raise
+    ``AssertionError`` listing every violation :func:`check_trace`,
+    :func:`check_dependences` and :func:`check_latency_model` (on the
+    priced ``schedule``) find."""
+    violations = check_trace(trace) + check_dependences(trace)
+    violations += check_latency_model(trace, device, precision, schedule=schedule)
+    if violations:
+        details = "\n".join(f"  - {v}" for v in violations)
+        raise AssertionError(
+            f"trace sanitizer found {len(violations)} violation(s) in a "
+            f"trace submitted for latency estimation:\n{details}"
+        )
+
+
 __all__ = [
     "ChannelMismatch",
     "DepEdge",
@@ -264,6 +287,7 @@ __all__ = [
     "register_cache_site",
     "register_handler",
     "run_rules",
+    "sanitize_trace",
     "scatter_conflicts",
     "static_weight_bytes",
     "trace_model",

@@ -38,13 +38,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analyze.tracecheck import TraceViolation
-from repro.gpusim.engine import estimate_trace_us, launch_prices
+from repro.gpusim.engine import estimate_trace_us, launch_prices, unchecked
 from repro.gpusim.trace import KernelLaunch, KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.precision import Precision
+
+if TYPE_CHECKING:
+    from repro.opt.schedule import StreamSchedule
 
 #: Absolute slack (bytes) for float byte comparisons.
 _EPS_BYTES = 0.5
@@ -404,20 +407,18 @@ def check_latency_model(
     device: DeviceSpec,
     precision: Precision,
     graph: Optional[DependenceGraph] = None,
-    streams: int = 2,
+    schedule: Optional["StreamSchedule"] = None,
 ) -> List[TraceViolation]:
     """Cross-validate the serialized-stream estimate against the DAG
-    critical-path lower bound, and the sync-aware multi-stream schedule
-    against both bounds plus the happens-before race detector."""
+    critical-path lower bound, and a sync-aware multi-stream schedule
+    (``schedule``, else a fresh two-stream one) against both bounds plus
+    the happens-before race detector."""
     launches = list(trace)
     if graph is None:
         graph = DependenceGraph.build(launches)
     _, span = graph.critical_path(device, precision)
-    serialized = estimate_trace_us(
-        trace if isinstance(trace, KernelTrace) else KernelTrace(launches),
-        device,
-        precision,
-    )
+    with unchecked():  # a check pricing a possibly broken trace
+        serialized = estimate_trace_us(launches, device, precision)
     violations: List[TraceViolation] = []
     if serialized < span * (1.0 - _EPS_REL) - _EPS_REL:
         violations.append(
@@ -430,12 +431,13 @@ def check_latency_model(
                 ),
             )
         )
-    if streams > 1 and launches:
+    if launches:
         # Imported lazily: repro.opt builds on this module.
         from repro.analyze.hb import check_schedule
         from repro.opt.schedule import best_schedule
 
-        schedule = best_schedule(launches, device, precision, streams, graph)
+        if schedule is None:
+            schedule = best_schedule(launches, device, precision, 2, graph)
         # The schedule is bounded by its *own* weight sums (the same
         # estimate_launch_us weights its makespan is built from), so
         # this stays a scheduler-consistency check even when the trace

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.baselines.engines import BaselineEngine
+from repro.gpusim.engine import PricedTrace, launch_kind
 from repro.models.registry import Workload, get_workload
 from repro.precision import Precision
 
@@ -64,8 +65,7 @@ def measure_inference(
         tune_seed = 7000 + max(seeds, default=0)
         tune_inputs = [_held_out_sample(workload.id, tune_seed, 1)]
     engine.prepare(model, tune_inputs, device, precision, training=False)
-    per_scene = []
-    breakdown: Dict[str, float] = {}
+    runs = []
     for sample in inputs:
         # Each context re-charges map construction and reordering for
         # every map it touches (charge-once is per context), so cached
@@ -73,17 +73,8 @@ def measure_inference(
         ctx = engine.make_context(device, precision, training=False)
         ctx.simulate_only = True
         model(sample, ctx)
-        per_scene.append(ctx.latency_ms())
-        for key, value in ctx.breakdown_us().items():
-            breakdown[key] = breakdown.get(key, 0.0) + value / len(inputs)
-    return Measurement(
-        engine=engine.name,
-        workload=workload.id,
-        device=str(device),
-        precision=str(Precision.parse(precision).value),
-        per_scene_ms=per_scene,
-        breakdown_us=breakdown,
-    )
+        runs.append(ctx.execution())
+    return _measurement(engine, workload, device, precision, runs)
 
 
 def measure_training(
@@ -107,8 +98,7 @@ def measure_training(
                          batch_size)
     ]
     engine.prepare(model, tune_inputs, device, precision, training=True)
-    per_step = []
-    breakdown: Dict[str, float] = {}
+    runs = []
     for sample in inputs:
         ctx = engine.make_context(device, precision, training=True)
         ctx.simulate_only = True
@@ -116,14 +106,27 @@ def measure_training(
         grad = np.zeros(out.feats.shape, dtype=ctx.precision.dtype)
         model.backward(grad, ctx)
         model.zero_grad()
-        per_step.append(ctx.latency_ms())
-        for key, value in ctx.breakdown_us().items():
-            breakdown[key] = breakdown.get(key, 0.0) + value / len(inputs)
+        runs.append(ctx.execution())
+    return _measurement(engine, workload, device, precision, runs)
+
+
+def _measurement(
+    engine: BaselineEngine,
+    workload: Workload,
+    device: str,
+    precision: "Precision | str",
+    runs: List[PricedTrace],
+) -> Measurement:
+    """Per-scene latency and the mean per-kind split of priced scenes."""
+    breakdown: Dict[str, float] = {}
+    for run in runs:
+        for key, value in run.split_us(launch_kind).items():
+            breakdown[key] = breakdown.get(key, 0.0) + value / len(runs)
     return Measurement(
         engine=engine.name,
         workload=workload.id,
         device=str(device),
         precision=str(Precision.parse(precision).value),
-        per_scene_ms=per_step,
+        per_scene_ms=[run.latency_us / 1e3 for run in runs],
         breakdown_us=breakdown,
     )

@@ -485,6 +485,7 @@ def _cmd_serve_bench(args) -> int:
         parse_tenants,
         parse_traffic,
     )
+    from repro.serve.runtime import TUNE_SCENES
 
     _validate_target(args.device, args.precision)
     workload = get_workload(args.workload)
@@ -547,7 +548,7 @@ def _cmd_serve_bench(args) -> int:
     elif args.warm:
         runtime.warm_policy(workload.id)
         print(f"policy cache warmed by tuning {workload.id} "
-              f"on {config.tune_scenes} scene(s)")
+              f"on {TUNE_SCENES} scene(s)")
     if args.traffic:
         trace = parse_traffic(args.traffic, seed=args.seed)
         requests = generate_traffic_requests(

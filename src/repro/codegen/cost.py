@@ -13,10 +13,10 @@ from typing import Optional
 import numpy as np
 
 from repro.codegen.tiling import enumerate_schedules
-from repro.gpusim.engine import estimate_trace_us
+from repro.gpusim.engine import estimate_trace_us, price_trace
 from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec
-from repro.kernels.base import KernelSchedule, dense_gemm_trace
+from repro.kernels.base import KernelSchedule, dense_gemm_trace, launch_part
 from repro.kernels.implicit_gemm import ImplicitGemmConfig, implicit_gemm
 from repro.precision import Precision
 from repro.sparse.kmap import KernelMap
@@ -69,10 +69,8 @@ def utilization_vs_cublas(
         _, trace = implicit_gemm(
             feats, weights, kmap, cand, precision, config=config
         )
-        kernel_only = trace.filter_name("main")
-        best_sparse = min(
-            best_sparse, estimate_trace_us(kernel_only, device, precision)
-        )
+        parts = price_trace(trace, device, precision).attribute(launch_part)
+        best_sparse = min(best_sparse, sum(parts["main"]))
 
     best_dense = float("inf")
     for cand in enumerate_schedules(schedule):

@@ -10,8 +10,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.experiments.common import ExperimentResult, fmt, workload_fixture
-from repro.gpusim.engine import estimate_trace_us
+from repro.gpusim.engine import price_trace
 from repro.hw import RTX_3090
+from repro.kernels.base import launch_part
 from repro.kernels.implicit_gemm import ImplicitGemmConfig
 from repro.kernels.registry import trace_dataflow
 from repro.nn.context import ExecutionContext
@@ -44,15 +45,15 @@ def _layerwise(workload_id: str, precision: Precision):
                 ig_config=ImplicitGemmConfig(sort=False),
                 charge_mapping=False,
             )
-            s_compute = estimate_trace_us(
-                sorted_trace.filter_name("main"), RTX_3090, precision
-            )
-            s_overhead = estimate_trace_us(
-                sorted_trace.filter_name("mapping"), RTX_3090, precision
-            )
-            u_compute = estimate_trace_us(
-                unsorted_trace.filter_name("main"), RTX_3090, precision
-            )
+            sorted_parts = price_trace(
+                sorted_trace, RTX_3090, precision
+            ).attribute(launch_part)
+            unsorted_parts = price_trace(
+                unsorted_trace, RTX_3090, precision
+            ).attribute(launch_part)
+            s_compute = sum(sorted_parts["main"])
+            s_overhead = sum(sorted_parts.get("mapping", []))
+            u_compute = sum(unsorted_parts["main"])
             totals["sorted_compute"] += s_compute
             totals["sorted_overhead"] += s_overhead
             totals["unsorted_compute"] += u_compute

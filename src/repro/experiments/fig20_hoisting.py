@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import List
 
 from repro.experiments.common import ExperimentResult, fmt, sample_layers
-from repro.gpusim.engine import estimate_trace_us
+from repro.gpusim.engine import price_trace
 from repro.gpusim.trace import KernelTrace
 from repro.hw import RTX_3090
-from repro.kernels.base import KernelSchedule
+from repro.kernels.base import KernelSchedule, launch_part
 from repro.kernels.implicit_gemm import ImplicitGemmConfig
 from repro.kernels.registry import trace_dataflow
 from repro.opt import LaunchProgram, PassPipeline
@@ -42,9 +42,8 @@ def _trace(record, schedule: KernelSchedule) -> KernelTrace:
 
 
 def _main_us(trace: KernelTrace) -> float:
-    return estimate_trace_us(
-        trace.filter_name("main"), RTX_3090, Precision.FP16
-    )
+    parts = price_trace(trace, RTX_3090, Precision.FP16).attribute(launch_part)
+    return sum(parts["main"])
 
 
 def _hoist_pass_us(naive_trace: KernelTrace) -> float:

@@ -9,9 +9,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.experiments.common import ExperimentResult, fmt, sample_layers
-from repro.gpusim.engine import estimate_trace_us
+from repro.gpusim.engine import price_trace
 from repro.hw import RTX_3090
-from repro.kernels.base import KernelSchedule
+from repro.kernels.base import KernelSchedule, launch_part
 from repro.kernels.implicit_gemm import ImplicitGemmConfig
 from repro.kernels.registry import trace_dataflow
 from repro.precision import Precision
@@ -26,9 +26,8 @@ def _kernel_us(record, schedule: KernelSchedule) -> float:
         schedule=schedule, precision=Precision.FP16,
         ig_config=ImplicitGemmConfig(sort=False), charge_mapping=False,
     )
-    return estimate_trace_us(
-        trace.filter_name("main"), RTX_3090, Precision.FP16
-    )
+    parts = price_trace(trace, RTX_3090, Precision.FP16).attribute(launch_part)
+    return sum(parts["main"])
 
 
 def run(quick: bool = True) -> ExperimentResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.experiments.common import ExperimentResult, fmt, workload_fixture
+from repro.gpusim.trace import KernelLaunch, LaunchKind
 from repro.kernels.implicit_gemm import ImplicitGemmConfig
 from repro.nn.context import ExecutionContext, FixedPolicy, LayerConfig
 
@@ -20,14 +21,19 @@ CONFIGS = {
 }
 
 
+def _kernel_or_mapping(launch: KernelLaunch) -> str:
+    """Table 4's split: convolution kernels (GEMMs and their split
+    reductions) against everything else."""
+    if launch.kind in (LaunchKind.GEMM, LaunchKind.REDUCTION):
+        return "kernel"
+    return "mapping"
+
+
 def measure_config(
     model, sample, device: str, config: ImplicitGemmConfig,
     kernel_only: bool = False,
 ) -> float:
     """End-to-end (or kernel-only) latency under one fixed IG config."""
-    from repro.gpusim.engine import estimate_trace_us
-    from repro.gpusim.trace import KernelTrace, LaunchKind
-
     ctx = ExecutionContext(
         device=device,
         precision="fp16",
@@ -37,13 +43,10 @@ def measure_config(
     )
     model.eval()
     model(sample, ctx)
+    run = ctx.execution()
     if kernel_only:
-        kernels = KernelTrace(
-            l for l in ctx.trace
-            if l.kind in (LaunchKind.GEMM, LaunchKind.REDUCTION)
-        )
-        return estimate_trace_us(kernels, ctx.device, ctx.precision) / 1e3
-    return ctx.latency_ms()
+        return sum(run.attribute(_kernel_or_mapping)["kernel"]) / 1e3
+    return run.latency_us / 1e3
 
 
 def run(quick: bool = True, kernel_only: bool = False) -> ExperimentResult:

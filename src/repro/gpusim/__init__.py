@@ -25,15 +25,14 @@ from repro.gpusim.engine import (
     enforce_memory_budget,
     estimate_launch_us,
     estimate_trace_us,
-    latency_breakdown,
     launch_prices,
     memory_budget_bytes,
+    price_trace,
     wave_efficiency,
 )
-from repro.gpusim.report import by_layer, layer_report, timeline
+from repro.gpusim.report import layer_report, timeline
 
 __all__ = [
-    "by_layer",
     "layer_report",
     "timeline",
     "KernelLaunch",
@@ -43,8 +42,8 @@ __all__ = [
     "enforce_memory_budget",
     "estimate_launch_us",
     "estimate_trace_us",
-    "latency_breakdown",
     "launch_prices",
     "memory_budget_bytes",
+    "price_trace",
     "wave_efficiency",
 ]

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
-from typing import Dict, Iterable, List
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.errors import SimulatedOOMError
 from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind
 from repro.hw.specs import DeviceSpec
 from repro.precision import Precision
+
+if TYPE_CHECKING:
+    from repro.opt.schedule import StreamSchedule
 
 
 def wave_efficiency(ctas: int, concurrent_ctas: int) -> float:
@@ -78,42 +92,119 @@ def launch_prices(
 ) -> List[float]:
     """Per-launch latency (us) of ``trace``, in program order.
 
-    The one place a trace's launches are priced: the scheduler, the
-    dependence graph's critical path and the per-kind / per-layer
-    breakdowns all read this vector.  Each caller keeps its own
-    summation order (``sum()`` is compensated on Python >= 3.12, an
-    explicit left-to-right loop is not), so sharing the vector never
-    moves a result by a bit.
+    The one per-launch price vector: :func:`price_trace` computes it
+    once per execution and times the latency and the schedule from it,
+    and every split of the time groups it (:meth:`PricedTrace.attribute`).
     """
     parsed = Precision.parse(precision)
     return [estimate_launch_us(launch, device, parsed) for launch in trace]
 
 
+#: The check :func:`price_trace` runs on every execution it prices, as
+#: ``check(trace, device, precision, schedule)`` with the schedule it
+#: priced (``None`` on one stream).  ``None`` in production; the test
+#: suites set it to :func:`repro.analyze.sanitize_trace`.
+TRACE_CHECK: Optional[Callable[..., None]] = None
+
+
+@contextlib.contextmanager
+def unchecked() -> Iterator[None]:
+    """Turn :data:`TRACE_CHECK` off for a check's own pricing."""
+    global TRACE_CHECK
+    check, TRACE_CHECK = TRACE_CHECK, None
+    try:
+        yield
+    finally:
+        TRACE_CHECK = check
+
+
+def launch_kind(launch: KernelLaunch) -> str:
+    return launch.kind.value
+
+
+def launch_layer(launch: KernelLaunch) -> str:
+    return launch.name.split("/", 1)[0]
+
+
+@dataclasses.dataclass(frozen=True)
+class PricedTrace:
+    """One execution priced once: its :func:`launch_prices` vector, and
+    the latency and schedule (``None`` on one stream) timed from it."""
+
+    trace: KernelTrace
+    prices: Sequence[float]
+    latency_us: float
+    schedule: Optional["StreamSchedule"] = None
+
+    @property
+    def sync_events(self) -> int:
+        return 0 if self.schedule is None else len(self.schedule.events)
+
+    def attribute(
+        self, key: Callable[[KernelLaunch], str]
+    ) -> Dict[str, List[float]]:
+        """The latency attribution: prices grouped by ``key(launch)`` in
+        program order, for each caller to sum in its own form (``sum()``
+        is compensated on Python >= 3.12, a loop is not)."""
+        groups: Dict[str, List[float]] = {}
+        for launch, price in zip(self.trace, self.prices):
+            groups.setdefault(key(launch), []).append(price)
+        return groups
+
+    def split_us(self, key: Callable[[KernelLaunch], str]) -> Dict[str, float]:
+        """Per-group totals of :meth:`attribute`, summed left to right."""
+        totals: Dict[str, float] = {}
+        for group, prices in self.attribute(key).items():
+            totals[group] = 0.0
+            for price in prices:
+                totals[group] += price
+        return totals
+
+
+def price_trace(
+    trace: "KernelTrace | Sequence[KernelLaunch]",
+    device: DeviceSpec,
+    precision: "Precision | str",
+    streams: int = 1,
+) -> PricedTrace:
+    """Price one execution: the one place a trace is priced and checked.
+
+    One stream serializes the launches; ``streams=K > 1`` takes the best
+    schedule over 1..K streams (:func:`repro.opt.schedule.best_schedule`),
+    so the latency lands in ``[critical_path, serialized]``.
+    """
+    if streams < 1:
+        raise ValueError(f"streams must be >= 1, got {streams}")
+    if not isinstance(trace, KernelTrace):
+        trace = KernelTrace(trace)
+    parsed = Precision.parse(precision)
+    schedule: Optional["StreamSchedule"] = None
+    if streams > 1:
+        # Imported lazily: repro.opt prices launches with this module.
+        from repro.opt.schedule import best_schedule
+
+        schedule = best_schedule(trace, device, parsed, streams)
+        priced = PricedTrace(
+            trace, schedule.prices, schedule.makespan_us, schedule
+        )
+    else:
+        prices = launch_prices(trace, device, parsed)
+        priced = PricedTrace(trace, prices, sum(prices))
+    check = TRACE_CHECK
+    if check is not None:
+        with unchecked():
+            check(trace, device, parsed, schedule)
+    return priced
+
+
 def estimate_trace_us(
-    trace: KernelTrace,
+    trace: "KernelTrace | Sequence[KernelLaunch]",
     device: DeviceSpec,
     precision: "Precision | str",
     streams: int = 1,
 ) -> float:
-    """Total latency of a trace in microseconds.
-
-    With ``streams=1`` (the default) launches serialize on one stream —
-    sparse convolution layers are data-dependent, so that matches what
-    real single-stream libraries do.  With ``streams=K > 1`` the trace is
-    list-scheduled onto K virtual streams respecting its dependence DAG
-    (:mod:`repro.opt.schedule`), so the result lands in
-    ``[critical_path, serialized]``.
-    """
-    if streams < 1:
-        raise ValueError(f"streams must be >= 1, got {streams}")
-    parsed = Precision.parse(precision)
-    if streams > 1:
-        # Imported lazily: repro.opt depends on this module for launch
-        # pricing, so a top-level import would be circular.
-        from repro.opt.schedule import scheduled_trace_us
-
-        return scheduled_trace_us(trace, device, parsed, streams)
-    return sum(launch_prices(trace, device, parsed))
+    """Total latency of a trace in microseconds (see :func:`price_trace`)."""
+    return price_trace(trace, device, precision, streams).latency_us
 
 
 def memory_budget_bytes(device: DeviceSpec, headroom: float = 0.0) -> float:
@@ -158,18 +249,3 @@ def enforce_memory_budget(
             budget_bytes=budget,
         )
     return peak
-
-
-def latency_breakdown(
-    trace: KernelTrace, device: DeviceSpec, precision: "Precision | str"
-) -> Dict[str, float]:
-    """Latency split by launch kind, in microseconds.
-
-    The ``"mapping"`` vs ``"gemm"`` split is the quantity behind the paper's
-    Tables 3/4 contrast (kernel-only time vs end-to-end time).
-    """
-    out: Dict[str, float] = {}
-    for launch, price in zip(trace, launch_prices(trace, device, precision)):
-        key = launch.kind.value
-        out[key] = out.get(key, 0.0) + price
-    return out

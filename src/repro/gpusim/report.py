@@ -7,9 +7,9 @@ kind, per layer prefix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.gpusim.engine import launch_prices
+from repro.gpusim.engine import launch_layer, price_trace
 from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec, get_device
 from repro.precision import Precision
@@ -27,7 +27,8 @@ def timeline(
     precision = Precision.parse(precision)
     rows: List[Tuple[float, List[str]]] = []
     clock = 0.0
-    for launch, duration in zip(trace, launch_prices(trace, device, precision)):
+    prices = price_trace(trace, device, precision).prices
+    for launch, duration in zip(trace, prices):
         rows.append(
             (
                 duration,
@@ -56,20 +57,6 @@ def timeline(
     )
 
 
-def by_layer(
-    trace: KernelTrace,
-    device: "DeviceSpec | str",
-    precision: "Precision | str",
-) -> Dict[str, float]:
-    """Latency grouped by the layer prefix (text before the first '/')."""
-    prices = launch_prices(trace, get_device(device), precision)
-    out: Dict[str, float] = {}
-    for launch, price in zip(trace, prices):
-        layer = launch.name.split("/", 1)[0]
-        out[layer] = out.get(layer, 0.0) + price
-    return out
-
-
 def layer_report(
     trace: KernelTrace,
     device: "DeviceSpec | str",
@@ -77,7 +64,9 @@ def layer_report(
     top: int = 20,
 ) -> str:
     """Formatted per-layer latency table, heaviest layers first."""
-    per_layer = by_layer(trace, device, precision)
+    per_layer = price_trace(
+        trace, get_device(device), precision
+    ).split_us(launch_layer)
     total = sum(per_layer.values()) or 1.0
     ranked = sorted(per_layer.items(), key=lambda kv: -kv[1])[:top]
     rows = [

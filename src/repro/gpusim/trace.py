@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
 class LaunchKind(enum.Enum):
@@ -255,14 +255,6 @@ class KernelTrace:
                 agg.peak_workspace_bytes, launch.workspace_bytes
             )
         return agg
-
-    def by_kind(self) -> Dict[LaunchKind, TraceSummary]:
-        out: Dict[LaunchKind, TraceSummary] = {}
-        for kind in LaunchKind:
-            sub = self.filter(kind)
-            if len(sub):
-                out[kind] = sub.summary()
-        return out
 
     def __repr__(self) -> str:
         s = self.summary()

@@ -191,6 +191,15 @@ def gemm_ctas(m: int, n: int, schedule: KernelSchedule) -> int:
     return max(1, math.ceil(m / schedule.tile_m) * math.ceil(n / schedule.tile_n))
 
 
+def launch_part(launch: KernelLaunch) -> str:
+    """Attribution key by launch name: the kernel's ``"main"`` loop, its
+    ``"mapping"`` work (bitmask, argsort, reorder), or ``"other"``."""
+    for part in ("main", "mapping"):
+        if part in launch.name:
+            return part
+    return "other"
+
+
 def dense_gemm_trace(
     m: int,
     k: int,

@@ -13,7 +13,7 @@ import dataclasses
 import enum
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
-from repro.gpusim.engine import estimate_trace_us, latency_breakdown
+from repro.gpusim.engine import PricedTrace, price_trace
 from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec, get_device
 from repro.kernels.base import DEFAULT_SCHEDULE, KernelSchedule
@@ -212,50 +212,20 @@ class ExecutionContext:
         self.trace = KernelTrace()
         self.feature_buffer = None
 
-    def latency_us(self) -> float:
-        """Simulated latency of everything traced so far."""
-        return estimate_trace_us(
+    def execution(self) -> PricedTrace:
+        """Everything traced so far, priced once on ``gpu_streams``."""
+        return price_trace(
             self.trace, self.device, self.precision, self.gpu_streams
         )
+
+    def latency_us(self) -> float:
+        """Simulated latency of everything traced so far."""
+        return self.execution().latency_us
 
     def latency_ms(self) -> float:
         return self.latency_us() / 1e3
 
-    def stream_schedule(self):
-        """Sync-aware stream schedule of the traced execution.
-
-        ``None`` when ``gpu_streams == 1`` (serialized: no events) or the
-        trace is empty; otherwise the best sync-charged schedule over
-        1..``gpu_streams`` streams, carrying the explicit sync events the
-        serving runtime reports per run.
-        """
-        if self.gpu_streams <= 1 or len(self.trace) == 0:
-            return None
-        from repro.opt.schedule import best_schedule
-
-        return best_schedule(
-            self.trace, self.device, self.precision, self.gpu_streams
-        )
-
     def scheduled_latency(self) -> Tuple[float, int]:
-        """``(latency_us(), sync events charged)`` from one scheduling pass.
-
-        With ``gpu_streams > 1`` the latency is the makespan of
-        :meth:`stream_schedule` — the value ``estimate_trace_us`` would
-        compute by scheduling the same trace again.
-        """
-        schedule = self.stream_schedule()
-        if schedule is None:
-            return self.latency_us(), 0
-        return schedule.makespan_us, len(schedule.events)
-
-    def breakdown_us(self) -> Dict[str, float]:
-        return latency_breakdown(self.trace, self.device, self.precision)
-
-    def memory_bytes(self) -> float:
-        """Peak-ish DRAM footprint proxy: total bytes written."""
-        return self.trace.summary().dram_write_bytes
-
-    def peak_workspace_bytes(self) -> float:
-        """Liveness-aware peak transient workspace of the traced execution."""
-        return self.trace.summary().peak_workspace_bytes
+        """``(latency_us(), sync events charged)`` from one pricing."""
+        run = self.execution()
+        return run.latency_us, run.sync_events

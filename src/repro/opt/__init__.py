@@ -31,7 +31,6 @@ from repro.opt.schedule import (
     best_schedule,
     list_schedule,
     schedule_report_json,
-    scheduled_trace_us,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "list_schedule",
     "optimize_trace",
     "schedule_report_json",
-    "scheduled_trace_us",
 ]

@@ -109,12 +109,6 @@ class LaunchProgram:
     ) -> float:
         return estimate_trace_us(self.to_trace(), device, precision)
 
-    def critical_path_us(
-        self, device: DeviceSpec, precision: "Precision | str"
-    ) -> float:
-        _, span = self.graph.critical_path(device, Precision.parse(precision))
-        return span
-
     def __repr__(self) -> str:
         s = self.summary()
         return (

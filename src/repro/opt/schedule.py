@@ -92,6 +92,9 @@ class StreamSchedule:
     events: Tuple[SyncEvent, ...] = ()
     redundant_events_removed: int = 0
     sync_event_us: float = 0.0
+    #: The per-launch price vector the schedule was timed with, in
+    #: program order (empty for a schedule read back from JSON).
+    prices: Tuple[float, ...] = ()
 
     @property
     def used_streams(self) -> int:
@@ -444,6 +447,7 @@ def _materialize(
         ),
         redundant_events_removed=timing.removed,
         sync_event_us=sync_cost,
+        prices=tuple(state.prices),
     )
 
 
@@ -463,7 +467,7 @@ def list_schedule(
 
     Note: makespan is not guaranteed monotone in ``streams`` (Graham's
     scheduling anomalies), and with nonzero sync cost a fixed K can
-    schedule *worse* than serialized; use :func:`scheduled_trace_us`
+    schedule *worse* than serialized; use :func:`best_schedule`
     for a monotone latency figure.
     """
     if streams < 1:
@@ -507,17 +511,6 @@ def best_schedule(
         if candidate is not None and candidate.makespan_us < best.makespan_us:
             best = candidate
     return _materialize(state, best, sync_cost)
-
-
-def scheduled_trace_us(
-    trace: "KernelTrace | Sequence[KernelLaunch]",
-    device: DeviceSpec,
-    precision: "Precision | str",
-    streams: int,
-    graph: Optional[DependenceGraph] = None,
-) -> float:
-    """Scheduled latency (us) of a trace on up to ``streams`` streams."""
-    return best_schedule(trace, device, precision, streams, graph).makespan_us
 
 
 def schedule_report_json(
@@ -659,7 +652,6 @@ __all__ = [
     "SyncEvent",
     "list_schedule",
     "best_schedule",
-    "scheduled_trace_us",
     "schedule_report_json",
     "schedule_from_json",
     "schedule_to_dot",

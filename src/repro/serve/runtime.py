@@ -27,14 +27,14 @@ Architecture (one `serve()` call = one serving run):
   whichever copy finishes first;
 * a cluster-global :class:`~repro.serve.cache.PolicyCache` holds tuned
   :class:`~repro.nn.context.GroupPolicy` objects (pre-warmed from
-  ``python -m repro tune`` output, tuned inline, or read from and tuned
-  into a persistent :class:`~repro.tune.cache.PolicyStore`), while each
-  replica owns a private :class:`~repro.serve.cache.KmapCache` — warm
-  map state lives in one device's memory, which is what cache-affinity
-  routing exploits;
-* when the policy cache misses **under deadline pressure** the batch is
-  served with the untuned default :class:`LayerConfig` instead of waiting
-  for a tuner run — graceful degradation, counted and reported.
+  ``python -m repro tune`` output, or read from and tuned in the
+  background into a persistent :class:`~repro.tune.cache.PolicyStore`),
+  while each replica owns a private
+  :class:`~repro.serve.cache.KmapCache` — warm map state lives in one
+  device's memory, which is what cache-affinity routing exploits;
+* when the policy cache misses, the batch is served with the untuned
+  default :class:`LayerConfig` instead of waiting for a tuner run —
+  graceful degradation, counted and reported.
 
 Nothing reads a wall clock, and every fault decision is a seeded pure
 function of the schedule: a fixed configuration yields bit-identical
@@ -50,7 +50,11 @@ import random
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AdmissionError, ConfigError, SimulatedOOMError
-from repro.gpusim.engine import enforce_memory_budget, memory_budget_bytes
+from repro.gpusim.engine import (
+    enforce_memory_budget,
+    launch_kind,
+    memory_budget_bytes,
+)
 from repro.hw.specs import DeviceSpec, get_device
 from repro.models.registry import Workload, get_workload
 from repro.nn.context import ExecutionContext, FixedPolicy, GroupPolicy, LayerConfig
@@ -92,11 +96,23 @@ def tuning_samples(
     ]
 
 
+#: Fixed host-side cost per batch dispatch (scheduler decision, output
+#: routing), in us.
+DISPATCH_OVERHEAD_US = 150.0
+#: Per-request voxelization/feature cost, in us per scene point.
+PREPROCESS_US_PER_POINT = 0.002
+#: Simulated latency of one background tuner run on a worker thread; the
+#: tuned policy installs once the virtual clock passes it.
+BACKGROUND_TUNE_MS = 25.0
+#: Sample scenes per tuner run (warm-up or background), generated from
+#: seed 9000 upwards.
+TUNE_SCENES = 1
+
+
 #: :class:`ServeConfig` fields that must be ``>= 0``.
 _NON_NEGATIVE_FIELDS = frozenset({
-    "dispatch_overhead_us", "preprocess_us_per_point", "tune_penalty_ms",
     "max_retries", "retry_backoff_ms", "timeout_ms", "hedge_ms",
-    "background_tune_ms", "breaker_failures", "slo_ms",
+    "breaker_failures", "slo_ms",
 })
 
 
@@ -119,24 +135,9 @@ class ServeConfig:
             batching knobs (see :class:`DynamicBatcher`).
         kmap_cache_size: LRU capacity of each replica's kernel-map reuse
             cache, in scenes.
-        dispatch_overhead_us: fixed host-side cost per batch dispatch
-            (scheduler decision, output routing).
-        preprocess_us_per_point: per-request voxelization/feature cost,
-            proportional to scene points.
-        autotune_on_miss: tune inline on a policy-cache miss (paying
-            ``tune_penalty_ms`` of simulated device time) instead of
-            degrading to the default config.  Off by default: serving
-            stacks pre-warm policies offline.
-        tune_penalty_ms: simulated device occupancy of one inline tuner
-            run.
-        pressure_fraction: a request is under deadline pressure once it
-            has waited this fraction of its deadline; pressured batches
-            never wait for an inline tuner.
         scene_scale: azimuth-resolution scale of generated scenes — a
             wall-clock knob only (simulated numbers scale with it but
             stay internally consistent; comparisons hold at any scale).
-        tune_scenes: sample scenes per tuner run (warm-up, inline, or
-            background), generated from seed 9000 upwards.
         faults: injected failure model (:class:`FaultPlan`); None serves
             a healthy cluster.
         max_retries: re-dispatches granted to a request whose batch fails
@@ -156,13 +157,10 @@ class ServeConfig:
             :class:`~repro.tune.SparseAutotuner` call as
             :meth:`ServingRuntime.warm_policy`, banks the result in the
             store, and serves degraded until the tuned policy installs
-            ``background_tune_ms`` later on the virtual clock.  The path
+            :data:`BACKGROUND_TUNE_MS` later on the virtual clock.  The path
             need not exist yet (a cold replica starts empty); use
             :meth:`ServingRuntime.save_tuning_db` to persist what was
             learned.
-        background_tune_ms: simulated latency of one background tuner
-            run on a worker thread; the tuned policy installs once the
-            virtual clock passes it.
         lint_admission: statically lint every model at admission
             (:func:`repro.analyze.lint_model`) and reject models with
             error-level findings (:class:`~repro.errors.AdmissionError`)
@@ -220,20 +218,13 @@ class ServeConfig:
     max_batch_requests: int = 8
     batch_window_ms: float = 10.0
     kmap_cache_size: int = 16
-    dispatch_overhead_us: float = 150.0
-    preprocess_us_per_point: float = 0.002
-    autotune_on_miss: bool = False
-    tune_penalty_ms: float = 250.0
-    pressure_fraction: float = 0.5
     scene_scale: float = 0.25
-    tune_scenes: int = 1
     faults: Optional[FaultPlan] = None
     max_retries: int = 0
     retry_backoff_ms: float = 5.0
     timeout_ms: float = 0.0
     hedge_ms: float = 0.0
     tuning_db: Optional[str] = None
-    background_tune_ms: float = 25.0
     lint_admission: bool = True
     mem_headroom: float = 0.1
     gpu_streams: int = 1
@@ -268,10 +259,6 @@ class ServeConfig:
             raise ConfigError(
                 f"replica_queue_depth must be >= 1, "
                 f"got {self.replica_queue_depth}"
-            )
-        if not 0.0 < self.pressure_fraction <= 1.0:
-            raise ConfigError(
-                f"pressure_fraction must be in (0, 1], got {self.pressure_fraction}"
             )
         if self.tuning_db is not None and not str(self.tuning_db).strip():
             raise ConfigError("tuning_db path must be non-empty when set")
@@ -347,7 +334,7 @@ class _BatchCost:
 class _BatchRun:
     """One batch served by :meth:`ServingRuntime._execute`."""
 
-    service_ms: float  # including dispatch overhead and any inline tune
+    service_ms: float  # including dispatch overhead
     policy_hit: bool
     degraded: bool
     kmap_hits: List[bool]  # per request, in batch order
@@ -460,7 +447,6 @@ class ServingRuntime:
             self.device, self.config.mem_headroom
         )
         self._models: Dict[str, Module] = {}
-        self._tuned_inline: set = set()
         #: Persistent policy store (only when config.tuning_db is set).
         self.tuning_db: Optional[PolicyStore] = None
         if self.config.tuning_db is not None:
@@ -569,11 +555,11 @@ class ServingRuntime:
         self, workload_id: str, seed_base: int = 9000
     ) -> Tuple[GroupPolicy, TuningReport]:
         """The runtime's one tuner call: :class:`SparseAutotuner` on
-        ``tune_scenes`` scenes from ``seed_base``."""
+        :data:`TUNE_SCENES` scenes from ``seed_base``."""
         samples = tuning_samples(
             get_workload(workload_id),
             self.config.scene_scale,
-            self.config.tune_scenes,
+            TUNE_SCENES,
             seed_base,
         )
         return SparseAutotuner().tune(
@@ -600,19 +586,10 @@ class ServingRuntime:
         self.tuning_db.save(target)
 
     # ------------------------------------------------------------------ #
-    def _preprocess_us(self, sample: SparseTensor) -> float:
-        return self.config.preprocess_us_per_point * sample.num_points
-
-    def _under_pressure(self, batch: Sequence[InferenceRequest], now: float) -> bool:
-        return any(
-            now - r.arrival_ms > self.config.pressure_fraction * r.deadline_ms
-            for r in batch
-        )
-
     def _resolve_policy(
         self, batch: Sequence[InferenceRequest], now: float
-    ) -> Tuple[object, bool, bool, float]:
-        """Returns (policy, hit, degraded, extra_service_ms)."""
+    ) -> Tuple[object, bool, bool]:
+        """Returns (policy, hit, degraded)."""
         workload_id = batch[0].workload_id
         key = self.policy_key(workload_id)
         # Background tunes whose virtual deadline has passed install first.
@@ -625,7 +602,7 @@ class ServingRuntime:
         if policy is not None:
             if self.first_tuned_ms is None:
                 self.first_tuned_ms = now
-            return policy, True, False, 0.0
+            return policy, True, False
         if self.tuning_db is not None and key not in self._bg_tunes:
             entry = self.tuning_db.get(key)
             if entry is not None:
@@ -634,29 +611,19 @@ class ServingRuntime:
                 self.policy_cache.put(key, entry.policy)
                 if self.first_tuned_ms is None:
                     self.first_tuned_ms = now
-                return entry.policy, False, False, 0.0
+                return entry.policy, False, False
             # Store miss: tune now and bank the result, but model the
             # tuner as a background job — the policy installs after
-            # background_tune_ms on the virtual clock; this batch degrades.
+            # BACKGROUND_TUNE_MS on the virtual clock; this batch degrades.
             tuned, report = self._tune(workload_id)
             self.tuning_db.put(key, StoreEntry(tuned, report.end_to_end_us))
             self.background_tunes += 1
             self._bg_tunes[key] = (
-                now + self.config.background_tune_ms, tuned
+                now + BACKGROUND_TUNE_MS, tuned
             )
-            return FixedPolicy(self.default_config), False, True, 0.0
-        if (
-            self.config.autotune_on_miss
-            and key not in self._tuned_inline
-            and not self._under_pressure(batch, now)
-        ):
-            # Inline tuning: the replica is occupied for the (simulated)
-            # tuner run, then the batch is served with the fresh policy.
-            self._tuned_inline.add(key)
-            policy = self.warm_policy(workload_id)
-            return policy, False, False, self.config.tune_penalty_ms
+            return FixedPolicy(self.default_config), False, True
         # Graceful degradation: serve with the untuned default config.
-        return FixedPolicy(self.default_config), False, True, 0.0
+        return FixedPolicy(self.default_config), False, True
 
     def _execute(
         self,
@@ -681,7 +648,7 @@ class ServingRuntime:
         workload_id = batch[0].workload_id
         workload = get_workload(workload_id)
         model = self.model(workload_id)
-        policy, policy_hit, degraded, extra_ms = self._resolve_policy(batch, now)
+        policy, policy_hit, degraded = self._resolve_policy(batch, now)
         kmap_cache = replica.kmap_cache
         samples = [self.scenes.sample(workload, r) for r in batch]
         # One GPU stream and no possible eviction: per-scene costs are
@@ -724,14 +691,8 @@ class ServingRuntime:
         if cost.oomed:
             replica.ooms += 1
         stages = dict(cost.stages)
-        stages["host/dispatch"] = self.config.dispatch_overhead_us
-        if extra_ms:
-            stages["host/inline_tune"] = extra_ms * 1e3
-        service_ms = (
-            cost.service_ms
-            + self.config.dispatch_overhead_us / 1e3
-            + extra_ms
-        )
+        stages["host/dispatch"] = DISPATCH_OVERHEAD_US
+        service_ms = cost.service_ms + DISPATCH_OVERHEAD_US / 1e3
         return _BatchRun(
             service_ms=service_ms,
             policy_hit=policy_hit,
@@ -851,10 +812,11 @@ class ServingRuntime:
         if warmth:
             ctx.precharge(warmth)
         feature_bytes = self._forward(model, sample, ctx)
+        run = ctx.execution()
         return _SampleCost(
-            latency_us=ctx.latency_us(),
-            stages=tuple(ctx.breakdown_us().items()),
-            preprocess_us=self._preprocess_us(sample),
+            latency_us=run.latency_us,
+            stages=tuple(run.split_us(launch_kind).items()),
+            preprocess_us=PREPROCESS_US_PER_POINT * sample.num_points,
             feature_bytes=feature_bytes,
             peak_workspace_bytes=ctx.trace.summary().peak_workspace_bytes,
             charge=(
@@ -904,7 +866,7 @@ class ServingRuntime:
                     request.scene_key,
                     KmapEntry(sample=sample, charge_keys=charge),
                 )
-            preprocess_us += self._preprocess_us(sample)
+            preprocess_us += PREPROCESS_US_PER_POINT * sample.num_points
             feature_bytes += sample_feature_bytes  # batch members co-reside
 
         budget = memory_budget_bytes(spec, self.config.mem_headroom)
@@ -972,13 +934,13 @@ class ServingRuntime:
             retry_us, retry_sync_events = retry.scheduled_latency()
             degraded = True
 
-        stages = dict(ctx.breakdown_us())
+        run = ctx.execution()
+        stages = run.split_us(launch_kind)
         stages["host/preprocess"] = preprocess_us
         if retry_us:
             stages["resilience/ladder"] = retry_us
-        latency_us, sync_events = ctx.scheduled_latency()
-        service_ms = (latency_us + retry_us + preprocess_us) / 1e3
-        sync_events += retry_sync_events
+        service_ms = (run.latency_us + retry_us + preprocess_us) / 1e3
+        sync_events = run.sync_events + retry_sync_events
         return (
             _BatchCost(
                 service_ms=service_ms,

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.gpusim.report import by_layer, layer_report, timeline
+from repro.gpusim.engine import launch_layer, price_trace
+from repro.gpusim.report import layer_report, timeline
 from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind
+from repro.hw import get_device
 
 
 def make_trace():
@@ -33,7 +35,8 @@ class TestReport:
         assert text.count("conv") == 1
 
     def test_by_layer_groups_by_prefix(self):
-        grouped = by_layer(make_trace(), "a100", "fp16")
+        run = price_trace(make_trace(), get_device("a100"), "fp16")
+        grouped = run.split_us(launch_layer)
         assert set(grouped) == {"conv1", "conv2"}
         assert grouped["conv1"] > grouped["conv2"]
 

@@ -9,9 +9,10 @@ from repro.gpusim import (
     LaunchKind,
     estimate_launch_us,
     estimate_trace_us,
-    latency_breakdown,
+    price_trace,
     wave_efficiency,
 )
+from repro.gpusim.engine import launch_kind
 from repro.hw import A100, GTX_1080TI, JETSON_ORIN, RTX_2080TI, RTX_3090, get_device
 from repro.errors import DeviceError
 from repro.precision import Precision
@@ -174,7 +175,9 @@ class TestTrace:
                 KernelLaunch(name="m", kind=LaunchKind.MAPPING, scalar_ops=1e8),
             ]
         )
-        parts = latency_breakdown(trace, RTX_3090, Precision.FP16)
+        parts = price_trace(trace, RTX_3090, Precision.FP16).split_us(
+            launch_kind
+        )
         assert sum(parts.values()) == pytest.approx(
             estimate_trace_us(trace, RTX_3090, Precision.FP16)
         )

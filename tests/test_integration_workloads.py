@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import get_engine
 from repro.data.datasets import make_sample
+from repro.gpusim.engine import launch_kind
 from repro.models import WORKLOADS, get_workload
 from repro.nn import ExecutionContext
 
@@ -31,7 +32,7 @@ class TestAllWorkloadsForward:
         out = model(small_inputs[workload_id], ctx)
         assert out.num_points > 0
         assert ctx.latency_us() > 0
-        kinds = set(ctx.breakdown_us())
+        kinds = set(ctx.execution().split_us(launch_kind))
         assert {"gemm", "mapping"} <= kinds
 
     @pytest.mark.parametrize("workload_id", ["SK-M-0.5", "WM-C-1f"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, MapError
+from repro.gpusim.engine import launch_kind
 from repro.gpusim.trace import LaunchKind
 from repro.nn import (
     BatchNorm,
@@ -259,6 +260,6 @@ class TestExecutionContext:
         ctx2 = ExecutionContext(simulate_only=True, map_cost_scale=3.0)
         conv1(x1, ctx1)
         conv2(x2, ctx2)
-        map1 = sum(v for k, v in ctx1.breakdown_us().items() if k == "mapping")
-        map2 = sum(v for k, v in ctx2.breakdown_us().items() if k == "mapping")
+        map1 = ctx1.execution().split_us(launch_kind)["mapping"]
+        map2 = ctx2.execution().split_us(launch_kind)["mapping"]
         assert map2 > map1

@@ -29,7 +29,6 @@ from repro.nn.context import ExecutionContext
 from repro.opt.schedule import (
     best_schedule,
     list_schedule,
-    scheduled_trace_us,
 )
 from repro.precision import Precision
 
@@ -140,7 +139,7 @@ class TestLatencyBounds:
         trace = random_dag_trace(seed)
         graph = DependenceGraph.build(trace)
         makespans = [
-            scheduled_trace_us(trace, A100, FP16, k, graph)
+            best_schedule(trace, A100, FP16, k, graph).makespan_us
             for k in STREAM_COUNTS
         ]
         for wider, narrower in zip(makespans[1:], makespans):

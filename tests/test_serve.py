@@ -355,14 +355,6 @@ class TestRuntime:
         assert four.metrics.latency_p95_ms < one.metrics.latency_p95_ms
         assert four.metrics.shed == 0
 
-    def test_inline_autotune_on_miss(self, small_schedule):
-        config = small_config(autotune_on_miss=True, tune_penalty_ms=50.0)
-        result = ServingRuntime(config).serve(small_schedule)
-        # The first batch tunes inline (not degraded); later batches hit.
-        assert result.metrics.degraded == 0
-        assert result.metrics.policy_hit_rate > 0
-        assert "host/inline_tune" in result.metrics.stage_us_per_request
-
     def test_report_renders(self, small_schedule):
         result = ServingRuntime(small_config()).serve(small_schedule)
         text = result.describe()

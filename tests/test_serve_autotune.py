@@ -36,12 +36,6 @@ def serve_once(db_path, **overrides):
 
 
 class TestConfig:
-    def test_negative_background_tune_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            ServeConfig(background_tune_ms=-1.0)
-
     def test_empty_tuning_db_path_rejected(self):
         from repro.errors import ConfigError
 
@@ -126,7 +120,7 @@ class TestOneTuner:
     ):
         from repro.models import get_workload
         from repro.nn import ExecutionContext, FixedPolicy
-        from repro.serve.runtime import tuning_samples
+        from repro.serve.runtime import TUNE_SCENES, tuning_samples
         from repro.tune import SparseAutotuner
         from repro.tune.cache import policy_to_dict
 
@@ -144,7 +138,7 @@ class TestOneTuner:
         assert installed is not None
 
         workload = get_workload(WORKLOAD)
-        samples = tuning_samples(workload, SCALE, config.tune_scenes)
+        samples = tuning_samples(workload, SCALE, TUNE_SCENES)
         model = workload.build_model()
         model.eval()
         expected, report = SparseAutotuner().tune(
