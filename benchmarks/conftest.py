@@ -15,7 +15,8 @@ and copy ``benchmarks/results/*.txt`` over ``benchmarks/golden/``.
 
 Every execution a table prices runs through the trace check
 (:func:`repro.analyze.sanitize_trace`, set as
-:data:`repro.gpusim.engine.TRACE_CHECK` as in the tier-1 suite), so a
+:data:`repro.gpusim.engine.TRACE_CHECK` as in the tier-1 suite and called
+as ``check(priced, device, precision)`` with the priced execution), so a
 table built from a trace the sanitizer rejects fails here too.
 """
 

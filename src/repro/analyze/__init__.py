@@ -17,7 +17,7 @@ used by the CLI, CI, and the serving runtime's admission controller.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.analyze.depgraph import (
     DepEdge,
@@ -88,13 +88,11 @@ from repro.analyze.tracecheck import (
     check_trace,
     scatter_conflicts,
 )
+from repro.gpusim.engine import PricedTrace
 from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.nn.module import Module
 from repro.precision import Precision
-
-if TYPE_CHECKING:
-    from repro.opt.schedule import StreamSchedule
 
 
 def analyze_model(
@@ -214,17 +212,17 @@ def lint_workload(
 
 
 def sanitize_trace(
-    trace: KernelTrace,
-    device: DeviceSpec,
-    precision: Precision,
-    schedule: Optional["StreamSchedule"] = None,
+    priced: PricedTrace, device: DeviceSpec, precision: Precision
 ) -> None:
     """The trace check (:data:`repro.gpusim.engine.TRACE_CHECK`): raise
     ``AssertionError`` listing every violation :func:`check_trace`,
     :func:`check_dependences` and :func:`check_latency_model` (on the
-    priced ``schedule``) find."""
+    priced schedule and price vector) find in the priced execution."""
+    trace = priced.trace
     violations = check_trace(trace) + check_dependences(trace)
-    violations += check_latency_model(trace, device, precision, schedule=schedule)
+    violations += check_latency_model(
+        trace, device, precision, schedule=priced.schedule, prices=priced.prices
+    )
     if violations:
         details = "\n".join(f"  - {v}" for v in violations)
         raise AssertionError(

@@ -41,7 +41,7 @@ import json
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analyze.tracecheck import TraceViolation
-from repro.gpusim.engine import estimate_trace_us, launch_prices, unchecked
+from repro.gpusim.engine import launch_prices
 from repro.gpusim.trace import KernelLaunch, KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.precision import Precision
@@ -408,17 +408,21 @@ def check_latency_model(
     precision: Precision,
     graph: Optional[DependenceGraph] = None,
     schedule: Optional["StreamSchedule"] = None,
+    prices: Optional[Sequence[float]] = None,
 ) -> List[TraceViolation]:
     """Cross-validate the serialized-stream estimate against the DAG
     critical-path lower bound, and a sync-aware multi-stream schedule
     (``schedule``, else a fresh two-stream one) against both bounds plus
-    the happens-before race detector."""
+    the happens-before race detector.  ``prices`` is the trace's
+    :func:`~repro.gpusim.engine.launch_prices` vector when the caller
+    already priced it: both bounds read it instead of pricing again."""
     launches = list(trace)
     if graph is None:
         graph = DependenceGraph.build(launches)
-    _, span = graph.critical_path(device, precision)
-    with unchecked():  # a check pricing a possibly broken trace
-        serialized = estimate_trace_us(launches, device, precision)
+    if prices is None:
+        prices = launch_prices(launches, device, precision)
+    _, span = graph.critical_path(device, precision, prices)
+    serialized = sum(prices)
     violations: List[TraceViolation] = []
     if serialized < span * (1.0 - _EPS_REL) - _EPS_REL:
         violations.append(

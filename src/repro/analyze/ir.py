@@ -47,9 +47,6 @@ class SymbolicTensor:
     def with_channels(self, channels: int) -> "SymbolicTensor":
         return dataclasses.replace(self, channels=channels)
 
-    def with_stride(self, stride: Stride) -> "SymbolicTensor":
-        return dataclasses.replace(self, stride=stride)
-
 
 @dataclasses.dataclass
 class IRNode:

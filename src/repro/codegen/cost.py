@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.codegen.tiling import enumerate_schedules
 from repro.gpusim.engine import estimate_trace_us, price_trace
 from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.kernels.base import KernelSchedule, dense_gemm_trace, launch_part
-from repro.kernels.implicit_gemm import ImplicitGemmConfig, implicit_gemm
+from repro.kernels.implicit_gemm import ImplicitGemmConfig, implicit_gemm_trace
 from repro.precision import Precision
 from repro.sparse.kmap import KernelMap
 
@@ -42,9 +40,9 @@ def achieved_utilization(
 
 
 def utilization_vs_cublas(
-    feats: np.ndarray,
-    weights: np.ndarray,
     kmap: KernelMap,
+    c_in: int,
+    c_out: int,
     device: DeviceSpec,
     precision: Precision,
     schedule: Optional[KernelSchedule] = None,
@@ -55,9 +53,9 @@ def utilization_vs_cublas(
     Reproduces the Figure 8 experiment: run the layer's implicit GEMM
     (unsorted, kernel only) with either a fixed or a tile-tuned schedule
     and compare against the equivalent-size dense GEMM.  Values >= 1 mean
-    the generated sparse kernel matches or beats cuBLAS utilization.
+    the generated sparse kernel matches or beats cuBLAS utilization.  Only
+    the layer's shape matters: ``C_in -> C_out`` over ``kmap``.
     """
-    c_in, c_out = weights.shape[1], weights.shape[2]
     m, k, n = kmap.num_outputs, kmap.volume * c_in, c_out
     config = ImplicitGemmConfig(num_splits=1, sort=False)
 
@@ -66,8 +64,8 @@ def utilization_vs_cublas(
     ]
     best_sparse = float("inf")
     for cand in candidates:
-        _, trace = implicit_gemm(
-            feats, weights, kmap, cand, precision, config=config
+        trace = implicit_gemm_trace(
+            kmap, c_in, c_out, cand, precision, config=config
         )
         parts = price_trace(trace, device, precision).attribute(launch_part)
         best_sparse = min(best_sparse, sum(parts["main"]))

@@ -23,13 +23,8 @@ def run(quick: bool = True) -> ExperimentResult:
     for record in layers:
         c_in, c_out = record.c_in, record.c_out
         kmap = record.kmap
-        rng = np.random.default_rng(0)
-        feats = np.zeros((kmap.num_inputs, c_in), dtype=np.float32)
-        weights = rng.standard_normal((kmap.volume, c_in, c_out)).astype(
-            np.float32
-        )
         ratio = utilization_vs_cublas(
-            feats, weights, kmap, RTX_3090, Precision.FP16
+            kmap, c_in, c_out, RTX_3090, Precision.FP16
         )
         ratios.append(ratio)
         rows.append(

@@ -101,9 +101,10 @@ def launch_prices(
 
 
 #: The check :func:`price_trace` runs on every execution it prices, as
-#: ``check(trace, device, precision, schedule)`` with the schedule it
-#: priced (``None`` on one stream).  ``None`` in production; the test
-#: suites set it to :func:`repro.analyze.sanitize_trace`.
+#: ``check(priced, device, precision)`` with the :class:`PricedTrace` it
+#: built (its trace, price vector and schedule, ``None`` on one stream).
+#: ``None`` in production; the test suites set it to
+#: :func:`repro.analyze.sanitize_trace`.
 TRACE_CHECK: Optional[Callable[..., None]] = None
 
 
@@ -193,7 +194,7 @@ def price_trace(
     check = TRACE_CHECK
     if check is not None:
         with unchecked():
-            check(trace, device, parsed, schedule)
+            check(priced, device, parsed)
     return priced
 
 

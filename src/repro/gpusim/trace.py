@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 
 class LaunchKind(enum.Enum):
@@ -32,6 +32,10 @@ class BufferAccess:
       ``ws:`` buffers must account for their full extents in its
       :attr:`KernelLaunch.workspace_bytes`.
 
+    Inside a model the name after the tag is namespaced by the layer and
+    pass that owns the buffer (``ws:<layer>/<pass>:<name>``); trace
+    generators build that final id directly (:class:`TraceScope`).
+
     ``nbytes`` is the byte extent of the access; ``atomic`` marks
     read-modify-write traffic whose ordering the hardware resolves
     (atomic writers to one buffer don't race each other).
@@ -47,50 +51,50 @@ class BufferAccess:
         return self.buffer.startswith("ws:")
 
 
-def ext(name: str, nbytes: float, atomic: bool = False) -> BufferAccess:
-    """Access to an external (pre-existing, pre-initialized) buffer."""
-    return BufferAccess(f"ext:{name}", float(nbytes), atomic)
+class TraceScope:
+    """The namespace a trace generator builds its final names in.
 
-
-def ws(name: str, nbytes: float, atomic: bool = False) -> BufferAccess:
-    """Access to a transient workspace buffer defined by the trace."""
-    return BufferAccess(f"ws:{name}", float(nbytes), atomic)
-
-
-def _scoped(
-    access: BufferAccess, prefix: str, renames: Mapping[str, str]
-) -> BufferAccess:
-    renamed = renames.get(access.buffer)
-    if renamed is not None:
-        return dataclasses.replace(access, buffer=renamed)
-    cls, _, name = access.buffer.partition(":")
-    return dataclasses.replace(access, buffer=f"{cls}:{prefix}:{name}")
-
-
-def scope_buffers(
-    trace: "KernelTrace",
-    prefix: str,
-    renames: Optional[Mapping[str, str]] = None,
-) -> "KernelTrace":
-    """Namespace every buffer id in ``trace`` under ``prefix`` in place.
-
-    The prefix is inserted after the ``ext:``/``ws:`` class tag, so
-    ``ws:gs_in.k0`` becomes ``ws:<prefix>:gs_in.k0``.  ``renames`` maps
-    *pre-scoped* buffer ids to fully-qualified replacements and wins over
-    prefixing — the convolution layer uses it to splice its input-feature
-    reads onto the previous layer's output buffer.
+    Every launch name and buffer id is built once, already final: under
+    ``TraceScope("conv1/fwd")`` launch ``gather/offset0`` is named
+    ``conv1/fwd:gather/offset0`` and buffer ``ws:gs_in.k0`` is
+    ``ws:conv1/fwd:gs_in.k0`` (``sep`` joins the prefix to launch
+    names).  ``feats_in`` is the full id that ``ext("feats_in")``
+    resolves to instead of the scoped one: a forward convolution reads
+    the previous layer's ``feats_out``, chaining consecutive layers by
+    real RAW edges.  The empty prefix (:data:`UNSCOPED`) keeps names and
+    ids local.
     """
-    table: Mapping[str, str] = renames or {}
-    for launch in trace:
-        if launch.reads:
-            launch.reads = tuple(
-                _scoped(a, prefix, table) for a in launch.reads
-            )
-        if launch.writes:
-            launch.writes = tuple(
-                _scoped(a, prefix, table) for a in launch.writes
-            )
-    return trace
+
+    __slots__ = ("prefix", "feats_in", "_launch", "_ext", "_ws")
+
+    def __init__(
+        self, prefix: str = "", feats_in: Optional[str] = None, sep: str = ":"
+    ) -> None:
+        self.prefix = prefix
+        self._launch = f"{prefix}{sep}" if prefix else ""
+        self._ext = f"ext:{prefix}:" if prefix else "ext:"
+        self._ws = f"ws:{prefix}:" if prefix else "ws:"
+        self.feats_in = feats_in or f"{self._ext}feats_in"
+
+    def name(self, local: str) -> str:
+        """The final name of launch ``local``."""
+        return self._launch + local
+
+    def ext(self, name: str, nbytes: float, atomic: bool = False) -> BufferAccess:
+        """Access to an external (pre-existing, pre-initialized) buffer."""
+        buffer = self.feats_in if name == "feats_in" else self._ext + name
+        return BufferAccess(buffer, float(nbytes), atomic)
+
+    def ws(self, name: str, nbytes: float, atomic: bool = False) -> BufferAccess:
+        """Access to a transient workspace buffer defined by the trace."""
+        return BufferAccess(self._ws + name, float(nbytes), atomic)
+
+
+#: Local names and ids (``ext:<name>``, ``ws:<name>``), for traces that
+#: are not part of a model.
+UNSCOPED = TraceScope()
+ext = UNSCOPED.ext
+ws = UNSCOPED.ws
 
 
 @dataclasses.dataclass

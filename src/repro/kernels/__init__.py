@@ -1,9 +1,12 @@
 """Sparse convolution dataflow kernels (Section 2.2 of the paper).
 
-Every kernel here is a *numerically exact* implementation of its dataflow —
-outputs are identical across dataflows up to floating-point accumulation
-order — and simultaneously emits a :class:`repro.gpusim.KernelTrace`
-describing what a GPU executing that dataflow would do.  The three families:
+Each dataflow module builds the :class:`repro.gpusim.KernelTrace` of what a
+GPU executing that dataflow would do, with final launch names and buffer
+ids (:class:`repro.gpusim.trace.TraceScope`).  The numerics are shared:
+:func:`repro.kernels.base.sparse_conv` computes every dataflow's output,
+identical across dataflows up to floating-point accumulation order, and
+:func:`repro.kernels.registry.run_dataflow` pairs it with the trace.  The
+three families:
 
 * :mod:`repro.kernels.gather_scatter` — weight-stationary
   gather-GEMM-scatter (SparseConvNet / SpConv v1) and the fused,
@@ -14,7 +17,8 @@ describing what a GPU executing that dataflow would do.  The three families:
   (SpConv v2) extended with unsorted execution and arbitrary mask splits
   (TorchSparse++, Figure 10).
 
-Weight-gradient (wgrad) kernels live in :mod:`repro.kernels.wgrad`.
+Weight-gradient (wgrad) numerics and traces live in
+:mod:`repro.kernels.wgrad`.
 """
 
 from repro.kernels.base import (
@@ -22,17 +26,11 @@ from repro.kernels.base import (
     KernelSchedule,
     dense_gemm_trace,
     gemm_efficiency,
+    sparse_conv,
 )
-from repro.kernels.gather_scatter import (
-    gather_gemm_scatter,
-    gather_gemm_scatter_trace,
-)
-from repro.kernels.fetch_on_demand import fetch_on_demand, fetch_on_demand_trace
-from repro.kernels.implicit_gemm import (
-    ImplicitGemmConfig,
-    implicit_gemm,
-    implicit_gemm_trace,
-)
+from repro.kernels.gather_scatter import gather_gemm_scatter_trace
+from repro.kernels.fetch_on_demand import fetch_on_demand_trace
+from repro.kernels.implicit_gemm import ImplicitGemmConfig, implicit_gemm_trace
 from repro.kernels.wgrad import wgrad, wgrad_trace
 from repro.kernels.registry import (
     DATAFLOWS,
@@ -47,12 +45,10 @@ __all__ = [
     "KernelSchedule",
     "dense_gemm_trace",
     "gemm_efficiency",
-    "gather_gemm_scatter",
+    "sparse_conv",
     "gather_gemm_scatter_trace",
-    "fetch_on_demand",
     "fetch_on_demand_trace",
     "ImplicitGemmConfig",
-    "implicit_gemm",
     "implicit_gemm_trace",
     "wgrad",
     "wgrad_trace",

@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind
 from repro.precision import Precision
+from repro.sparse.kmap import KernelMap
 
 #: Scalar instructions per A-operand element for address generation.
 ADDRESS_OPS_NAIVE_DYNAMIC = 12.0
@@ -131,11 +132,6 @@ class ConvSpec:
     c_in: int
     c_out: int
 
-    @property
-    def gemm_k(self) -> int:
-        """K extent of the equivalent implicit GEMM: ``V * C_in``."""
-        return self.volume * self.c_in
-
 
 def check_conv_args(
     feats: np.ndarray, weights: np.ndarray, volume: int
@@ -184,6 +180,43 @@ def matmul_accumulate(
     a_cast = a.astype(precision.dtype, copy=False)
     w_cast = w.astype(precision.dtype, copy=False)
     return a_cast.astype(np.float32) @ w_cast.astype(np.float32)
+
+
+def sparse_conv(
+    feats: np.ndarray,
+    weights: np.ndarray,
+    kmap: KernelMap,
+    precision: Precision,
+    weight_stationary: bool,
+) -> np.ndarray:
+    """Output features ``(N_out, C_out)`` of one sparse convolution, in the
+    precision's storage dtype: the numerics every dataflow shares.
+
+    Each offset's products accumulate in FP32, offset by offset.  A
+    weight-stationary dataflow (gather-scatter, fetch-on-demand) scatters
+    them into the rows its pairs name; output-stationary implicit GEMM adds
+    them to the rows the map's column reaches.  Outputs agree across
+    dataflows up to that accumulation order.
+    """
+    check_conv_args(feats, weights, kmap.volume)
+    accum = np.zeros((kmap.num_outputs, weights.shape[2]), dtype=np.float32)
+    if weight_stationary:
+        for k, (in_idx, out_idx) in enumerate(kmap.pairs()):
+            if len(in_idx) == 0:
+                continue
+            partial = matmul_accumulate(feats[in_idx], weights[k], precision)
+            np.add.at(accum, out_idx, partial)
+    else:
+        nbmap = kmap.nbmap
+        for k in range(kmap.volume):
+            idx = nbmap[:, k]
+            valid = idx >= 0
+            if not valid.any():
+                continue
+            accum[valid] += matmul_accumulate(
+                feats[idx[valid]], weights[k], precision
+            )
+    return accum.astype(precision.dtype)
 
 
 def gemm_ctas(m: int, n: int, schedule: KernelSchedule) -> int:

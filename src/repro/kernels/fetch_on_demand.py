@@ -16,19 +16,21 @@ which also run on CUDA cores rather than tensor cores.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind, ext
+from repro.gpusim.trace import (
+    UNSCOPED,
+    KernelLaunch,
+    KernelTrace,
+    LaunchKind,
+    TraceScope,
+)
 from repro.kernels.base import (
     ADDRESS_OPS_HOISTED,
     DEFAULT_SCHEDULE,
     KernelSchedule,
-    check_conv_args,
     gemm_ctas,
     gemm_efficiency,
-    matmul_accumulate,
 )
 from repro.precision import Precision
 from repro.sparse.kmap import KernelMap
@@ -46,6 +48,7 @@ def _offset_launch(
     weight_bytes: float,
     efficiency_m: int,
     workspace_bytes: float,
+    scope: TraceScope,
 ) -> KernelLaunch:
     itemsize = precision.itemsize
     # Naive dynamic-shape addressing above the hoisted floor is
@@ -59,7 +62,7 @@ def _offset_launch(
             * c_in
         )
     return KernelLaunch(
-        name=name,
+        name=scope.name(name),
         kind=LaunchKind.GEMM,
         flops=2.0 * size * c_in * c_out,
         dram_read_bytes=itemsize * size * c_in + 8.0 * size + weight_bytes,
@@ -78,13 +81,13 @@ def _offset_launch(
         # not named ws: buffers (the kmap is external).
         untracked_workspace_bytes=workspace_bytes,
         reads=(
-            ext("feats_in", itemsize * size * c_in),
-            ext("kmap_pairs", 8.0 * size),
-            ext("weights", weight_bytes),
+            scope.ext("feats_in", itemsize * size * c_in),
+            scope.ext("kmap_pairs", 8.0 * size),
+            scope.ext("weights", weight_bytes),
         ),
         # Every partial sum lands via atomic add: write order is resolved
         # by the hardware, so per-offset launches don't race each other.
-        writes=(ext("out_accum", 4.0 * size * c_out, atomic=True),),
+        writes=(scope.ext("out_accum", 4.0 * size * c_out, atomic=True),),
     )
 
 
@@ -96,8 +99,10 @@ def fetch_on_demand_trace(
     precision: Precision = Precision.FP32,
     block_fused: bool = True,
     tensor_cores: bool = True,
+    scope: TraceScope = UNSCOPED,
 ) -> KernelTrace:
-    """Execution trace of the fetch-on-demand dataflow (no numerics)."""
+    """Execution trace of the fetch-on-demand dataflow (no numerics),
+    named in ``scope``."""
     itemsize = precision.itemsize
     map_sizes = kmap.map_sizes
     trace = KernelTrace()
@@ -128,6 +133,7 @@ def fetch_on_demand_trace(
                 weight_bytes,
                 efficiency_m=int(max(1, mean_size)),
                 workspace_bytes=pair_bytes,
+                scope=scope,
             )
         )
     else:
@@ -147,46 +153,23 @@ def fetch_on_demand_trace(
                     float(itemsize * c_in * c_out),
                     efficiency_m=int(size),
                     workspace_bytes=pair_bytes,
+                    scope=scope,
                 )
             )
     # Output materialization: convert the atomically accumulated FP32
     # buffer to the storage dtype.
     trace.add(
         KernelLaunch(
-            name="fetch_on_demand/writeback",
+            name=scope.name("fetch_on_demand/writeback"),
             kind=LaunchKind.MEMORY,
             dram_read_bytes=4.0 * kmap.num_outputs * c_out,
             dram_write_bytes=itemsize * kmap.num_outputs * c_out,
             ctas=max(1, kmap.num_outputs * c_out // 4096),
-            reads=(ext("out_accum", 4.0 * kmap.num_outputs * c_out),),
-            writes=(ext("feats_out", itemsize * kmap.num_outputs * c_out),),
+            reads=(scope.ext("out_accum", 4.0 * kmap.num_outputs * c_out),),
+            writes=(
+                scope.ext("feats_out", itemsize * kmap.num_outputs * c_out),
+            ),
         )
     )
     return trace
 
-
-def fetch_on_demand(
-    feats: np.ndarray,
-    weights: np.ndarray,
-    kmap: KernelMap,
-    schedule: KernelSchedule = DEFAULT_SCHEDULE,
-    precision: Precision = Precision.FP32,
-    block_fused: bool = True,
-    tensor_cores: bool = True,
-) -> Tuple[np.ndarray, KernelTrace]:
-    """Run sparse convolution with the fetch-on-demand dataflow.
-
-    Returns ``(out_feats, trace)``; numerics are identical to the other
-    dataflows up to floating-point accumulation order.
-    """
-    c_in, c_out = check_conv_args(feats, weights, kmap.volume)
-    accum = np.zeros((kmap.num_outputs, c_out), dtype=np.float32)
-    for k, (in_idx, out_idx) in enumerate(kmap.pairs()):
-        if len(in_idx) == 0:
-            continue
-        partial = matmul_accumulate(feats[in_idx], weights[k], precision)
-        np.add.at(accum, out_idx, partial)
-    trace = fetch_on_demand_trace(
-        kmap, c_in, c_out, schedule, precision, block_fused, tensor_cores
-    )
-    return accum.astype(precision.dtype), trace

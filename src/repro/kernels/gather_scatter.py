@@ -24,14 +24,18 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind, ext, ws
+from repro.gpusim.trace import (
+    UNSCOPED,
+    KernelLaunch,
+    KernelTrace,
+    LaunchKind,
+    TraceScope,
+)
 from repro.kernels.base import (
     DEFAULT_SCHEDULE,
     KernelSchedule,
-    check_conv_args,
     gemm_ctas,
     gemm_efficiency,
-    matmul_accumulate,
 )
 from repro.precision import Precision
 from repro.sparse.kmap import KernelMap
@@ -97,6 +101,7 @@ def gather_gemm_scatter_trace(
     fused: bool = False,
     tensor_cores: bool = True,
     chunks: int = 1,
+    scope: TraceScope = UNSCOPED,
 ) -> KernelTrace:
     """Execution trace of the gather-GEMM-scatter dataflow (no numerics).
 
@@ -104,7 +109,8 @@ def gather_gemm_scatter_trace(
     that many sequential row chunks (SpConv-style sub-batching): the
     staging workspace shrinks by ``chunks`` at the cost of extra kernel
     launches.  Only the unfused variant chunks — the fused variant's whole
-    point is one monolithic staging pass.
+    point is one monolithic staging pass.  ``scope`` names the launches
+    and buffers (:class:`~repro.gpusim.trace.TraceScope`).
     """
     if chunks < 1:
         raise ValueError(f"chunks must be >= 1, got {chunks}")
@@ -134,7 +140,7 @@ def gather_gemm_scatter_trace(
                 group = f"gather_gemm_scatter/offset{k}{suffix}"
                 trace.add(
                     KernelLaunch(
-                        name=f"gather/offset{k}{suffix}",
+                        name=scope.name(f"gather/offset{k}{suffix}"),
                         kind=LaunchKind.MEMORY,
                         dram_read_bytes=itemsize * rows * c_in + 8.0 * rows,
                         dram_write_bytes=itemsize * rows * c_in,
@@ -142,32 +148,32 @@ def gather_gemm_scatter_trace(
                         workspace_bytes=pair_bytes + itemsize * rows * c_in,
                         ctas=max(1, rows * c_in // 4096),
                         reads=(
-                            ext("feats_in", itemsize * rows * c_in),
-                            ext("kmap_pairs", 8.0 * rows),
+                            scope.ext("feats_in", itemsize * rows * c_in),
+                            scope.ext("kmap_pairs", 8.0 * rows),
                         ),
-                        writes=(ws(stage_in, itemsize * rows * c_in),),
+                        writes=(scope.ws(stage_in, itemsize * rows * c_in),),
                         fuse_group=group,
                         untracked_workspace_bytes=pair_bytes,
                     )
                 )
                 gemm = _gemm_launch(
-                    f"gemm/offset{k}{suffix}", rows, c_in, c_out, 1,
+                    scope.name(f"gemm/offset{k}{suffix}"), rows, c_in, c_out, 1,
                     schedule, precision, tensor_cores,
                 )
                 gemm.workspace_bytes = (
                     pair_bytes + itemsize * rows * (c_in + c_out)
                 )
                 gemm.reads = (
-                    ws(stage_in, itemsize * rows * c_in),
-                    ext("weights", itemsize * c_in * c_out),
+                    scope.ws(stage_in, itemsize * rows * c_in),
+                    scope.ext("weights", itemsize * c_in * c_out),
                 )
-                gemm.writes = (ws(stage_out, itemsize * rows * c_out),)
+                gemm.writes = (scope.ws(stage_out, itemsize * rows * c_out),)
                 gemm.fuse_group = group
                 gemm.untracked_workspace_bytes = pair_bytes
                 trace.add(gemm)
                 trace.add(
                     KernelLaunch(
-                        name=f"scatter/offset{k}{suffix}",
+                        name=scope.name(f"scatter/offset{k}{suffix}"),
                         kind=LaunchKind.MEMORY,
                         dram_read_bytes=itemsize * rows * c_out + 8.0 * rows
                         # scatter-accumulate reads the destination rows too
@@ -177,13 +183,13 @@ def gather_gemm_scatter_trace(
                         workspace_bytes=pair_bytes + itemsize * rows * c_out,
                         ctas=max(1, rows * c_out // 4096),
                         reads=(
-                            ws(stage_out, itemsize * rows * c_out),
-                            ext("kmap_pairs", 8.0 * rows),
+                            scope.ws(stage_out, itemsize * rows * c_out),
+                            scope.ext("kmap_pairs", 8.0 * rows),
                             # read-modify-write accumulation: the RAW chain
                             # through ext:out_accum serializes the scatters.
-                            ext("out_accum", 4.0 * rows * c_out),
+                            scope.ext("out_accum", 4.0 * rows * c_out),
                         ),
-                        writes=(ext("out_accum", 4.0 * rows * c_out),),
+                        writes=(scope.ext("out_accum", 4.0 * rows * c_out),),
                         fuse_group=group,
                         untracked_workspace_bytes=pair_bytes,
                     )
@@ -200,7 +206,7 @@ def gather_gemm_scatter_trace(
         )
         trace.add(
             KernelLaunch(
-                name="gather/fused",
+                name=scope.name("gather/fused"),
                 kind=LaunchKind.MEMORY,
                 dram_read_bytes=itemsize * total_pairs * c_in + 8.0 * total_pairs,
                 dram_write_bytes=itemsize * total_pairs * c_in,
@@ -208,10 +214,10 @@ def gather_gemm_scatter_trace(
                 workspace_bytes=pair_bytes + gather_buf,
                 ctas=max(1, total_pairs * c_in // 4096),
                 reads=(
-                    ext("feats_in", itemsize * total_pairs * c_in),
-                    ext("kmap_pairs", 8.0 * total_pairs),
+                    scope.ext("feats_in", itemsize * total_pairs * c_in),
+                    scope.ext("kmap_pairs", 8.0 * total_pairs),
                 ),
-                writes=(ws("gs_in", gather_buf),),
+                writes=(scope.ws("gs_in", gather_buf),),
                 untracked_workspace_bytes=pair_bytes,
             )
         )
@@ -223,16 +229,16 @@ def gather_gemm_scatter_trace(
             group_out = itemsize * c_out * padded_m * len(group)
             staged_group.append((f"gs_staged.g{g}", group_out))
             gemm = _gemm_launch(
-                f"gemm/group{g}", padded_m, c_in, c_out, len(group),
+                scope.name(f"gemm/group{g}"), padded_m, c_in, c_out, len(group),
                 schedule, precision, tensor_cores,
             )
             gemm.workspace_bytes = pair_bytes + gather_buf + staged_out
             group_rows = sum(int(map_sizes[k]) for k in group)
             gemm.reads = (
-                ws("gs_in", itemsize * group_rows * c_in),
-                ext("weights", itemsize * len(group) * c_in * c_out),
+                scope.ws("gs_in", itemsize * group_rows * c_in),
+                scope.ext("weights", itemsize * len(group) * c_in * c_out),
             )
-            gemm.writes = (ws(f"gs_staged.g{g}", group_out),)
+            gemm.writes = (scope.ws(f"gs_staged.g{g}", group_out),)
             gemm.untracked_workspace_bytes = pair_bytes
             trace.add(gemm)
         # One kernel scatters every offset's partials at once, so rows
@@ -243,14 +249,14 @@ def gather_gemm_scatter_trace(
         # output at most once, and launches serialize.)
         touched = int(np.count_nonzero((kmap.nbmap >= 0).any(axis=1)))
         conflicts = total_pairs - touched
-        accum_writes = [ext("out_accum", 4.0 * touched * c_out)]
+        accum_writes = [scope.ext("out_accum", 4.0 * touched * c_out)]
         if conflicts:
             accum_writes.append(
-                ext("out_accum", 4.0 * conflicts * c_out, atomic=True)
+                scope.ext("out_accum", 4.0 * conflicts * c_out, atomic=True)
             )
         trace.add(
             KernelLaunch(
-                name="scatter/fused",
+                name=scope.name("scatter/fused"),
                 kind=LaunchKind.MEMORY,
                 dram_read_bytes=itemsize * total_pairs * c_out
                 + 8.0 * total_pairs + 4.0 * total_pairs * c_out,
@@ -260,10 +266,10 @@ def gather_gemm_scatter_trace(
                 workspace_bytes=pair_bytes + staged_out,
                 ctas=max(1, total_pairs * c_out // 4096),
                 reads=tuple(
-                    [ws(name, nbytes) for name, nbytes in staged_group]
+                    [scope.ws(name, nbytes) for name, nbytes in staged_group]
                     + [
-                        ext("kmap_pairs", 8.0 * total_pairs),
-                        ext("out_accum", 4.0 * total_pairs * c_out),
+                        scope.ext("kmap_pairs", 8.0 * total_pairs),
+                        scope.ext("out_accum", 4.0 * total_pairs * c_out),
                     ]
                 ),
                 writes=tuple(accum_writes),
@@ -274,43 +280,14 @@ def gather_gemm_scatter_trace(
     # Final output materialization (accumulator -> storage dtype).
     trace.add(
         KernelLaunch(
-            name="writeback",
+            name=scope.name("writeback"),
             kind=LaunchKind.MEMORY,
             dram_read_bytes=4.0 * kmap.num_outputs * c_out,
             dram_write_bytes=itemsize * kmap.num_outputs * c_out,
             ctas=max(1, kmap.num_outputs * c_out // 4096),
-            reads=(ext("out_accum", 4.0 * kmap.num_outputs * c_out),),
-            writes=(ext("feats_out", itemsize * kmap.num_outputs * c_out),),
+            reads=(scope.ext("out_accum", 4.0 * kmap.num_outputs * c_out),),
+            writes=(scope.ext("feats_out", itemsize * kmap.num_outputs * c_out),),
         )
     )
     return trace
 
-
-def gather_gemm_scatter(
-    feats: np.ndarray,
-    weights: np.ndarray,
-    kmap: KernelMap,
-    schedule: KernelSchedule = DEFAULT_SCHEDULE,
-    precision: Precision = Precision.FP32,
-    fused: bool = False,
-    tensor_cores: bool = True,
-    chunks: int = 1,
-) -> Tuple[np.ndarray, KernelTrace]:
-    """Run sparse convolution with the gather-GEMM-scatter dataflow.
-
-    Returns ``(out_feats, trace)`` with ``out_feats`` of shape
-    ``(N_out, C_out)`` in the precision's storage dtype.  ``chunks`` only
-    affects staging-buffer granularity (launch structure and workspace),
-    never the arithmetic.
-    """
-    c_in, c_out = check_conv_args(feats, weights, kmap.volume)
-    accum = np.zeros((kmap.num_outputs, c_out), dtype=np.float32)
-    for k, (in_idx, out_idx) in enumerate(kmap.pairs()):
-        if len(in_idx) == 0:
-            continue
-        partial = matmul_accumulate(feats[in_idx], weights[k], precision)
-        np.add.at(accum, out_idx, partial)
-    trace = gather_gemm_scatter_trace(
-        kmap, c_in, c_out, schedule, precision, fused, tensor_cores, chunks
-    )
-    return accum.astype(precision.dtype), trace

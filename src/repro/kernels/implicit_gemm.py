@@ -24,21 +24,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Tuple
-
-import numpy as np
 
 from repro.errors import ConfigError
-from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind, ext, ws
+from repro.gpusim.trace import (
+    UNSCOPED,
+    KernelLaunch,
+    KernelTrace,
+    LaunchKind,
+    TraceScope,
+)
 from repro.kernels.base import (
     ADDRESS_OPS_HOISTED,
     DEFAULT_SCHEDULE,
     ONLINE_REORDER_OPS,
     KernelSchedule,
-    check_conv_args,
     gemm_ctas,
     gemm_efficiency,
-    matmul_accumulate,
 )
 from repro.precision import Precision
 from repro.sparse.bitmask import mac_slots
@@ -85,7 +86,10 @@ class ImplicitGemmConfig:
 
 
 def _mapping_trace(
-    kmap: KernelMap, config: ImplicitGemmConfig, num_rows: int
+    kmap: KernelMap,
+    config: ImplicitGemmConfig,
+    num_rows: int,
+    scope: TraceScope,
 ) -> KernelTrace:
     """Launches for bitmask computation, sorting and (offline) reordering."""
     trace = KernelTrace()
@@ -102,15 +106,15 @@ def _mapping_trace(
     key_bytes = 8.0 * num_rows * config.num_splits
     trace.add(
         KernelLaunch(
-            name="mapping/bitmask",
+            name=scope.name("mapping/bitmask"),
             kind=LaunchKind.MAPPING,
             dram_read_bytes=4.0 * num_rows * volume,
             dram_write_bytes=8.0 * num_rows * config.num_splits,
             scalar_ops=2.0 * num_rows * volume,
             workspace_bytes=map_bytes + key_bytes,
             ctas=max(1, num_rows // 256),
-            reads=(ext("nbmap", map_bytes),),
-            writes=(ws("ig_keys", key_bytes),),
+            reads=(scope.ext("nbmap", map_bytes),),
+            writes=(scope.ws("ig_keys", key_bytes),),
             # The dense map is charged as transient here but read through
             # the external nbmap buffer: untracked by ws: liveness.
             untracked_workspace_bytes=map_bytes,
@@ -118,7 +122,7 @@ def _mapping_trace(
     )
     trace.add(
         KernelLaunch(
-            name="mapping/argsort",
+            name=scope.name("mapping/argsort"),
             kind=LaunchKind.MAPPING,
             dram_read_bytes=16.0 * num_rows * passes * config.num_splits,
             # Radix scatter writes are random: sector-amplified.
@@ -128,8 +132,8 @@ def _mapping_trace(
             # Keys plus the (key, index) ping-pong pair of the radix sort.
             workspace_bytes=map_bytes + 3.0 * key_bytes,
             ctas=max(1, num_rows // 256),
-            reads=(ws("ig_keys", key_bytes),),
-            writes=(ws("ig_perm", 4.0 * num_rows),),
+            reads=(scope.ws("ig_keys", key_bytes),),
+            writes=(scope.ws("ig_perm", 4.0 * num_rows),),
             # Dense map + radix ping-pong buffers beyond the named keys/perm.
             untracked_workspace_bytes=map_bytes
             + 2.0 * key_bytes
@@ -139,7 +143,7 @@ def _mapping_trace(
     if config.offline_reorder:
         trace.add(
             KernelLaunch(
-                name="mapping/reorder",
+                name=scope.name("mapping/reorder"),
                 kind=LaunchKind.MAPPING,
                 # Row gather through the permutation: random row reads.
                 dram_read_bytes=SECTOR_FACTOR * 4.0 * num_rows * volume
@@ -150,10 +154,10 @@ def _mapping_trace(
                 workspace_bytes=2.0 * map_bytes + 4.0 * num_rows,
                 ctas=max(1, num_rows // 256),
                 reads=(
-                    ext("nbmap", map_bytes),
-                    ws("ig_perm", 4.0 * num_rows),
+                    scope.ext("nbmap", map_bytes),
+                    scope.ws("ig_perm", 4.0 * num_rows),
                 ),
-                writes=(ws("ig_map_sorted", map_bytes),),
+                writes=(scope.ws("ig_map_sorted", map_bytes),),
                 # The external source map is charged transient here.
                 untracked_workspace_bytes=map_bytes,
             )
@@ -170,13 +174,16 @@ def implicit_gemm_trace(
     config: ImplicitGemmConfig = ImplicitGemmConfig(),
     tensor_cores: bool = True,
     charge_mapping: bool = True,
+    scope: TraceScope = UNSCOPED,
 ) -> KernelTrace:
     """Execution trace of the implicit GEMM dataflow (no numerics).
 
     The trace includes the mapping launches (bitmask / sort / reorder) so
     end-to-end comparisons see the sorting overhead the paper highlights
     (Tables 3/4, Figure 17).  Pass ``charge_mapping=False`` for layers that
-    reuse an already-reordered map (all but the first layer of a group).
+    reuse an already-reordered map (all but the first layer of a group);
+    the map reads are then external-class, matching the warm-cache
+    reality.  ``scope`` names the launches and buffers.
     """
     itemsize = precision.itemsize
     nbmap = kmap.nbmap
@@ -188,7 +195,7 @@ def implicit_gemm_trace(
             config, num_splits=kmap.volume
         )
     if charge_mapping:
-        trace = _mapping_trace(kmap, config, num_rows)
+        trace = _mapping_trace(kmap, config, num_rows, scope)
     else:
         trace = KernelTrace()
 
@@ -250,17 +257,20 @@ def implicit_gemm_trace(
     # Map structures produced by the mapping launches above are trace-local
     # workspace; when the layer reuses an already-reordered map (warm cache,
     # ``charge_mapping=False``) they pre-exist and are external.
-    map_cls = ws if charge_mapping else ext
-    map_reads = [ext("nbmap", map_bytes)]
-    if sorted_here:
-        if config.offline_reorder:
-            map_reads = [map_cls("ig_map_sorted", map_bytes)]
-        else:
-            map_reads.append(map_cls("ig_perm", 4.0 * num_rows))
+    map_cls = scope.ws if charge_mapping else scope.ext
+    if not sorted_here:
+        map_reads = [scope.ext("nbmap", map_bytes)]
+    elif config.offline_reorder:
+        map_reads = [map_cls("ig_map_sorted", map_bytes)]
+    else:
+        map_reads = [
+            scope.ext("nbmap", map_bytes),
+            map_cls("ig_perm", 4.0 * num_rows),
+        ]
     main_writes = (
-        (ws("ig_partials", 4.0 * config.num_splits * num_rows * c_out),)
+        (scope.ws("ig_partials", 4.0 * config.num_splits * num_rows * c_out),)
         if split_buffers
-        else (ext("feats_out", itemsize * num_rows * c_out),)
+        else (scope.ext("feats_out", itemsize * num_rows * c_out),)
     )
     # Workspace the main launch holds beyond its named ws: accesses (the
     # dense map read through external buffers, the online permutation when
@@ -272,7 +282,7 @@ def implicit_gemm_trace(
         tracked_ws += 4.0 * config.num_splits * num_rows * c_out
     trace.add(
         KernelLaunch(
-            name="implicit_gemm/main",
+            name=scope.name("implicit_gemm/main"),
             kind=LaunchKind.GEMM,
             flops=2.0 * issued_total * c_in * c_out,
             dram_read_bytes=(
@@ -291,8 +301,8 @@ def implicit_gemm_trace(
             ),
             reads=tuple(
                 [
-                    ext("feats_in", itemsize * effective_total * c_in),
-                    ext("weights", weight_reads),
+                    scope.ext("feats_in", itemsize * effective_total * c_in),
+                    scope.ext("weights", weight_reads),
                 ]
                 + map_reads
             ),
@@ -304,7 +314,7 @@ def implicit_gemm_trace(
     if split_buffers:
         trace.add(
             KernelLaunch(
-                name="implicit_gemm/reduce",
+                name=scope.name("implicit_gemm/reduce"),
                 kind=LaunchKind.REDUCTION,
                 flops=float(config.num_splits) * num_rows * c_out,
                 dram_read_bytes=4.0 * config.num_splits * num_rows * c_out,
@@ -313,43 +323,10 @@ def implicit_gemm_trace(
                 ctas=max(1, num_rows * c_out // 4096),
                 overlapped=True,
                 reads=(
-                    ws("ig_partials", 4.0 * config.num_splits * num_rows * c_out),
+                    scope.ws("ig_partials", 4.0 * config.num_splits * num_rows * c_out),
                 ),
-                writes=(ext("feats_out", itemsize * num_rows * c_out),),
+                writes=(scope.ext("feats_out", itemsize * num_rows * c_out),),
             )
         )
     return trace
 
-
-def implicit_gemm(
-    feats: np.ndarray,
-    weights: np.ndarray,
-    kmap: KernelMap,
-    schedule: KernelSchedule = DEFAULT_SCHEDULE,
-    precision: Precision = Precision.FP32,
-    config: ImplicitGemmConfig = ImplicitGemmConfig(),
-    tensor_cores: bool = True,
-    charge_mapping: bool = True,
-) -> Tuple[np.ndarray, KernelTrace]:
-    """Run sparse convolution with the implicit GEMM dataflow.
-
-    ``charge_mapping=False`` omits the bitmask/sort/reorder launches for
-    layers reusing an already-restructured map; the trace's map reads are
-    then external-class, matching the warm-cache reality.
-    """
-    c_in, c_out = check_conv_args(feats, weights, kmap.volume)
-    nbmap = kmap.nbmap
-    accum = np.zeros((kmap.num_outputs, c_out), dtype=np.float32)
-    for k in range(kmap.volume):
-        idx = nbmap[:, k]
-        valid = idx >= 0
-        if not valid.any():
-            continue
-        accum[valid] += matmul_accumulate(
-            feats[idx[valid]], weights[k], precision
-        )
-    trace = implicit_gemm_trace(
-        kmap, c_in, c_out, schedule, precision, config, tensor_cores,
-        charge_mapping=charge_mapping,
-    )
-    return accum.astype(precision.dtype), trace

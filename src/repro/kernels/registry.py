@@ -1,4 +1,9 @@
-"""Dataflow registry: name-addressable forward kernels for the autotuner."""
+"""Dataflow registry: name-addressable forward kernels for the autotuner.
+
+:func:`trace_dataflow` is the one dispatch from a dataflow to its trace
+generator; the numerics are :func:`~repro.kernels.base.sparse_conv`, the
+same for every dataflow up to accumulation order.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +13,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.gpusim.trace import KernelTrace
-from repro.kernels.base import DEFAULT_SCHEDULE, KernelSchedule
-from repro.kernels.fetch_on_demand import fetch_on_demand
-from repro.kernels.gather_scatter import gather_gemm_scatter
-from repro.kernels.implicit_gemm import ImplicitGemmConfig, implicit_gemm
+from repro.gpusim.trace import UNSCOPED, KernelTrace, TraceScope
+from repro.kernels.base import DEFAULT_SCHEDULE, KernelSchedule, sparse_conv
+from repro.kernels.fetch_on_demand import fetch_on_demand_trace
+from repro.kernels.gather_scatter import gather_gemm_scatter_trace
+from repro.kernels.implicit_gemm import ImplicitGemmConfig, implicit_gemm_trace
 from repro.precision import Precision
 from repro.sparse.kmap import KernelMap
 
@@ -41,6 +46,75 @@ def dataflow_choices() -> Tuple[str, ...]:
     return DATAFLOWS
 
 
+def _parse_dataflow(dataflow: "Dataflow | str") -> Dataflow:
+    """The :class:`Dataflow` named ``dataflow``; unknown names raise
+    :class:`~repro.errors.ConfigError` listing the valid ones."""
+    if isinstance(dataflow, Dataflow):
+        return dataflow
+    try:
+        return Dataflow(dataflow)
+    except ValueError:
+        raise ConfigError(
+            f"unknown dataflow {dataflow!r}; expected one of {DATAFLOWS}"
+        ) from None
+
+
+def trace_dataflow(
+    dataflow: "Dataflow | str",
+    kmap: KernelMap,
+    c_in: int,
+    c_out: int,
+    schedule: KernelSchedule = DEFAULT_SCHEDULE,
+    precision: "Precision | str" = Precision.FP32,
+    ig_config: ImplicitGemmConfig = ImplicitGemmConfig(),
+    tensor_cores: bool = True,
+    charge_mapping: bool = True,
+    gs_chunks: int = 1,
+    scope: TraceScope = UNSCOPED,
+) -> KernelTrace:
+    """Trace one sparse convolution without executing numerics.
+
+    Trace quantities depend only on the kernel map and shapes, never on
+    feature values, so numeric and shape-only runs build the same trace
+    here, and the autotuner and full-scale workload simulations skip the
+    matrix arithmetic entirely.  ``gs_chunks`` sub-batches the
+    gather-scatter staging buffers (workspace relief for the degradation
+    ladder); ``charge_mapping=False`` omits implicit GEMM's
+    map-restructuring launches for layers reusing a warm map; other
+    dataflows ignore both.  ``scope`` gives every launch and buffer its
+    final name (:class:`~repro.gpusim.trace.TraceScope`).
+    """
+    dataflow = _parse_dataflow(dataflow)
+    precision = Precision.parse(precision)
+
+    if dataflow is Dataflow.GATHER_SCATTER:
+        return gather_gemm_scatter_trace(
+            kmap, c_in, c_out, schedule, precision,
+            fused=False, tensor_cores=tensor_cores, chunks=gs_chunks,
+            scope=scope,
+        )
+    if dataflow is Dataflow.GATHER_SCATTER_FUSED:
+        return gather_gemm_scatter_trace(
+            kmap, c_in, c_out, schedule, precision,
+            fused=True, tensor_cores=tensor_cores, scope=scope,
+        )
+    if dataflow is Dataflow.FETCH_ON_DEMAND:
+        return fetch_on_demand_trace(
+            kmap, c_in, c_out, schedule, precision,
+            block_fused=True, tensor_cores=tensor_cores, scope=scope,
+        )
+    if dataflow is Dataflow.FETCH_ON_DEMAND_UNFUSED:
+        return fetch_on_demand_trace(
+            kmap, c_in, c_out, schedule, precision,
+            block_fused=False, tensor_cores=tensor_cores, scope=scope,
+        )
+    return implicit_gemm_trace(
+        kmap, c_in, c_out, schedule, precision,
+        config=ig_config, tensor_cores=tensor_cores,
+        charge_mapping=charge_mapping, scope=scope,
+    )
+
+
 def run_dataflow(
     dataflow: "Dataflow | str",
     feats: np.ndarray,
@@ -55,102 +129,18 @@ def run_dataflow(
 ) -> Tuple[np.ndarray, KernelTrace]:
     """Execute one sparse convolution with the named dataflow.
 
-    This is the single entry point the autotuner and the baseline engines
-    drive; every dataflow produces numerically equivalent output.
-    ``gs_chunks`` sub-batches the gather-scatter staging buffers (workspace
-    relief for the degradation ladder); ``charge_mapping=False`` omits
-    implicit GEMM's map-restructuring launches for layers reusing a warm
-    map; other dataflows ignore both.
+    Returns ``(out_feats, trace)``: the output features of
+    :func:`~repro.kernels.base.sparse_conv` and the unscoped
+    :func:`trace_dataflow` trace.  Every dataflow produces numerically
+    equivalent output.
     """
-    if isinstance(dataflow, str):
-        try:
-            dataflow = Dataflow(dataflow)
-        except ValueError:
-            raise ConfigError(
-                f"unknown dataflow {dataflow!r}; expected one of {DATAFLOWS}"
-            ) from None
+    dataflow = _parse_dataflow(dataflow)
     precision = Precision.parse(precision)
-
-    if dataflow is Dataflow.GATHER_SCATTER:
-        return gather_gemm_scatter(
-            feats, weights, kmap, schedule, precision,
-            fused=False, tensor_cores=tensor_cores, chunks=gs_chunks,
-        )
-    if dataflow is Dataflow.GATHER_SCATTER_FUSED:
-        return gather_gemm_scatter(
-            feats, weights, kmap, schedule, precision,
-            fused=True, tensor_cores=tensor_cores,
-        )
-    if dataflow is Dataflow.FETCH_ON_DEMAND:
-        return fetch_on_demand(
-            feats, weights, kmap, schedule, precision,
-            block_fused=True, tensor_cores=tensor_cores,
-        )
-    if dataflow is Dataflow.FETCH_ON_DEMAND_UNFUSED:
-        return fetch_on_demand(
-            feats, weights, kmap, schedule, precision,
-            block_fused=False, tensor_cores=tensor_cores,
-        )
-    return implicit_gemm(
-        feats, weights, kmap, schedule, precision,
-        config=ig_config, tensor_cores=tensor_cores,
-        charge_mapping=charge_mapping,
+    out = sparse_conv(
+        feats, weights, kmap, precision, dataflow.weight_stationary
     )
-
-
-def trace_dataflow(
-    dataflow: "Dataflow | str",
-    kmap: KernelMap,
-    c_in: int,
-    c_out: int,
-    schedule: KernelSchedule = DEFAULT_SCHEDULE,
-    precision: "Precision | str" = Precision.FP32,
-    ig_config: ImplicitGemmConfig = ImplicitGemmConfig(),
-    tensor_cores: bool = True,
-    charge_mapping: bool = True,
-    gs_chunks: int = 1,
-) -> KernelTrace:
-    """Trace one sparse convolution without executing numerics.
-
-    Trace quantities depend only on the kernel map and shapes, never on
-    feature values, so the autotuner and full-scale workload simulations
-    use this path and skip the matrix arithmetic entirely.
-    """
-    from repro.kernels.fetch_on_demand import fetch_on_demand_trace
-    from repro.kernels.gather_scatter import gather_gemm_scatter_trace
-    from repro.kernels.implicit_gemm import implicit_gemm_trace
-
-    if isinstance(dataflow, str):
-        try:
-            dataflow = Dataflow(dataflow)
-        except ValueError:
-            raise ConfigError(
-                f"unknown dataflow {dataflow!r}; expected one of {DATAFLOWS}"
-            ) from None
-    precision = Precision.parse(precision)
-
-    if dataflow is Dataflow.GATHER_SCATTER:
-        return gather_gemm_scatter_trace(
-            kmap, c_in, c_out, schedule, precision,
-            fused=False, tensor_cores=tensor_cores, chunks=gs_chunks,
-        )
-    if dataflow is Dataflow.GATHER_SCATTER_FUSED:
-        return gather_gemm_scatter_trace(
-            kmap, c_in, c_out, schedule, precision,
-            fused=True, tensor_cores=tensor_cores,
-        )
-    if dataflow is Dataflow.FETCH_ON_DEMAND:
-        return fetch_on_demand_trace(
-            kmap, c_in, c_out, schedule, precision,
-            block_fused=True, tensor_cores=tensor_cores,
-        )
-    if dataflow is Dataflow.FETCH_ON_DEMAND_UNFUSED:
-        return fetch_on_demand_trace(
-            kmap, c_in, c_out, schedule, precision,
-            block_fused=False, tensor_cores=tensor_cores,
-        )
-    return implicit_gemm_trace(
-        kmap, c_in, c_out, schedule, precision,
-        config=ig_config, tensor_cores=tensor_cores,
-        charge_mapping=charge_mapping,
+    trace = trace_dataflow(
+        dataflow, kmap, weights.shape[1], weights.shape[2], schedule,
+        precision, ig_config, tensor_cores, charge_mapping, gs_chunks,
     )
+    return out, trace

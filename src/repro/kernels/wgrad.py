@@ -14,11 +14,16 @@ more than the other kernels (Section 6.2).
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
-from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind, ext, ws
+from repro.gpusim.trace import (
+    UNSCOPED,
+    KernelLaunch,
+    KernelTrace,
+    LaunchKind,
+    TraceScope,
+)
 from repro.kernels.base import (
     DEFAULT_SCHEDULE,
     ONLINE_REORDER_OPS,
@@ -50,9 +55,16 @@ def wgrad_trace(
     online_reorder: bool = False,
     sorted_maps: bool = False,
     tensor_cores: bool = True,
+    scope: TraceScope = UNSCOPED,
 ) -> KernelTrace:
-    """Execution trace of the wgrad kernel (no numerics).
+    """Execution trace of the wgrad kernel (no numerics), named in
+    ``scope``.
 
+    ``gathered`` stages both operands through DRAM gather buffers
+    (gather-GEMM-scatter-family wgrad) instead of indirect addressing
+    inside the GEMM (implicit-GEMM-family wgrad).  ``online_reorder``
+    marks that the forward pass reordered its maps online, so the wgrad
+    K loop pays an extra indirection per element (Figure 19).
     ``sorted_maps`` marks that the maps were bitmask-sorted for the bound
     forward/dgrad kernels; the wgrad K loop then reads rows in a spatially
     random order (Section 6.2's locality argument), amplifying its DRAM
@@ -69,7 +81,7 @@ def wgrad_trace(
         staging_bytes = itemsize * total_pairs * (c_in + c_out)
         trace.add(
             KernelLaunch(
-                name="wgrad/gather",
+                name=scope.name("wgrad/gather"),
                 kind=LaunchKind.MEMORY,
                 dram_read_bytes=itemsize * total_pairs * (c_in + c_out)
                 + 16.0 * total_pairs,
@@ -78,11 +90,11 @@ def wgrad_trace(
                 workspace_bytes=pair_bytes + staging_bytes,
                 ctas=max(1, total_pairs * (c_in + c_out) // 4096),
                 reads=(
-                    ext("feats_in", itemsize * total_pairs * c_in),
-                    ext("grad_out", itemsize * total_pairs * c_out),
-                    ext("kmap_pairs", 16.0 * total_pairs),
+                    scope.ext("feats_in", itemsize * total_pairs * c_in),
+                    scope.ext("grad_out", itemsize * total_pairs * c_out),
+                    scope.ext("kmap_pairs", 16.0 * total_pairs),
                 ),
-                writes=(ws("wgrad_staged", staging_bytes),),
+                writes=(scope.ws("wgrad_staged", staging_bytes),),
             )
         )
         k_loads_scalar = 0.0
@@ -112,28 +124,28 @@ def wgrad_trace(
     k_splits = max(1, min(16, int(mean_k // (4 * schedule.tile_k) + 1)))
     ctas = base_ctas * k_splits
     if gathered:
-        gemm_reads = [ws("wgrad_staged", staging_bytes)]
+        gemm_reads = [scope.ws("wgrad_staged", staging_bytes)]
     else:
         gemm_reads = [
-            ext("feats_in", itemsize * total_pairs * c_in),
-            ext("grad_out", itemsize * total_pairs * c_out),
-            ext("kmap_pairs", 8.0 * total_pairs),
+            scope.ext("feats_in", itemsize * total_pairs * c_in),
+            scope.ext("grad_out", itemsize * total_pairs * c_out),
+            scope.ext("kmap_pairs", 8.0 * total_pairs),
         ]
     grad_w_bytes = 4.0 * kmap.volume * c_in * c_out
     # Gradients accumulate (+=) into the FP32 master buffer: the kernel
     # reads existing partials, which also serializes successive wgrad
     # launches over the same weights via a RAW chain.
-    gemm_reads.append(ext("grad_weights", grad_w_bytes))
+    gemm_reads.append(scope.ext("grad_weights", grad_w_bytes))
     # One CTA per output tile writes its first partial plainly; the other
     # K-split partials land via atomic adds into the FP32 gradient buffer.
-    gemm_writes = [ext("grad_weights", grad_w_bytes)]
+    gemm_writes = [scope.ext("grad_weights", grad_w_bytes)]
     if k_splits > 1:
         gemm_writes.append(
-            ext("grad_weights", grad_w_bytes * (k_splits - 1), atomic=True)
+            scope.ext("grad_weights", grad_w_bytes * (k_splits - 1), atomic=True)
         )
     trace.add(
         KernelLaunch(
-            name="wgrad/gemm",
+            name=scope.name("wgrad/gemm"),
             kind=LaunchKind.GEMM,
             flops=2.0 * total_pairs * c_in * c_out,
             dram_read_bytes=read_bytes,
@@ -159,32 +171,14 @@ def wgrad(
     feats: np.ndarray,
     grad_out: np.ndarray,
     kmap: KernelMap,
-    schedule: KernelSchedule = DEFAULT_SCHEDULE,
     precision: Precision = Precision.FP32,
-    gathered: bool = False,
-    online_reorder: bool = False,
-    sorted_maps: bool = False,
-    tensor_cores: bool = True,
-) -> Tuple[np.ndarray, KernelTrace]:
-    """Compute weight gradients for all kernel offsets.
-
-    Args:
-        feats: ``(N_in, C_in)`` forward input features.
-        grad_out: ``(N_out, C_out)`` output gradient.
-        kmap: the forward kernel map.
-        schedule: tiling configuration.
-        precision: numeric precision (gradients in FP16 under mixed
-            precision, Figure 15).
-        gathered: stage both operands through DRAM gather buffers
-            (gather-GEMM-scatter-family wgrad) instead of indirect
-            addressing inside the GEMM (implicit-GEMM-family wgrad).
-        online_reorder: the forward pass reordered its maps online, so the
-            wgrad K loop pays an extra indirection per element (Figure 19).
-        tensor_cores: allow tensor cores.
-
-    Returns:
-        ``(grad_weights, trace)`` with ``grad_weights`` of shape
-        ``(V, C_in, C_out)`` in FP32 (master weights accumulate in FP32).
+) -> np.ndarray:
+    """Weight gradients ``(V, C_in, C_out)`` for all kernel offsets, in
+    FP32 (master weights accumulate in FP32); operands are rounded to the
+    precision's storage dtype first (FP16 gradients under mixed precision,
+    Figure 15).  ``feats`` are the ``(N_in, C_in)`` forward inputs and
+    ``grad_out`` the ``(N_out, C_out)`` output gradient; the trace is
+    :func:`wgrad_trace`'s.
     """
     if grad_out.ndim != 2:
         raise ValueError(f"grad_out must be 2-D, got {grad_out.shape}")
@@ -200,8 +194,4 @@ def wgrad(
         a = feats[in_idx].astype(precision.dtype, copy=False).astype(np.float32)
         b = grad_out[out_idx].astype(precision.dtype, copy=False).astype(np.float32)
         grad_w[k] = a.T @ b
-    trace = wgrad_trace(
-        kmap, c_in, c_out, schedule, precision, gathered,
-        online_reorder, sorted_maps, tensor_cores,
-    )
-    return grad_w, trace
+    return grad_w

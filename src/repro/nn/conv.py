@@ -22,10 +22,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, MapError
-from repro.gpusim.trace import scope_buffers
-from repro.kernels.registry import Dataflow, run_dataflow, trace_dataflow
-from repro.kernels.wgrad import wgrad as wgrad_kernel
-from repro.kernels.wgrad import wgrad_trace
+from repro.gpusim.trace import TraceScope
+from repro.kernels.base import sparse_conv
+from repro.kernels.registry import Dataflow, trace_dataflow
+from repro.kernels.wgrad import wgrad, wgrad_trace
 from repro.nn.context import ExecutionContext, LayerConfig, Role, Signature
 from repro.nn.mapping_cost import map_build_trace, map_reorder_trace
 from repro.nn.module import ConstantInit, Module, NormalInit, Parameter
@@ -224,7 +224,23 @@ class SparseConv3d(Module):
             out = shape_only_feats(
                 kmap.num_outputs, weights.shape[2], ctx.precision.dtype
             )
-            trace = trace_dataflow(
+        else:
+            out = sparse_conv(
+                feats,
+                weights,
+                kmap,
+                ctx.precision,
+                config.dataflow.weight_stationary,
+            )
+        # Launches and buffers are named per layer and pass; forward passes
+        # read their input features from the previous layer's output buffer
+        # so consecutive convolutions are chained by real RAW edges.
+        scope = TraceScope(
+            f"{self.label}/{tag}",
+            feats_in=ctx.feature_buffer if tag == "fwd" else None,
+        )
+        ctx.trace.extend(
+            trace_dataflow(
                 config.dataflow,
                 kmap,
                 weights.shape[1],
@@ -235,33 +251,11 @@ class SparseConv3d(Module):
                 tensor_cores=config.tensor_cores,
                 charge_mapping=charge_mapping,
                 gs_chunks=config.gs_chunks,
+                scope=scope,
             )
-        else:
-            out, trace = run_dataflow(
-                config.dataflow,
-                feats,
-                weights,
-                kmap,
-                schedule=schedule,
-                precision=ctx.precision,
-                ig_config=config.ig_config,
-                tensor_cores=config.tensor_cores,
-                gs_chunks=config.gs_chunks,
-                charge_mapping=charge_mapping,
-            )
-        for launch in trace:
-            launch.name = f"{self.label}/{tag}:{launch.name}"
-        # Namespace buffer ids per layer and pass; forward passes splice
-        # their input-feature reads onto the previous layer's output buffer
-        # so consecutive convolutions are chained by real RAW edges.
-        prefix = f"{self.label}/{tag}"
-        renames = {}
-        if tag == "fwd" and ctx.feature_buffer is not None:
-            renames["ext:feats_in"] = ctx.feature_buffer
-        scope_buffers(trace, prefix, renames)
+        )
         if tag == "fwd":
-            ctx.feature_buffer = f"ext:{prefix}:feats_out"
-        ctx.trace.extend(trace)
+            ctx.feature_buffer = f"ext:{scope.prefix}:feats_out"
         return out
 
     # ------------------------------------------------------------------ #
@@ -363,9 +357,14 @@ class SparseConv3d(Module):
             wgrad_cfg.dataflow is Dataflow.IMPLICIT_GEMM
             and wgrad_cfg.ig_config.sort
         )
-        if ctx.simulate_only:
-            grad_w = self.weight.shape_only()
-            trace = wgrad_trace(
+        if not ctx.simulate_only:
+            self.weight.accumulate(wgrad(feats, grad_out, kmap, ctx.precision))
+            if self.bias is not None:
+                self.bias.accumulate(grad_out.sum(axis=0))
+        elif self.weight.grad is None:
+            self.weight.grad = self.weight.shape_only()
+        ctx.trace.extend(
+            wgrad_trace(
                 kmap,
                 self.in_channels,
                 self.out_channels,
@@ -375,27 +374,7 @@ class SparseConv3d(Module):
                 online_reorder=online,
                 sorted_maps=sorted_maps,
                 tensor_cores=wgrad_cfg.tensor_cores,
+                scope=TraceScope(f"{self.label}/wgrad"),
             )
-        else:
-            grad_w, trace = wgrad_kernel(
-                feats,
-                grad_out,
-                kmap,
-                schedule=wgrad_cfg.schedule,
-                precision=ctx.precision,
-                gathered=gathered,
-                online_reorder=online,
-                sorted_maps=sorted_maps,
-                tensor_cores=wgrad_cfg.tensor_cores,
-            )
-        for launch in trace:
-            launch.name = f"{self.label}/wgrad:{launch.name}"
-        scope_buffers(trace, f"{self.label}/wgrad")
-        ctx.trace.extend(trace)
-        if not ctx.simulate_only:
-            self.weight.accumulate(grad_w)
-            if self.bias is not None:
-                self.bias.accumulate(grad_out.sum(axis=0))
-        elif self.weight.grad is None:
-            self.weight.grad = grad_w
+        )
         return grad_in

@@ -16,14 +16,7 @@ dominate and are modelled explicitly:
 
 from __future__ import annotations
 
-from repro.gpusim.trace import (
-    KernelLaunch,
-    KernelTrace,
-    LaunchKind,
-    ext,
-    scope_buffers,
-    ws,
-)
+from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind, TraceScope
 from repro.sparse.kmap import KernelMap
 
 #: Scalar ops per hash probe (hash mix, compare, CAS/select, loop control).
@@ -39,7 +32,13 @@ COORD_SORT_PASSES = 8
 
 
 def map_build_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
-    """Launches for constructing ``kmap`` on device."""
+    """Launches for constructing ``kmap`` on device.
+
+    ``name`` scopes the trace: launches are ``<name>/<stage>`` and buffer
+    ids ``<class>:<name>:<buffer>``, so maps built by different layers
+    never alias; the empty name keeps both local.
+    """
+    scope = TraceScope(name, sep="/")
     stats = kmap.build_stats
     trace = KernelTrace()
     # Open-addressing hash table (key + value slots at ~1.5x load factor),
@@ -48,26 +47,26 @@ def map_build_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
     # The hash table is trace-local workspace when a query consumes it in
     # this same build; with no queries it would look leaked, so it stays
     # external-class in that (degenerate) case.
-    hash_cls = ws if stats.queries else ext
+    hash_cls = scope.ws if stats.queries else scope.ext
     nbmap_bytes = 4.0 * kmap.num_outputs * kmap.volume
     if stats.inserts:
         trace.add(
             KernelLaunch(
-                name=f"{name}/hash_build",
+                name=scope.name("hash_build"),
                 kind=LaunchKind.MAPPING,
                 scalar_ops=OPS_PER_PROBE * stats.insert_probes,
                 dram_read_bytes=8.0 * stats.inserts,
                 dram_write_bytes=BYTES_PER_PROBE * stats.insert_probes,
                 workspace_bytes=hash_bytes,
                 ctas=max(1, stats.inserts // 256),
-                reads=(ext("coords", 8.0 * stats.inserts),),
+                reads=(scope.ext("coords", 8.0 * stats.inserts),),
                 writes=(hash_cls("hash", hash_bytes),),
             )
         )
     if stats.queries:
         trace.add(
             KernelLaunch(
-                name=f"{name}/hash_query",
+                name=scope.name("hash_query"),
                 kind=LaunchKind.MAPPING,
                 scalar_ops=OPS_PER_PROBE * stats.query_probes,
                 dram_read_bytes=BYTES_PER_PROBE * stats.query_probes,
@@ -77,41 +76,39 @@ def map_build_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
                 ctas=max(1, stats.queries // 256),
                 reads=(
                     hash_cls("hash", hash_bytes),
-                    ext("coords", 8.0 * stats.queries),
+                    scope.ext("coords", 8.0 * stats.queries),
                 ),
-                writes=(ext("nbmap", nbmap_bytes),),
+                writes=(scope.ext("nbmap", nbmap_bytes),),
             )
         )
         # The query pipeline is several kernels (candidate generation,
         # probe, compaction) with host synchronization between them.
-        stage_access = {
-            "candidates": dict(
-                reads=(
-                    ext("coords", 8.0 * stats.queries),
-                    hash_cls("hash", hash_bytes),
-                ),
-                writes=(ws("candidates", 8.0 * stats.queries),),
+        candidates = 8.0 * stats.queries
+        stages = (
+            (
+                "candidates",
+                (scope.ext("coords", candidates), hash_cls("hash", hash_bytes)),
+                (scope.ws("candidates", candidates),),
             ),
-            "compact": dict(
-                reads=(
-                    ws("candidates", 8.0 * stats.queries),
-                    # Compaction rewrites the probe results in place.
-                    ext("nbmap", 8.0 * stats.queries),
-                ),
-                writes=(ext("nbmap", 8.0 * stats.queries),),
+            (
+                "compact",
+                # Compaction rewrites the probe results in place.
+                (scope.ws("candidates", candidates), scope.ext("nbmap", candidates)),
+                (scope.ext("nbmap", candidates),),
             ),
-        }
-        for stage in ("candidates", "compact"):
+        )
+        for stage, reads, writes in stages:
             trace.add(
                 KernelLaunch(
-                    name=f"{name}/{stage}",
+                    name=scope.name(stage),
                     kind=LaunchKind.MAPPING,
                     scalar_ops=4.0 * stats.queries,
                     dram_read_bytes=8.0 * stats.queries,
                     dram_write_bytes=8.0 * stats.queries,
                     workspace_bytes=hash_bytes + 16.0 * stats.queries,
                     ctas=max(1, stats.queries // 256),
-                    **stage_access[stage],
+                    reads=reads,
+                    writes=writes,
                 )
             )
     if kmap.key.stride and any(s != 1 for s in kmap.key.stride):
@@ -120,7 +117,7 @@ def map_build_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
         n = max(kmap.num_inputs, 2)
         trace.add(
             KernelLaunch(
-                name=f"{name}/downsample_sort",
+                name=scope.name("downsample_sort"),
                 kind=LaunchKind.MAPPING,
                 scalar_ops=8.0 * n * COORD_SORT_PASSES,
                 dram_read_bytes=16.0 * n * COORD_SORT_PASSES,
@@ -128,13 +125,13 @@ def map_build_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
                 # 64-bit keys in a radix ping-pong pair.
                 workspace_bytes=32.0 * n,
                 ctas=max(1, n // 256),
-                reads=(ext("coords", 16.0 * n),),
-                writes=(ws("coord_keys", 32.0 * n),),
+                reads=(scope.ext("coords", 16.0 * n),),
+                writes=(scope.ws("coord_keys", 32.0 * n),),
             )
         )
         trace.add(
             KernelLaunch(
-                name=f"{name}/downsample_unique",
+                name=scope.name("downsample_unique"),
                 kind=LaunchKind.MAPPING,
                 scalar_ops=8.0 * n,
                 dram_read_bytes=16.0 * n,
@@ -143,13 +140,11 @@ def map_build_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
                 # consumes it (a fix forced by the lifetime checker).
                 workspace_bytes=32.0 * n,
                 ctas=max(1, n // 256),
-                reads=(ws("coord_keys", 32.0 * n),),
-                writes=(ext("coords_out", 16.0 * kmap.num_outputs),),
+                reads=(scope.ws("coord_keys", 32.0 * n),),
+                writes=(scope.ext("coords_out", 16.0 * kmap.num_outputs),),
             )
         )
-    # Buffer ids are namespaced by the caller-supplied trace name so maps
-    # built by different layers never alias.
-    return scope_buffers(trace, name)
+    return trace
 
 
 def map_reorder_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
@@ -158,13 +153,15 @@ def map_reorder_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
     Used when the backward pass needs the maps prepared under a different
     dataflow configuration than an existing preparation (the training
     tuner's binding penalty, Section 4.2), and for weight-stationary /
-    output-stationary conversions.
+    output-stationary conversions.  ``name`` scopes the trace as in
+    :func:`map_build_trace`.
     """
+    scope = TraceScope(name, sep="/")
     n, volume = kmap.num_outputs, kmap.volume
     trace = KernelTrace()
     trace.add(
         KernelLaunch(
-            name=f"{name}/restructure",
+            name=scope.name("restructure"),
             kind=LaunchKind.MAPPING,
             scalar_ops=6.0 * n * volume,
             dram_read_bytes=4.0 * n * volume,
@@ -173,22 +170,22 @@ def map_reorder_trace(kmap: KernelMap, name: str = "map") -> KernelTrace:
             # Source map plus the re-materialised copy being written.
             workspace_bytes=8.0 * n * volume,
             ctas=max(1, n // 256),
-            reads=(ext("nbmap", 4.0 * n * volume),),
+            reads=(scope.ext("nbmap", 4.0 * n * volume),),
             # The restructured copy outlives the trace (layers reuse it),
             # so it is external-class, not workspace.
-            writes=(ext("nbmap_restructured", 4.0 * n * volume),),
+            writes=(scope.ext("nbmap_restructured", 4.0 * n * volume),),
         )
     )
     trace.add(
         KernelLaunch(
-            name=f"{name}/restructure_index",
+            name=scope.name("restructure_index"),
             kind=LaunchKind.MAPPING,
             scalar_ops=8.0 * n,
             dram_read_bytes=8.0 * n,
             dram_write_bytes=8.0 * n,
             ctas=max(1, n // 256),
-            reads=(ext("nbmap_restructured", 8.0 * n),),
-            writes=(ext("map_index", 8.0 * n),),
+            reads=(scope.ext("nbmap_restructured", 8.0 * n),),
+            writes=(scope.ext("map_index", 8.0 * n),),
         )
     )
-    return scope_buffers(trace, name)
+    return trace

@@ -62,14 +62,6 @@ class HashMapStats:
     queries: int = 0
     query_probes: int = 0
 
-    def merged_with(self, other: "HashMapStats") -> "HashMapStats":
-        return HashMapStats(
-            inserts=self.inserts + other.inserts,
-            insert_probes=self.insert_probes + other.insert_probes,
-            queries=self.queries + other.queries,
-            query_probes=self.query_probes + other.query_probes,
-        )
-
 
 class CoordinateHashMap:
     """Open-addressing int64 -> int32 map with linear probing.

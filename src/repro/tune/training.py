@@ -74,10 +74,6 @@ class TrainingTuningReport:
     bound_all_us: float
     tuning_seconds: float
 
-    @property
-    def improvement_over_bound(self) -> float:
-        return self.bound_all_us / self.end_to_end_us if self.end_to_end_us else 1.0
-
 
 #: Roles bound together under each scheme: (groups of roles tuned jointly).
 _SCHEME_ROLE_SETS: Dict[BindingScheme, Tuple[Tuple[Role, ...], ...]] = {

@@ -12,11 +12,13 @@ leaked or under-accounted workspace buffer, an unordered conflicting
 write, or a serialized latency below its own dependence critical path
 fails the test that produced it.
 
-Multi-stream executions hand the check the schedule they were priced
-with, and the happens-before race detector verifies that schedule: every
-dependence edge must be ordered by stream program order plus explicit
-sync events.  Single-stream executions are cross-checked against a fresh
-two-stream schedule.
+The check is handed the priced execution (``check(priced, device,
+precision)``): its price vector, which the latency bounds read instead of
+pricing again, and on several streams the schedule it was priced with,
+which the happens-before race detector verifies: every dependence edge
+must be ordered by stream program order plus explicit sync events.
+Single-stream executions are cross-checked against a fresh two-stream
+schedule.
 """
 
 from __future__ import annotations

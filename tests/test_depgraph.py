@@ -217,15 +217,15 @@ class TestCriticalPath:
         for a, b in zip(path, path[1:]):
             assert (a, b) in edges
 
-    def test_violated_bound_is_reported(self, monkeypatch):
+    def test_violated_bound_is_reported(self):
         # Shrink the serialized estimate below the span: the lint fires.
-        from repro.analyze import depgraph as dg
-
-        monkeypatch.setattr(
-            dg, "estimate_trace_us", lambda *a, **k: 0.0
-        )
+        # Both bounds read the price vector handed in, so only a price no
+        # launch can have (negative) puts its sum below its longest chain.
+        trace = healthy_trace()
+        prices = [1.0] * len(trace)
+        prices[0] = -float(len(trace))
         violations = check_latency_model(
-            healthy_trace(), DEVICE, Precision.FP32
+            trace, DEVICE, Precision.FP32, prices=prices
         )
         assert [v.invariant for v in violations] == ["critical-path-bound"]
 

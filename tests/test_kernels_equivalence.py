@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from repro.kernels import (
     ImplicitGemmConfig,
-    fetch_on_demand,
-    gather_gemm_scatter,
-    implicit_gemm,
+    fetch_on_demand_trace,
+    gather_gemm_scatter_trace,
+    implicit_gemm_trace,
     run_dataflow,
 )
 from repro.kernels.base import KernelSchedule
@@ -58,6 +58,7 @@ def workload():
     return coords, feats, weights, kmap
 
 
+IG = "implicit_gemm"
 ALL_DATAFLOWS = [
     "gather_scatter",
     "gather_scatter_fused",
@@ -93,7 +94,7 @@ class TestAgainstDenseReference:
         weights = rng.standard_normal((9, 3, 3)).astype(np.float32) * 0.1
         kmap = build_kernel_map(coords, kernel_size=3)
         expected = dense_reference(coords, feats, weights, kmap)
-        out, _ = implicit_gemm(feats, weights, kmap)
+        out, _ = run_dataflow(IG, feats, weights, kmap)
         np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-5)
 
 
@@ -105,15 +106,15 @@ class TestCrossDataflowAgreement:
     @pytest.mark.parametrize("split", [0, 1, 2, 3, 4])
     def test_splits_do_not_change_results(self, workload, split):
         _, feats, weights, kmap = workload
-        base, _ = implicit_gemm(feats, weights, kmap)
+        base, _ = run_dataflow(IG, feats, weights, kmap)
         cfg = ImplicitGemmConfig.from_paper_notation(split)
-        out, _ = implicit_gemm(feats, weights, kmap, config=cfg)
+        out, _ = run_dataflow(IG, feats, weights, kmap, ig_config=cfg)
         np.testing.assert_allclose(out, base, rtol=1e-6)
 
     def test_fp16_storage_quantizes(self, workload):
         _, feats, weights, kmap = workload
-        out16, _ = implicit_gemm(feats, weights, kmap, precision=Precision.FP16)
-        out32, _ = implicit_gemm(feats, weights, kmap, precision=Precision.FP32)
+        out16, _ = run_dataflow(IG, feats, weights, kmap, precision=Precision.FP16)
+        out32, _ = run_dataflow(IG, feats, weights, kmap, precision=Precision.FP32)
         assert out16.dtype == np.float16
         assert out32.dtype == np.float32
         np.testing.assert_allclose(
@@ -156,25 +157,25 @@ class TestCrossDataflowAgreement:
 class TestTraceShapes:
     def test_gather_scatter_three_launches_per_offset(self, workload):
         _, feats, weights, kmap = workload
-        _, trace = gather_gemm_scatter(feats, weights, kmap, fused=False)
+        trace = gather_gemm_scatter_trace(kmap, *weights.shape[1:], fused=False)
         nonempty = int(np.count_nonzero(kmap.map_sizes))
         assert len(trace) == 3 * nonempty + 1  # + writeback
 
     def test_fused_gather_scatter_fewer_launches(self, workload):
         _, feats, weights, kmap = workload
-        _, plain = gather_gemm_scatter(feats, weights, kmap, fused=False)
-        _, fused = gather_gemm_scatter(feats, weights, kmap, fused=True)
+        plain = gather_gemm_scatter_trace(kmap, *weights.shape[1:], fused=False)
+        fused = gather_gemm_scatter_trace(kmap, *weights.shape[1:], fused=True)
         assert len(fused) < len(plain)
 
     def test_fetch_on_demand_fused_single_compute_launch(self, workload):
         _, feats, weights, kmap = workload
-        _, trace = fetch_on_demand(feats, weights, kmap, block_fused=True)
+        trace = fetch_on_demand_trace(kmap, *weights.shape[1:], block_fused=True)
         assert len(trace) == 2  # fused compute + writeback
 
     def test_fetch_on_demand_write_amplification(self, workload):
         _, feats, weights, kmap = workload
-        _, fod = fetch_on_demand(feats, weights, kmap)
-        _, ig = implicit_gemm(feats, weights, kmap)
+        fod = fetch_on_demand_trace(kmap, *weights.shape[1:])
+        ig = implicit_gemm_trace(kmap, *weights.shape[1:])
         fod_main = fod.filter_name("fused").launches[0]
         ig_main = ig.filter_name("main").launches[0]
         fod_writes = fod_main.atomic_write_bytes + fod_main.dram_write_bytes
@@ -186,7 +187,7 @@ class TestTraceShapes:
     def test_implicit_gemm_has_minimum_writes(self, workload):
         _, feats, weights, kmap = workload
         cfg = ImplicitGemmConfig(num_splits=1, sort=False)
-        _, trace = implicit_gemm(feats, weights, kmap, config=cfg)
+        trace = implicit_gemm_trace(kmap, *weights.shape[1:], config=cfg)
         main = trace.filter_name("main").launches[0]
         c_out = weights.shape[2]
         assert main.dram_write_bytes == pytest.approx(
@@ -195,19 +196,19 @@ class TestTraceShapes:
 
     def test_sorting_adds_mapping_launches(self, workload):
         _, feats, weights, kmap = workload
-        _, unsorted = implicit_gemm(
-            feats, weights, kmap, config=ImplicitGemmConfig(sort=False)
+        unsorted = implicit_gemm_trace(
+            kmap, *weights.shape[1:], config=ImplicitGemmConfig(sort=False)
         )
-        _, sorted_ = implicit_gemm(
-            feats, weights, kmap, config=ImplicitGemmConfig(sort=True)
+        sorted_ = implicit_gemm_trace(
+            kmap, *weights.shape[1:], config=ImplicitGemmConfig(sort=True)
         )
         assert len(sorted_.filter_name("mapping")) == 3
         assert len(unsorted.filter_name("mapping")) == 0
 
     def test_splits_add_reduction(self, workload):
         _, feats, weights, kmap = workload
-        _, trace = implicit_gemm(
-            feats, weights, kmap, config=ImplicitGemmConfig(num_splits=3)
+        trace = implicit_gemm_trace(
+            kmap, *weights.shape[1:], config=ImplicitGemmConfig(num_splits=3)
         )
         assert len(trace.filter_name("reduce")) == 1
 
@@ -218,12 +219,12 @@ class TestTraceShapes:
         weights = rng.standard_normal((27, 16, 16)).astype(np.float32)
         kmap = build_kernel_map(coords, kernel_size=3)
         schedule = KernelSchedule(tile_m=32, warp_rows=32)
-        _, unsorted = implicit_gemm(
-            feats, weights, kmap, schedule,
+        unsorted = implicit_gemm_trace(
+            kmap, *weights.shape[1:], schedule,
             config=ImplicitGemmConfig(sort=False),
         )
-        _, sorted_ = implicit_gemm(
-            feats, weights, kmap, schedule,
+        sorted_ = implicit_gemm_trace(
+            kmap, *weights.shape[1:], schedule,
             config=ImplicitGemmConfig(sort=True),
         )
         unsorted_flops = unsorted.filter_name("main").summary().flops
@@ -232,12 +233,12 @@ class TestTraceShapes:
 
     def test_online_reorder_adds_scalar_ops(self, workload):
         _, feats, weights, kmap = workload
-        _, offline = implicit_gemm(
-            feats, weights, kmap,
+        offline = implicit_gemm_trace(
+            kmap, *weights.shape[1:],
             config=ImplicitGemmConfig(sort=True, offline_reorder=True),
         )
-        _, online = implicit_gemm(
-            feats, weights, kmap,
+        online = implicit_gemm_trace(
+            kmap, *weights.shape[1:],
             config=ImplicitGemmConfig(sort=True, offline_reorder=False),
         )
         off_main = offline.filter_name("main").summary().scalar_ops

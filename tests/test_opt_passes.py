@@ -27,7 +27,7 @@ from repro.gpusim.trace import (
     KernelLaunch,
     KernelTrace,
     LaunchKind,
-    scope_buffers,
+    TraceScope,
     ws,
 )
 from repro.kernels import run_dataflow
@@ -374,16 +374,13 @@ class TestAcceptance:
         # chained) exercises fusion (gs layer) and invariant hoisting
         # (naive-dynamic implicit-gemm layer) in one program.
         _, _, _, kmap = build_case(3, 1, 1, seed=15)
-        gs = scope_buffers(
-            trace_dataflow("gather_scatter", kmap, c_in=64, c_out=64),
-            "l0/fwd",
+        gs = trace_dataflow(
+            "gather_scatter", kmap, c_in=64, c_out=64,
+            scope=TraceScope("l0/fwd"),
         )
-        ig = scope_buffers(
-            trace_dataflow(
-                "implicit_gemm", kmap, c_in=64, c_out=16, schedule=NAIVE
-            ),
-            "l1/fwd",
-            renames={"ext:feats_in": "ext:l0/fwd:feats_out"},
+        ig = trace_dataflow(
+            "implicit_gemm", kmap, c_in=64, c_out=16, schedule=NAIVE,
+            scope=TraceScope("l1/fwd", feats_in="ext:l0/fwd:feats_out"),
         )
         trace = KernelTrace([*gs, *ig])
         before = trace.summary()  # snapshot: passes mutate launches in place

@@ -9,6 +9,7 @@ schedule it priced.
 import numpy as np
 import pytest
 
+from repro.analyze import depgraph
 from repro.baselines import get_engine, measure_inference
 from repro.gpusim import engine
 from repro.hw import get_device
@@ -65,10 +66,10 @@ class TestCheckedEverywhere:
     def test_check_is_off_while_it_runs(self, monkeypatch):
         seen = []
 
-        def check(trace, device, precision, schedule):
-            seen.append(schedule)
+        def check(priced, device, precision):
+            seen.append(priced.schedule)
             # A check that prices on its own must not re-enter itself.
-            engine.estimate_trace_us(trace, device, precision)
+            engine.estimate_trace_us(priced.trace, device, precision)
 
         monkeypatch.setattr(engine, "TRACE_CHECK", check)
         trace = dropped_gather_trace()
@@ -130,3 +131,29 @@ class TestPricedOnce:
         )
         assert len(count_launch_prices) == len(inputs)
         assert len(m.per_scene_ms) == len(inputs)
+
+
+class TestCheckedExecutionPricedOnce:
+    """The trace check reads the vector the execution was priced with."""
+
+    @pytest.mark.parametrize("streams,calls", [(1, 2), (4, 1)])
+    def test_checked_execution_prices(self, monkeypatch, streams, calls):
+        # The suite's check stays on.  One stream: the execution's vector
+        # plus the check's fresh two-stream cross-check schedule; more
+        # streams: the priced schedule's vector alone.
+        counted = []
+        real = engine.launch_prices
+
+        def counting(trace, device, precision):
+            counted.append(1)
+            return real(trace, device, precision)
+
+        for module in (engine, depgraph, opt_schedule):
+            monkeypatch.setattr(module, "launch_prices", counting)
+        ctx = ExecutionContext(simulate_only=True, gpu_streams=streams)
+        workload = get_workload("SK-M-0.5")
+        workload.build_model()(tuning_samples(workload, 0.05)[0], ctx)
+        assert engine.TRACE_CHECK is not None
+        counted.clear()
+        assert ctx.execution().latency_us > 0
+        assert len(counted) == calls
