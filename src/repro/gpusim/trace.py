@@ -93,8 +93,6 @@ class TraceScope:
 #: Local names and ids (``ext:<name>``, ``ws:<name>``), for traces that
 #: are not part of a model.
 UNSCOPED = TraceScope()
-ext = UNSCOPED.ext
-ws = UNSCOPED.ws
 
 
 @dataclasses.dataclass

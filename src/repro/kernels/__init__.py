@@ -3,9 +3,8 @@
 Each dataflow module builds the :class:`repro.gpusim.KernelTrace` of what a
 GPU executing that dataflow would do, with final launch names and buffer
 ids (:class:`repro.gpusim.trace.TraceScope`).  The numerics are shared:
-:func:`repro.kernels.base.sparse_conv` computes every dataflow's output,
-identical across dataflows up to floating-point accumulation order, and
-:func:`repro.kernels.registry.run_dataflow` pairs it with the trace.  The
+:func:`repro.kernels.base.sparse_conv` computes every dataflow's output
+and :func:`repro.kernels.registry.run_dataflow` pairs it with the trace.  The
 three families:
 
 * :mod:`repro.kernels.gather_scatter` — weight-stationary

@@ -187,34 +187,20 @@ def sparse_conv(
     weights: np.ndarray,
     kmap: KernelMap,
     precision: Precision,
-    weight_stationary: bool,
 ) -> np.ndarray:
     """Output features ``(N_out, C_out)`` of one sparse convolution, in the
     precision's storage dtype: the numerics every dataflow shares.
 
-    Each offset's products accumulate in FP32, offset by offset.  A
-    weight-stationary dataflow (gather-scatter, fetch-on-demand) scatters
-    them into the rows its pairs name; output-stationary implicit GEMM adds
-    them to the rows the map's column reaches.  Outputs agree across
-    dataflows up to that accumulation order.
+    Each offset's products accumulate in FP32, offset by offset, into the
+    rows its pairs name.  An output row has at most one pair per offset, so
+    the result does not depend on how a dataflow orders its work.
     """
     check_conv_args(feats, weights, kmap.volume)
     accum = np.zeros((kmap.num_outputs, weights.shape[2]), dtype=np.float32)
-    if weight_stationary:
-        for k, (in_idx, out_idx) in enumerate(kmap.pairs()):
-            if len(in_idx) == 0:
-                continue
-            partial = matmul_accumulate(feats[in_idx], weights[k], precision)
-            np.add.at(accum, out_idx, partial)
-    else:
-        nbmap = kmap.nbmap
-        for k in range(kmap.volume):
-            idx = nbmap[:, k]
-            valid = idx >= 0
-            if not valid.any():
-                continue
-            accum[valid] += matmul_accumulate(
-                feats[idx[valid]], weights[k], precision
+    for k, (in_idx, out_idx) in enumerate(kmap.pairs()):
+        if len(in_idx):
+            accum[out_idx] += matmul_accumulate(
+                feats[in_idx], weights[k], precision
             )
     return accum.astype(precision.dtype)
 

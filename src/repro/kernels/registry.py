@@ -2,7 +2,7 @@
 
 :func:`trace_dataflow` is the one dispatch from a dataflow to its trace
 generator; the numerics are :func:`~repro.kernels.base.sparse_conv`, the
-same for every dataflow up to accumulation order.
+same for every dataflow.
 """
 
 from __future__ import annotations
@@ -136,9 +136,7 @@ def run_dataflow(
     """
     dataflow = _parse_dataflow(dataflow)
     precision = Precision.parse(precision)
-    out = sparse_conv(
-        feats, weights, kmap, precision, dataflow.weight_stationary
-    )
+    out = sparse_conv(feats, weights, kmap, precision)
     trace = trace_dataflow(
         dataflow, kmap, weights.shape[1], weights.shape[2], schedule,
         precision, ig_config, tensor_cores, charge_mapping, gs_chunks,

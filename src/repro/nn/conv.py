@@ -225,13 +225,7 @@ class SparseConv3d(Module):
                 kmap.num_outputs, weights.shape[2], ctx.precision.dtype
             )
         else:
-            out = sparse_conv(
-                feats,
-                weights,
-                kmap,
-                ctx.precision,
-                config.dataflow.weight_stationary,
-            )
+            out = sparse_conv(feats, weights, kmap, ctx.precision)
         # Launches and buffers are named per layer and pass; forward passes
         # read their input features from the previous layer's output buffer
         # so consecutive convolutions are chained by real RAW edges.

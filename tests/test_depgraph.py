@@ -21,7 +21,7 @@ from repro.analyze.depgraph import (
     depgraph_report_json,
 )
 from repro.gpusim.engine import estimate_launch_us
-from repro.gpusim.trace import KernelLaunch, KernelTrace, LaunchKind, ext, ws
+from repro.gpusim.trace import UNSCOPED, KernelLaunch, KernelTrace, LaunchKind
 from repro.hw import get_device
 from repro.kernels.registry import DATAFLOWS, Dataflow, trace_dataflow
 from repro.kernels.wgrad import wgrad_trace
@@ -60,9 +60,9 @@ def _launch(name, reads=(), writes=(), workspace=0.0):
 class TestGraphBuild:
     def test_edge_kinds_on_produce_consume_overwrite(self):
         trace = [
-            _launch("w1", writes=[ext("b", 64.0)]),
-            _launch("r1", reads=[ext("b", 64.0)]),
-            _launch("w2", writes=[ext("b", 64.0)]),
+            _launch("w1", writes=[UNSCOPED.ext("b", 64.0)]),
+            _launch("r1", reads=[UNSCOPED.ext("b", 64.0)]),
+            _launch("w2", writes=[UNSCOPED.ext("b", 64.0)]),
         ]
         graph = DependenceGraph.build(trace)
         kinds = {(e.src, e.dst, e.kind) for e in graph.edges}
@@ -80,9 +80,9 @@ class TestGraphBuild:
         # w1 -> rmw (read+write) -> w2: w2 must be WAR-ordered after the
         # RMW launch even though the RMW's own write superseded its read.
         trace = [
-            _launch("w1", writes=[ext("b", 64.0)]),
-            _launch("rmw", reads=[ext("b", 64.0)], writes=[ext("b", 64.0)]),
-            _launch("w2", writes=[ext("b", 64.0)]),
+            _launch("w1", writes=[UNSCOPED.ext("b", 64.0)]),
+            _launch("rmw", reads=[UNSCOPED.ext("b", 64.0)], writes=[UNSCOPED.ext("b", 64.0)]),
+            _launch("w2", writes=[UNSCOPED.ext("b", 64.0)]),
         ]
         graph = DependenceGraph.build(trace)
         assert (1, 2, "WAR") in {(e.src, e.dst, e.kind) for e in graph.edges}
@@ -156,9 +156,9 @@ class TestBrokenTraces:
 
     def test_under_accounted_workspace_is_use_after_free(self):
         trace = [
-            _launch("produce", writes=[ws("buf", 4096.0)], workspace=4096.0),
+            _launch("produce", writes=[UNSCOPED.ws("buf", 4096.0)], workspace=4096.0),
             # Reads 4 KiB of live workspace but accounts none of it.
-            _launch("consume", reads=[ws("buf", 4096.0)], workspace=0.0),
+            _launch("consume", reads=[UNSCOPED.ws("buf", 4096.0)], workspace=0.0),
         ]
         violations = check_dependences(trace)
         assert [v.invariant for v in violations] == ["workspace-lifetime"]
@@ -166,8 +166,8 @@ class TestBrokenTraces:
 
     def test_unordered_plain_writes_race(self):
         trace = [
-            _launch("a", writes=[ext("out", 64.0)]),
-            _launch("b", writes=[ext("out", 64.0)]),
+            _launch("a", writes=[UNSCOPED.ext("out", 64.0)]),
+            _launch("b", writes=[UNSCOPED.ext("out", 64.0)]),
         ]
         violations = check_dependences(trace)
         assert [v.invariant for v in violations] == [
@@ -176,17 +176,17 @@ class TestBrokenTraces:
 
     def test_atomic_writers_do_not_race(self):
         trace = [
-            _launch("a", writes=[ext("out", 64.0, atomic=True)]),
-            _launch("b", writes=[ext("out", 64.0, atomic=True)]),
+            _launch("a", writes=[UNSCOPED.ext("out", 64.0, atomic=True)]),
+            _launch("b", writes=[UNSCOPED.ext("out", 64.0, atomic=True)]),
         ]
         assert check_dependences(trace) == []
 
     def test_raw_chain_orders_plain_writers(self):
         # write -> read -> write: reuse of one buffer across samples.
         trace = [
-            _launch("w1", writes=[ext("out", 64.0)]),
-            _launch("r", reads=[ext("out", 64.0)]),
-            _launch("w2", writes=[ext("out", 64.0)]),
+            _launch("w1", writes=[UNSCOPED.ext("out", 64.0)]),
+            _launch("r", reads=[UNSCOPED.ext("out", 64.0)]),
+            _launch("w2", writes=[UNSCOPED.ext("out", 64.0)]),
         ]
         assert check_dependences(trace) == []
 

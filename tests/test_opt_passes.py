@@ -23,12 +23,12 @@ import pytest
 from repro.analyze.depgraph import check_dependences
 from repro.analyze.tracecheck import check_trace
 from repro.gpusim.trace import (
+    UNSCOPED,
     BufferAccess,
     KernelLaunch,
     KernelTrace,
     LaunchKind,
     TraceScope,
-    ws,
 )
 from repro.kernels import run_dataflow
 from repro.kernels.base import KernelSchedule
@@ -317,14 +317,14 @@ class TestPlanWorkspace:
             kind=LaunchKind.MEMORY,
             dram_write_bytes=100.0,
             workspace_bytes=10_000.0,
-            writes=(ws("stage", 100.0),),
+            writes=(UNSCOPED.ws("stage", 100.0),),
         )
         consumer = KernelLaunch(
             name="debug/consumer",
             kind=LaunchKind.MEMORY,
             dram_read_bytes=100.0,
             workspace_bytes=10_000.0,
-            reads=(ws("stage", 100.0),),
+            reads=(UNSCOPED.ws("stage", 100.0),),
         )
         program, results = optimize_trace(
             KernelTrace([producer, consumer]), passes=["plan-workspace"]
