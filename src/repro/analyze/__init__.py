@@ -219,9 +219,11 @@ def sanitize_trace(
     :func:`check_dependences` and :func:`check_latency_model` (on the
     priced schedule and price vector) find in the priced execution."""
     trace = priced.trace
-    violations = check_trace(trace) + check_dependences(trace)
+    graph = DependenceGraph.build(trace)
+    violations = check_trace(trace) + check_dependences(trace, graph)
     violations += check_latency_model(
-        trace, device, precision, schedule=priced.schedule, prices=priced.prices
+        trace, device, precision, graph,
+        schedule=priced.schedule, prices=priced.prices,
     )
     if violations:
         details = "\n".join(f"  - {v}" for v in violations)

@@ -268,10 +268,14 @@ def _reachable_via(
 
 def check_dependences(
     trace: "KernelTrace | Sequence[KernelLaunch]",
+    graph: Optional[DependenceGraph] = None,
 ) -> List[TraceViolation]:
-    """Use-before-def, workspace-lifetime and write-ordering checks."""
+    """Use-before-def, workspace-lifetime and write-ordering checks.
+    ``graph`` is the trace's :class:`DependenceGraph` when the caller
+    already built it."""
     launches = list(trace)
-    graph = DependenceGraph.build(launches)
+    if graph is None:
+        graph = DependenceGraph.build(launches)
     violations: List[TraceViolation] = []
     extents = _buffer_extents(launches)
 
@@ -484,9 +488,13 @@ def check_depgraph(
 ) -> List[TraceViolation]:
     """All dependence checks; latency cross-validation when a target is
     given."""
-    violations = check_dependences(trace)
+    launches = list(trace)
+    graph = DependenceGraph.build(launches)
+    violations = check_dependences(launches, graph)
     if device is not None and precision is not None:
-        violations.extend(check_latency_model(trace, device, precision))
+        violations.extend(
+            check_latency_model(launches, device, precision, graph)
+        )
     return violations
 
 

@@ -116,6 +116,13 @@ class Scene:
             boxes.append(Box(center, size))
         return cls(boxes=boxes)
 
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``: the boxes' corners as two ``(len(boxes), 3)``
+        arrays."""
+        center = np.array([b.center for b in self.boxes]).reshape(-1, 3)
+        size = np.array([b.size for b in self.boxes]).reshape(-1, 3)
+        return center - size / 2, center + size / 2
+
 
 def _ray_box_t(
     origins: np.ndarray, dirs: np.ndarray, box: Box
@@ -127,18 +134,32 @@ def _ray_box_t(
     """
     with np.errstate(divide="ignore"):
         inv = 1.0 / dirs
-    return _slab_t(origins, inv, box)
+    rays = np.arange(len(dirs))
+    return _slab_t(
+        origins, inv, box.lo[np.newaxis], box.hi[np.newaxis],
+        np.zeros_like(rays), rays,
+    )
 
 
-def _slab_t(origins: np.ndarray, inv: np.ndarray, box: Box) -> np.ndarray:
-    """:func:`_ray_box_t` given the reciprocal directions ``inv``.
+def _slab_t(
+    origins: np.ndarray,
+    inv: np.ndarray,
+    los: np.ndarray,
+    his: np.ndarray,
+    box: np.ndarray,
+    ray: np.ndarray,
+) -> np.ndarray:
+    """Entry distance of ray ``ray[p]`` into box ``box[p]``; inf where
+    missed.
 
-    ``fmax``/``fmin`` skip NaN slabs (a ray parallel to a slab face) exactly
-    as ``nanmax``/``nanmin`` do, without their per-call overhead.
+    ``inv`` holds the reciprocal ray directions, ``los``/``his`` the box
+    corners.  ``fmax``/``fmin`` skip NaN slabs (a ray parallel to a slab
+    face) exactly as ``nanmax``/``nanmin`` do, without their per-call
+    overhead.
     """
     with np.errstate(invalid="ignore"):
-        t0 = (box.lo - origins) * inv
-        t1 = (box.hi - origins) * inv
+        t0 = (los - origins)[box] * inv[ray]
+        t1 = (his - origins)[box] * inv[ray]
     near = np.minimum(t0, t1)
     far = np.maximum(t0, t1)
     t_near = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
@@ -146,6 +167,70 @@ def _slab_t(origins: np.ndarray, inv: np.ndarray, box: Box) -> np.ndarray:
     hit = (t_far >= t_near) & (t_far > 0)
     t = np.where(hit, np.maximum(t_near, 0.0), np.inf)
     return t
+
+
+def _candidate_pairs(
+    origin: np.ndarray,
+    los: np.ndarray,
+    his: np.ndarray,
+    elevations: np.ndarray,
+    azimuth_steps: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(box, ray)`` index pairs covering every ray that can reach a box.
+
+    Rays are numbered ``beam * azimuth_steps + step``.  Every elevation
+    lies inside (-90°, 90°), so a ray's xy heading is its azimuth: a box
+    whose xy footprint excludes the sensor is reachable only by rays
+    inside the arc its corners subtend (less than π), and only by beams
+    between the lowest and highest angle at which its bottom and top
+    faces are seen over its xy distance range.  Both windows get a
+    one-step margin on each side; a box whose footprint holds the sensor
+    keeps every ray.
+    """
+    beams = len(elevations)
+    step = 2 * math.pi / azimuth_steps
+    rel_lo = los - origin
+    rel_hi = his - origin
+    inside = np.all((rel_lo[:, :2] <= 0) & (rel_hi[:, :2] >= 0), axis=1)
+
+    # Azimuth window: the corner angles, unwrapped around the centre's.
+    cx = np.stack([rel_lo[:, 0], rel_hi[:, 0], rel_lo[:, 0], rel_hi[:, 0]], 1)
+    cy = np.stack([rel_lo[:, 1], rel_lo[:, 1], rel_hi[:, 1], rel_hi[:, 1]], 1)
+    mid = np.arctan2(cy.mean(axis=1), cx.mean(axis=1))
+    delta = np.arctan2(cy, cx) - mid[:, np.newaxis]
+    delta = (delta + math.pi) % (2 * math.pi) - math.pi
+    az_first = np.floor((mid + delta.min(axis=1)) / step).astype(np.int64) - 1
+    az_last = np.ceil((mid + delta.max(axis=1)) / step).astype(np.int64) + 1
+    az_count = az_last - az_first + 1
+    whole = inside | (az_count >= azimuth_steps)
+    az_first = np.where(whole, 0, az_first)
+    az_count = np.where(whole, azimuth_steps, az_count)
+
+    # Beam window: the bottom face seen lowest and the top face highest
+    # over the nearest (r_near) and farthest (r_far) xy distance.
+    gap = np.maximum(np.maximum(rel_lo[:, :2], -rel_hi[:, :2]), 0.0)
+    r_near = np.hypot(gap[:, 0], gap[:, 1])
+    reach = np.maximum(np.abs(rel_lo[:, :2]), np.abs(rel_hi[:, :2]))
+    r_far = np.hypot(reach[:, 0], reach[:, 1])
+    z_lo, z_hi = rel_lo[:, 2], rel_hi[:, 2]
+    el_lo = np.arctan2(z_lo, np.where(z_lo >= 0, r_far, r_near))
+    el_hi = np.arctan2(z_hi, np.where(z_hi >= 0, r_near, r_far))
+    beam_first = np.maximum(
+        np.searchsorted(elevations, el_lo, side="left") - 1, 0
+    )
+    beam_stop = np.minimum(
+        np.searchsorted(elevations, el_hi, side="right") + 1, beams
+    )
+    beam_first = np.where(inside, 0, beam_first)
+    beam_count = np.where(inside, beams, beam_stop - beam_first)
+
+    counts = az_count * beam_count
+    box = np.repeat(np.arange(len(los)), counts)
+    k = np.arange(len(box)) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = az_count[box]
+    beam = beam_first[box] + k // width
+    az = (az_first[box] + k % width) % azimuth_steps
+    return box, beam * azimuth_steps + az
 
 
 def lidar_scan(
@@ -179,17 +264,19 @@ def lidar_scan(
         [ego_offset[0], ego_offset[1], config.sensor_height + scene.ground_z]
     )
 
-    # Ground-plane hits.
+    # Ground-plane hits, then one slab test over the candidate (box, ray)
+    # pairs, folded in per ray with an exact, order-free minimum.
     dz = dirs[:, 2]
     with np.errstate(divide="ignore"):
-        t_ground = np.where(
+        t_best = np.where(
             dz < -1e-6, (scene.ground_z - origin[2]) / dz, np.inf
         )
-    t_best = t_ground
-    with np.errstate(divide="ignore"):
         inv = 1.0 / dirs
-    for box in scene.boxes:
-        t_best = np.minimum(t_best, _slab_t(origin, inv, box))
+    los, his = scene.bounds()
+    box, ray = _candidate_pairs(
+        origin, los, his, elevations, config.azimuth_steps
+    )
+    np.minimum.at(t_best, ray, _slab_t(origin, inv, los, his, box, ray))
 
     valid = (t_best > config.min_range) & (t_best < config.max_range)
     keep = rng.random(len(dirs)) > config.dropout

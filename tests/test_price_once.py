@@ -157,3 +157,27 @@ class TestCheckedExecutionPricedOnce:
         counted.clear()
         assert ctx.execution().latency_us > 0
         assert len(counted) == calls
+
+    @pytest.mark.parametrize("streams,builds", [(1, 1), (4, 2)])
+    def test_checked_execution_builds_graph_once(
+        self, monkeypatch, streams, builds
+    ):
+        # One stream: the check's one graph serves the dependence and the
+        # latency checks; more streams: plus the priced schedule's own.
+        counted = []
+        real = depgraph.DependenceGraph.build.__func__
+
+        def counting(cls, trace):
+            counted.append(1)
+            return real(cls, trace)
+
+        monkeypatch.setattr(
+            depgraph.DependenceGraph, "build", classmethod(counting)
+        )
+        ctx = ExecutionContext(simulate_only=True, gpu_streams=streams)
+        workload = get_workload("SK-M-0.5")
+        workload.build_model()(tuning_samples(workload, 0.05)[0], ctx)
+        assert engine.TRACE_CHECK is not None
+        counted.clear()
+        assert ctx.execution().latency_us > 0
+        assert len(counted) == builds
