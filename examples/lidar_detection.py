@@ -12,7 +12,6 @@ Run:  python examples/lidar_detection.py
 from repro.experiments.tab03_e2e_splits import CONFIGS, measure_config
 from repro.models import get_workload
 from repro.sparse.bitmask import redundancy_ratio
-from repro.nn import ExecutionContext
 from repro.tune import discover_groups
 
 
@@ -33,8 +32,7 @@ def main() -> None:
         print(f"  {name:10s} {ms:6.2f} ms")
 
     # Why: the redundant-computation gap sorting removes ...
-    ctx = ExecutionContext(simulate_only=True)
-    ordered, by_sig = discover_groups(model, scan, ctx)
+    ordered, by_sig = discover_groups(model, scan)
     kmap = next(
         by_sig[sig][0].kmap for sig in ordered
         if by_sig[sig][0].kmap.volume == 27

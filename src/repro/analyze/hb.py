@@ -115,11 +115,6 @@ class ScheduleLike(Protocol):
     def events(self) -> Tuple[SyncEvent, ...]: ...
 
 
-def _is_barrier(launch: KernelLaunch) -> bool:
-    """Unannotated launches order against everything (see opt.schedule)."""
-    return not launch.reads and not launch.writes
-
-
 def stream_sequences(schedule: ScheduleLike) -> Dict[int, List[int]]:
     """Launch indices per stream, in issue order (start time, then index)."""
     per_stream: Dict[int, List[int]] = {}
@@ -445,7 +440,7 @@ def check_schedule(
     # and after.  Check both directions; report the first offender each
     # way to keep the output bounded.
     for i, launch in enumerate(launches):
-        if not _is_barrier(launch):
+        if not launch.is_barrier:
             continue
         for j in range(i):
             if not hb.ordered(j, i):

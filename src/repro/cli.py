@@ -821,9 +821,14 @@ def _cmd_memory(args) -> int:
     from repro.gpusim import memory_budget_bytes
     from repro.hw import list_devices
     from repro.models import get_workload
-    from repro.nn.context import FixedPolicy, LayerConfig
+    from repro.nn.context import LayerConfig
     from repro.precision import Precision
-    from repro.resilience import DegradationLadder, ExecState, model_footprint
+    from repro.resilience import (
+        DegradationLadder,
+        ExecState,
+        ladder_footprint,
+        model_footprint,
+    )
 
     _validate_target(args.device, args.precision)
     precision = Precision.parse(args.precision)
@@ -865,21 +870,7 @@ def _cmd_memory(args) -> int:
             f"{cold.total_bytes / mib:.1f} MiB"
         )
 
-    memo = {}
-
-    def footprint(state: ExecState) -> float:
-        if state not in memo:
-            memo[state] = model_footprint(
-                model,
-                samples,
-                device=args.device,
-                precision=state.precision,
-                policy=FixedPolicy(state.config),
-                batch_chunks=state.batch_chunks,
-                warm=True,
-            ).total_bytes
-        return memo[state]
-
+    footprint = ladder_footprint(model, samples, args.device)
     start = ExecState(config=LayerConfig(), precision=precision)
     ladder = DegradationLadder()
     rows = []

@@ -75,12 +75,10 @@ def sample_layers(workload_id: str, count: int = 7, seed: int = 0):
     individual sparse convolution workloads; layers are chosen spread over
     the network depth so channel counts range from stem to bottleneck.
     """
-    from repro.nn.context import ExecutionContext
     from repro.tune.groups import discover_groups
 
     workload, model, inputs = workload_fixture(workload_id, (seed,))
-    ctx = ExecutionContext(simulate_only=True)
-    ordered, by_sig = discover_groups(model, inputs[0], ctx)
+    ordered, by_sig = discover_groups(model, inputs[0])
     records = [recs[0] for sig in ordered for recs in [by_sig[sig]]]
     # Keep only true 3^3 convolutions (the figures' workloads) and spread.
     volumetric = [r for r in records if r.kmap.volume == 27]

@@ -14,7 +14,6 @@ from typing import List
 
 from repro.experiments.common import ExperimentResult, fmt, workload_fixture
 from repro.kernels.registry import trace_dataflow
-from repro.nn.context import ExecutionContext
 from repro.precision import Precision
 from repro.tune.groups import discover_groups
 from repro.tune.space import TORCHSPARSEPP_SPACE
@@ -40,8 +39,7 @@ def run(quick: bool = True) -> ExperimentResult:
     policy, report = SparseAutotuner().tune(
         model, list(inputs), device, precision
     )
-    ctx = ExecutionContext(simulate_only=True)
-    _, by_sig = discover_groups(model, inputs[0], ctx)
+    _, by_sig = discover_groups(model, inputs[0])
 
     rows: List[List[object]] = []
     max_flop_ratio = 1.0

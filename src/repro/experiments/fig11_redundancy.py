@@ -8,7 +8,6 @@
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, fmt, workload_fixture
-from repro.nn.context import ExecutionContext
 from repro.sparse.bitmask import redundancy_ratio
 from repro.tune.groups import discover_groups
 
@@ -16,8 +15,7 @@ from repro.tune.groups import discover_groups
 def _submanifold_map(workload_id: str):
     """The stride-1 submanifold map — the dominant layer group."""
     _, model, inputs = workload_fixture(workload_id, (0,))
-    ctx = ExecutionContext(simulate_only=True)
-    ordered, by_sig = discover_groups(model, inputs[0], ctx)
+    ordered, by_sig = discover_groups(model, inputs[0])
     for sig in ordered:
         records = by_sig[sig]
         if records[0].kmap.volume == 27:

@@ -15,15 +15,13 @@ from repro.hw import RTX_3090
 from repro.kernels.base import launch_part
 from repro.kernels.implicit_gemm import ImplicitGemmConfig
 from repro.kernels.registry import trace_dataflow
-from repro.nn.context import ExecutionContext
 from repro.precision import Precision
 from repro.tune.groups import discover_groups
 
 
 def _layerwise(workload_id: str, precision: Precision):
     _, model, inputs = workload_fixture(workload_id, (0,))
-    ctx = ExecutionContext(simulate_only=True)
-    ordered, by_sig = discover_groups(model, inputs[0], ctx)
+    ordered, by_sig = discover_groups(model, inputs[0])
     rows = []
     totals = {"sorted_compute": 0.0, "sorted_overhead": 0.0,
               "unsorted_compute": 0.0}

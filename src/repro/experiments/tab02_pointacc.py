@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.baselines import get_engine, measure_inference
 from repro.experiments.common import ExperimentResult, fmt, workload_fixture
 from repro.hw import POINTACC_L
-from repro.nn.context import ExecutionContext
 from repro.tune.groups import discover_groups
 
 #: Paper's fairness scaling: clock (1.7x) x peak MAC (1.3x).
@@ -30,8 +29,7 @@ def run(quick: bool = True) -> ExperimentResult:
     gpu_scaled_ms = gpu.mean_ms * LATENCY_SCALE
 
     # ASIC side: per-layer systolic-array projection over the same layers.
-    ctx = ExecutionContext(simulate_only=True)
-    ordered, by_sig = discover_groups(model, inputs[0], ctx)
+    ordered, by_sig = discover_groups(model, inputs[0])
     layers = []
     seen_maps = set()
     for sig in ordered:

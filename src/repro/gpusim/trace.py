@@ -192,6 +192,12 @@ class KernelLaunch:
         if not isinstance(self.writes, tuple):
             self.writes = tuple(self.writes)
 
+    @property
+    def is_barrier(self) -> bool:
+        """Unannotated launches carry no hazard info: schedulers and
+        analyzers order them against everything."""
+        return not self.reads and not self.writes
+
 
 @dataclasses.dataclass
 class TraceSummary:

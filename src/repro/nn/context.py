@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Protocol, Tuple
 
 from repro.gpusim.engine import PricedTrace, price_trace
 from repro.gpusim.trace import KernelTrace
@@ -20,6 +20,7 @@ from repro.kernels.base import DEFAULT_SCHEDULE, KernelSchedule
 from repro.kernels.implicit_gemm import ImplicitGemmConfig
 from repro.kernels.registry import Dataflow
 from repro.precision import Precision
+from repro.sparse.kmap import KernelMap
 
 #: A layer's map signature: (tensor_stride, kernel_size, stride, transposed).
 #: Layers sharing a signature share kernel maps and therefore form one
@@ -64,6 +65,14 @@ class LayerConfig:
             f"x{self.schedule.tile_k}"
         )
         return " ".join(parts)
+
+
+class Policy(Protocol):
+    """Anything that serves a :class:`LayerConfig` per signature and role."""
+
+    def config(
+        self, signature: Signature, role: Role = Role.FORWARD
+    ) -> LayerConfig: ...
 
 
 class FixedPolicy:
@@ -119,6 +128,30 @@ class GroupPolicy:
         return len(self._assignments)
 
 
+@dataclasses.dataclass
+class LayerRecord:
+    """One convolution layer as a forward pass executed it.
+
+    The probe record of Section 4.2: the map signature is the layer's
+    autotuner group, and the kernel map and channel counts size its
+    workload and its live activations.
+    """
+
+    signature: Signature
+    kmap: KernelMap
+    c_in: int
+    c_out: int
+    label: str
+
+    def feature_bytes(self, itemsize: int) -> float:
+        """Activations live while the layer runs: its input and output
+        features at ``itemsize`` bytes per element."""
+        return float(itemsize) * (
+            self.kmap.num_inputs * self.c_in
+            + self.kmap.num_outputs * self.c_out
+        )
+
+
 class ExecutionContext:
     """Runtime state for one network execution.
 
@@ -127,6 +160,10 @@ class ExecutionContext:
         precision: numeric precision for all layers.
         policy: per-layer/per-role config provider.
         trace: accumulated kernel trace (reset with :meth:`reset_trace`).
+        layers: one :class:`LayerRecord` per convolution forward, in
+            execution order (reset with the trace) — the per-layer probe
+            behind group discovery, summaries and footprints.  Records
+            hold their kernel maps for as long as the context lives.
         training: whether layers should save activations for backward.
         adaptive_tiling: let conv layers pick tile sizes by workload MACs
             (Section 6.2) instead of the policy's fixed tiles.
@@ -151,7 +188,7 @@ class ExecutionContext:
         self,
         device: "DeviceSpec | str" = "a100",
         precision: "Precision | str" = Precision.FP16,
-        policy: Optional[object] = None,
+        policy: Optional[Policy] = None,
         training: bool = False,
         adaptive_tiling: bool = False,
         simulate_only: bool = False,
@@ -162,8 +199,9 @@ class ExecutionContext:
             raise ValueError(f"gpu_streams must be >= 1, got {gpu_streams}")
         self.device = get_device(device)
         self.precision = Precision.parse(precision)
-        self.policy = policy or FixedPolicy()
+        self.policy: Policy = policy or FixedPolicy()
         self.trace = KernelTrace()
+        self.layers: List[LayerRecord] = []
         self.training = training
         self.adaptive_tiling = adaptive_tiling
         self.simulate_only = simulate_only
@@ -176,9 +214,6 @@ class ExecutionContext:
         #: context models a fresh engine run even when the Python-level
         #: map cache is shared for wall-clock efficiency.
         self._charged: set = set()
-        #: Optional callback ``(signature=, kmap=, c_in=, c_out=, label=)``
-        #: invoked by every convolution layer — the autotuner's probe hook.
-        self.recorder: Optional[Callable] = None
         #: Fully-qualified buffer id of the most recent forward conv's
         #: output features; the next forward conv reads it, chaining
         #: layers with real RAW edges in the dependence analyzer.
@@ -210,6 +245,7 @@ class ExecutionContext:
 
     def reset_trace(self) -> None:
         self.trace = KernelTrace()
+        self.layers = []
         self.feature_buffer = None
 
     def execution(self) -> PricedTrace:

@@ -26,7 +26,13 @@ from repro.gpusim.trace import TraceScope
 from repro.kernels.base import sparse_conv
 from repro.kernels.registry import Dataflow, trace_dataflow
 from repro.kernels.wgrad import wgrad, wgrad_trace
-from repro.nn.context import ExecutionContext, LayerConfig, Role, Signature
+from repro.nn.context import (
+    ExecutionContext,
+    LayerConfig,
+    LayerRecord,
+    Role,
+    Signature,
+)
 from repro.nn.mapping_cost import map_build_trace, map_reorder_trace
 from repro.nn.module import ConstantInit, Module, NormalInit, Parameter
 from repro.sparse.hashmap import HashMapStats
@@ -261,14 +267,11 @@ class SparseConv3d(Module):
             )
         kmap, out_stride = self._resolve_kmap(x, ctx)
         signature = self.signature(x.stride)
-        if ctx.recorder is not None:
-            ctx.recorder(
-                signature=signature,
-                kmap=kmap,
-                c_in=self.in_channels,
-                c_out=self.out_channels,
-                label=self.label,
+        ctx.layers.append(
+            LayerRecord(
+                signature, kmap, self.in_channels, self.out_channels, self.label
             )
+        )
         config = ctx.config(signature, Role.FORWARD)
         self._mark_structure(kmap, config.dataflow.weight_stationary, ctx)
         out_feats = self._run(

@@ -25,44 +25,44 @@ class LayerSummary:
 
 
 def summarize(model: Module, sample: SparseTensor) -> List[LayerSummary]:
-    """Probe ``model`` on ``sample`` and collect per-conv-layer workloads."""
-    rows: List[LayerSummary] = []
-
-    def record(signature, kmap, c_in, c_out, label):
-        rows.append(
-            LayerSummary(
-                label=label,
-                signature=signature,
-                num_outputs=kmap.num_outputs,
-                c_in=c_in,
-                c_out=c_out,
-                effective_macs=float(kmap.total_pairs) * c_in * c_out,
-                mean_neighbors=kmap.mean_neighbors,
-            )
-        )
-
+    """Probe ``model`` in eval mode on ``sample`` and collect
+    per-conv-layer workloads; the model's mode is restored either way."""
     ctx = ExecutionContext(simulate_only=True)
-    ctx.recorder = record
     was_training = model.training
     model.eval()
-    model(sample, ctx)
-    model.train(was_training)
-    return rows
+    try:
+        model(sample, ctx)
+    finally:
+        model.train(was_training)
+    return [
+        LayerSummary(
+            label=record.label,
+            signature=record.signature,
+            num_outputs=record.kmap.num_outputs,
+            c_in=record.c_in,
+            c_out=record.c_out,
+            effective_macs=(
+                float(record.kmap.total_pairs) * record.c_in * record.c_out
+            ),
+            mean_neighbors=record.kmap.mean_neighbors,
+        )
+        for record in ctx.layers
+    ]
 
 
 def summary_table(model: Module, sample: SparseTensor) -> str:
     """Formatted per-layer summary plus totals."""
     layers = summarize(model, sample)
-    total_macs = sum(l.effective_macs for l in layers)
+    total_macs = sum(layer.effective_macs for layer in layers)
     rows = [
         [
-            l.label,
-            l.num_outputs,
-            f"{l.c_in}->{l.c_out}",
-            format_si(l.effective_macs, ""),
-            f"{l.mean_neighbors:.1f}",
+            layer.label,
+            layer.num_outputs,
+            f"{layer.c_in}->{layer.c_out}",
+            format_si(layer.effective_macs, ""),
+            f"{layer.mean_neighbors:.1f}",
         ]
-        for l in layers
+        for layer in layers
     ]
     rows.append(
         ["TOTAL", "", f"{model.num_parameters()} params",

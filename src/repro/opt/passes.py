@@ -459,7 +459,7 @@ class PlanWorkspaceReuse(Pass):
         changed = False
         for i in range(n):
             launch = entries[i].launch
-            if not launch.reads and not launch.writes:
+            if launch.is_barrier:
                 continue  # unannotated: nothing provable, leave declared
             live = sum(
                 extent[buf]

@@ -113,11 +113,6 @@ class StreamSchedule:
         return len(self.events) * self.sync_event_us
 
 
-def _is_barrier(launch: KernelLaunch) -> bool:
-    """Unannotated launches carry no hazard info: schedule conservatively."""
-    return not launch.reads and not launch.writes
-
-
 @dataclasses.dataclass(frozen=True)
 class _TraceState:
     """Everything about one trace that no stream count changes."""
@@ -158,7 +153,7 @@ def _trace_state(
         prices=prices,
         edges=edges,
         preds=preds,
-        barriers=[i for i, launch in enumerate(launches) if _is_barrier(launch)],
+        barriers=[i for i, launch in enumerate(launches) if launch.is_barrier],
         serialized_us=serialized,
         critical_path_us=span,
     )

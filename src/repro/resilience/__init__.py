@@ -15,6 +15,7 @@ device budget walk a deterministic, policy-ordered degradation ladder
 from repro.resilience.footprint import (
     FootprintReport,
     LayerFootprint,
+    ladder_footprint,
     model_footprint,
     model_weight_bytes,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "LadderStep",
     "LayerFootprint",
     "apply_rung",
+    "ladder_footprint",
     "model_footprint",
     "model_weight_bytes",
 ]

@@ -21,13 +21,13 @@ runtime's degradation ladder be deterministic.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hw.specs import DeviceSpec, get_device
-from repro.nn.context import ExecutionContext
+from repro.nn.context import ExecutionContext, FixedPolicy, Policy
 from repro.nn.module import Module
 from repro.precision import Precision
-from repro.sparse.kmap import KernelMap
+from repro.resilience.ladder import ExecState
 from repro.sparse.tensor import SparseTensor
 
 
@@ -117,7 +117,7 @@ def model_footprint(
     samples: Sequence[SparseTensor],
     device: "DeviceSpec | str" = "a100",
     precision: "Precision | str" = Precision.FP16,
-    policy: Optional[object] = None,
+    policy: Optional[Policy] = None,
     batch_chunks: int = 1,
     warm: bool = False,
 ) -> FootprintReport:
@@ -171,35 +171,20 @@ def model_footprint(
             ctx.precharge(charged)
         chunk_feature = 0.0
         for sample in chunk:
-            recorded: List[Tuple[str, int, int, int, int]] = []
-
-            def record(
-                signature: object = None,
-                kmap: Optional[KernelMap] = None,
-                c_in: int = 0,
-                c_out: int = 0,
-                label: str = "",
-            ) -> None:
-                assert kmap is not None
-                recorded.append(
-                    (label, c_in, c_out, kmap.num_inputs, kmap.num_outputs)
-                )
-
-            ctx.recorder = record
+            start = len(ctx.layers)
             model(sample, ctx)
-            ctx.recorder = None
             sample_peak = 0.0
-            for label, c_in, c_out, n_in, n_out in recorded:
-                feature = float(itemsize) * (n_in * c_in + n_out * c_out)
+            for record in ctx.layers[start:]:
+                feature = record.feature_bytes(itemsize)
                 sample_peak = max(sample_peak, feature)
-                prev = layer_rows.get(label)
+                prev = layer_rows.get(record.label)
                 if prev is None or feature > prev.feature_bytes:
-                    layer_rows[label] = LayerFootprint(
-                        label=label,
-                        c_in=c_in,
-                        c_out=c_out,
-                        num_inputs=n_in,
-                        num_outputs=n_out,
+                    layer_rows[record.label] = LayerFootprint(
+                        label=record.label,
+                        c_in=record.c_in,
+                        c_out=record.c_out,
+                        num_inputs=record.kmap.num_inputs,
+                        num_outputs=record.kmap.num_outputs,
                         feature_bytes=feature,
                         workspace_bytes=(
                             prev.workspace_bytes if prev else 0.0
@@ -231,3 +216,32 @@ def model_footprint(
         latency_us=latency_us,
         layers=tuple(layer_rows[k] for k in sorted(layer_rows)),
     )
+
+
+def ladder_footprint(
+    model: Module,
+    samples: Sequence[SparseTensor],
+    device: "DeviceSpec | str",
+) -> Callable[[ExecState], float]:
+    """Memoized total footprint of each degradation-ladder state.
+
+    Footprints are warm: a retry reuses the kernel maps the failed attempt
+    already built, so one-shot map construction is not part of any
+    candidate's peak.
+    """
+    memo: Dict[ExecState, float] = {}
+
+    def footprint(state: ExecState) -> float:
+        if state not in memo:
+            memo[state] = model_footprint(
+                model,
+                samples,
+                device=device,
+                precision=state.precision,
+                policy=FixedPolicy(state.config),
+                batch_chunks=state.batch_chunks,
+                warm=True,
+            ).total_bytes
+        return memo[state]
+
+    return footprint

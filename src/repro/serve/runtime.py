@@ -72,7 +72,7 @@ from repro.serve.request import InferenceRequest, RequestOutcome, RequestStatus
 from repro.resilience import (
     DegradationLadder,
     ExecState,
-    model_footprint,
+    ladder_footprint,
     model_weight_bytes,
 )
 from repro.sparse.tensor import SparseTensor
@@ -775,15 +775,11 @@ class ServingRuntime:
         """Run ``sample`` through ``model`` in ``ctx``; returns the
         sample's feature peak, the largest live (input + output)
         activation pair along the network."""
-        shapes: List[Tuple[int, int, int, int]] = []
-        ctx.recorder = lambda signature=None, kmap=None, c_in=0, c_out=0, label="": (
-            shapes.append((c_in, c_out, kmap.num_inputs, kmap.num_outputs))
-        )
+        start = len(ctx.layers)
         model(sample, ctx)
-        ctx.recorder = None
-        itemsize = float(self.precision.itemsize)
+        itemsize = ctx.precision.itemsize
         return max(
-            (itemsize * (ni * ci + no * co) for ci, co, ni, no in shapes),
+            (record.feature_bytes(itemsize) for record in ctx.layers[start:]),
             default=0.0,
         )
 
@@ -887,24 +883,7 @@ class ServingRuntime:
                 )
         except SimulatedOOMError:
             oomed = True
-            memo: Dict[ExecState, float] = {}
-
-            def footprint(state: ExecState) -> float:
-                # Warm footprints: the retry reuses the kernel maps the
-                # failed attempt already built, so one-shot map
-                # construction is not part of any candidate's peak.
-                if state not in memo:
-                    memo[state] = model_footprint(
-                        model,
-                        samples,
-                        device=spec,
-                        precision=state.precision,
-                        policy=FixedPolicy(state.config),
-                        batch_chunks=state.batch_chunks,
-                        warm=True,
-                    ).total_bytes
-                return memo[state]
-
+            footprint = ladder_footprint(model, samples, spec)
             start = ExecState(
                 config=self.default_config, precision=self.precision
             )

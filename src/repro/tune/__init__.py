@@ -15,7 +15,8 @@ from repro.tune.space import (
     TORCHSPARSEPP_SPACE,
     TORCHSPARSEPP_IG_ONLY_SPACE,
 )
-from repro.tune.groups import LayerRecord, discover_groups
+from repro.nn.context import LayerRecord
+from repro.tune.groups import discover_groups
 from repro.tune.tuner import SparseAutotuner, TuningReport
 from repro.tune.training import BindingScheme, TrainingTuner, pick_binding_scheme
 from repro.tune.cache import load_policy, save_policy

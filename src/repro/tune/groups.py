@@ -4,67 +4,50 @@ Layers that use the same kernel maps — identified by their *map signature*
 ``(tensor_stride, kernel_size, stride, transposed)`` — form one group and
 must share a dataflow, because weight-stationary and output-stationary
 dataflows need the maps in different storage orders.  A probe forward pass
-records every convolution layer; records are then grouped by signature in
-first-appearance order.
+records every convolution layer (:attr:`ExecutionContext.layers`); records
+are then grouped by signature in first-appearance order.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.nn.context import ExecutionContext, Signature
+from repro.nn.context import ExecutionContext, LayerRecord, Signature
 from repro.nn.module import Module
-from repro.sparse.kmap import KernelMap
 from repro.sparse.tensor import SparseTensor
 
-
-@dataclasses.dataclass
-class LayerRecord:
-    """One convolution layer observed during the probe pass."""
-
-    signature: Signature
-    kmap: KernelMap
-    c_in: int
-    c_out: int
-    label: str
-
-    @property
-    def macs(self) -> float:
-        """Effective multiply-accumulates of the layer."""
-        return float(self.kmap.total_pairs) * self.c_in * self.c_out
+Groups = Dict[Signature, List[LayerRecord]]
 
 
 def discover_groups(
-    model: Module,
-    sample: SparseTensor,
-    ctx: ExecutionContext,
-) -> Tuple[List[Signature], Dict[Signature, List[LayerRecord]]]:
+    model: Module, sample: SparseTensor
+) -> Tuple[List[Signature], Groups]:
     """Run one probe forward and group conv layers by map signature.
 
-    Returns ``(ordered_signatures, records_by_signature)``.  The context's
-    trace is reset afterwards so probe cost never leaks into measurements;
-    kernel maps built during the probe stay in the sample's cache (the
-    tuner reuses them, as the real system does).
+    Returns ``(ordered_signatures, records_by_signature)``.  The probe runs
+    shape-only in a context of its own that is then dropped: signatures
+    and kernel maps depend on neither device nor precision, and probe cost
+    never reaches a caller's trace.  Kernel maps built during the probe
+    stay in the sample's cache (the tuner reuses them, as the real system
+    does).
     """
-    records: List[LayerRecord] = []
+    ctx = ExecutionContext(simulate_only=True)
+    model(sample, ctx)
+    by_signature: Groups = {}
+    for record in ctx.layers:
+        by_signature.setdefault(record.signature, []).append(record)
+    return list(by_signature), by_signature
 
-    def record(signature, kmap, c_in, c_out, label):
-        records.append(LayerRecord(signature, kmap, c_in, c_out, label))
 
-    previous_recorder = ctx.recorder
-    ctx.recorder = record
-    try:
-        model(sample, ctx)
-    finally:
-        ctx.recorder = previous_recorder
-        ctx.reset_trace()
-
+def probe_samples(
+    model: Module, samples: Sequence[SparseTensor]
+) -> Tuple[List[Signature], List[Groups]]:
+    """Probe every sample once; returns the union of their signatures in
+    first-appearance order and each sample's records by signature."""
     ordered: List[Signature] = []
-    by_signature: Dict[Signature, List[LayerRecord]] = {}
-    for rec in records:
-        if rec.signature not in by_signature:
-            ordered.append(rec.signature)
-            by_signature[rec.signature] = []
-        by_signature[rec.signature].append(rec)
-    return ordered, by_signature
+    per_sample: List[Groups] = []
+    for sample in samples:
+        signatures, by_signature = discover_groups(model, sample)
+        per_sample.append(by_signature)
+        ordered += [sig for sig in signatures if sig not in ordered]
+    return ordered, per_sample

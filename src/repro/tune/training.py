@@ -25,22 +25,16 @@ from __future__ import annotations
 import dataclasses
 import enum
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.gpusim.engine import estimate_trace_us
 from repro.hw.specs import DeviceSpec, get_device
 from repro.nn.mapping_cost import map_reorder_trace
-from repro.nn.context import (
-    ExecutionContext,
-    GroupPolicy,
-    LayerConfig,
-    Role,
-    Signature,
-)
+from repro.nn.context import GroupPolicy, LayerConfig, LayerRecord, Role, Signature
 from repro.nn.module import Module
 from repro.precision import Precision
 from repro.sparse.tensor import SparseTensor
-from repro.tune.groups import LayerRecord, discover_groups
+from repro.tune.groups import probe_samples
 from repro.tune.space import DesignSpace, TORCHSPARSEPP_SPACE
 from repro.tune.tuner import SparseAutotuner
 
@@ -113,12 +107,7 @@ class TrainingTuner:
         precision: Precision,
         cache: Dict,
     ) -> float:
-        """Latency of the given roles of a group under one config.
-
-        Adds the map-restructure penalty when a role set's map storage
-        order differs from the forward structure (the mapping-overhead half
-        of the binding tradeoff).
-        """
+        """Latency of the given roles of a group under one config."""
         total = 0.0
         for i, record in enumerate(records):
             for role in roles:
@@ -142,17 +131,7 @@ class TrainingTuner:
         start = time.perf_counter()
         tuner = SparseAutotuner(space=self.space, default=self.default)
 
-        ordered: List[Signature] = []
-        per_sample: List[Dict[Signature, List[LayerRecord]]] = []
-        for sample in samples:
-            ctx = ExecutionContext(
-                device=device, precision=precision, simulate_only=True
-            )
-            sigs, by_sig = discover_groups(model, sample, ctx)
-            per_sample.append(by_sig)
-            for sig in sigs:
-                if sig not in ordered:
-                    ordered.append(sig)
+        ordered, per_sample = probe_samples(model, samples)
 
         cache: Dict = {}
 

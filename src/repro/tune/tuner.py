@@ -20,17 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.gpusim.engine import estimate_trace_us
 from repro.hw.specs import DeviceSpec, get_device
 from repro.kernels.registry import trace_dataflow
-from repro.nn.context import (
-    ExecutionContext,
-    GroupPolicy,
-    LayerConfig,
-    Role,
-    Signature,
-)
+from repro.nn.context import GroupPolicy, LayerConfig, LayerRecord, Role, Signature
 from repro.nn.module import Module
 from repro.precision import Precision
 from repro.sparse.tensor import SparseTensor
-from repro.tune.groups import LayerRecord, discover_groups
+from repro.tune.groups import probe_samples
 from repro.tune.space import DesignSpace, TORCHSPARSEPP_SPACE
 
 
@@ -195,18 +189,7 @@ class SparseAutotuner:
         precision = Precision.parse(precision)
         start = time.perf_counter()
 
-        # Probe every sample once; union the group structure.
-        ordered: List[Signature] = []
-        per_sample_records: List[Dict[Signature, List[LayerRecord]]] = []
-        for sample in samples:
-            ctx = ExecutionContext(
-                device=device, precision=precision, simulate_only=True
-            )
-            sigs, by_sig = discover_groups(model, sample, ctx)
-            per_sample_records.append(by_sig)
-            for sig in sigs:
-                if sig not in ordered:
-                    ordered.append(sig)
+        ordered, per_sample_records = probe_samples(model, samples)
 
         cache: Dict = {}
         # Each (group, config) cost is evaluated once: the greedy loop

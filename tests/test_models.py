@@ -65,10 +65,9 @@ class TestMinkUNet:
     def test_unet_has_distinct_stride_levels(self):
         model = MinkUNet(width=0.25)
         x = small_cloud()
-        ctx = ExecutionContext(simulate_only=True)
         from repro.tune import discover_groups
 
-        sigs, _ = discover_groups(model, x, ctx)
+        sigs, _ = discover_groups(model, x)
         strides = {sig[0] for sig in sigs}
         assert (16, 16, 16) in strides  # four downsamplings deep
 

@@ -68,21 +68,25 @@ class TestDesignSpaces:
 
 class TestGroupDiscovery:
     def test_groups_share_maps(self, tiny_model):
-        ctx = ExecutionContext(simulate_only=True)
-        sigs, by_sig = discover_groups(tiny_model, cloud(), ctx)
+        sigs, by_sig = discover_groups(tiny_model, cloud())
         assert len(sigs) >= 5
         for sig in sigs:
             kmaps = {id(r.kmap) for r in by_sig[sig]}
             assert len(kmaps) == 1  # one map per group per sample
 
     def test_probe_resets_trace(self, tiny_model):
+        # The probe's context (and its trace) is dropped; the maps it
+        # built stay in the sample's cache for the next execution.
+        x = cloud()
+        _, by_sig = discover_groups(tiny_model, x)
         ctx = ExecutionContext(simulate_only=True)
-        discover_groups(tiny_model, cloud(), ctx)
-        assert len(ctx.trace) == 0
+        tiny_model(x, ctx)
+        assert {id(r.kmap) for r in ctx.layers} == {
+            id(r.kmap) for records in by_sig.values() for r in records
+        }
 
     def test_layer_counts_cover_all_convs(self, tiny_model):
-        ctx = ExecutionContext(simulate_only=True)
-        _, by_sig = discover_groups(tiny_model, cloud(), ctx)
+        _, by_sig = discover_groups(tiny_model, cloud())
         total = sum(len(v) for v in by_sig.values())
         from repro.nn.conv import SparseConv3d
 
@@ -181,10 +185,7 @@ def _uncached_greedy(tuner, model, samples, device="3090", precision="fp16"):
     device, precision = get_device(device), Precision.parse(precision)
     ordered, per_sample = [], []
     for sample in samples:
-        ctx = ExecutionContext(
-            device=device, precision=precision, simulate_only=True
-        )
-        sigs, by_sig = discover_groups(model, sample, ctx)
+        sigs, by_sig = discover_groups(model, sample)
         per_sample.append(by_sig)
         ordered += [sig for sig in sigs if sig not in ordered]
     cache = {}
