@@ -42,7 +42,7 @@ from repro.kernels.base import (
     gemm_efficiency,
 )
 from repro.precision import Precision
-from repro.sparse.bitmask import mac_slots
+from repro.sparse.bitmask import mac_slot_counts
 from repro.sparse.kmap import KernelMap
 
 #: Scalar ops per radix-sort pass per key (compare/scatter on CUDA cores).
@@ -54,6 +54,9 @@ RADIX_BITS = 8
 #: bandwidth — the reason sorting overhead is end-to-end significant
 #: (Tables 3/4, Figure 17).
 SECTOR_FACTOR = 8.0
+#: Warp widths every slot count covers: ``min(32, tile_m)`` over the
+#: tile candidates.  Another ``warp_rows`` is added on first use.
+WARP_WIDTHS = (16, 32)
 #: Loss of gathered-row contiguity when the permutation is chased inside
 #: the kernel instead of materialised offline (Figure 19).
 ONLINE_REORDER_READ_AMPLIFICATION = 2.0
@@ -204,12 +207,15 @@ def implicit_gemm_trace(
         if schedule.pad_maps
         else num_rows
     )
-    cache_key = ("ig_slots", config.num_splits, config.sort, schedule.warp_rows)
-    if cache_key not in kmap.analysis_cache:
-        kmap.analysis_cache[cache_key] = mac_slots(
-            nbmap, config.num_splits, config.sort, schedule.warp_rows
+    # One slot pass per (map, splits, sort) counts every warp width.
+    cache_key = ("ig_slots", config.num_splits, config.sort)
+    effective_total, issued = kmap.analysis_cache.get(cache_key, (0, {}))
+    if schedule.warp_rows not in issued:
+        widths = {*WARP_WIDTHS, schedule.warp_rows, *issued}
+        effective_total, issued = kmap.analysis_cache[cache_key] = (
+            mac_slot_counts(nbmap, config.num_splits, config.sort, widths)
         )
-    effective_total, issued_total = kmap.analysis_cache[cache_key]
+    issued_total = issued[schedule.warp_rows]
     ctas_total = config.num_splits * gemm_ctas(pad_rows, c_out, schedule)
 
     a_loads = float(issued_total) * c_in

@@ -13,7 +13,7 @@ for even less redundancy and more parallelism.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,9 @@ def split_offsets(volume: int, num_splits: int) -> List[np.ndarray]:
     return [seg for seg in np.array_split(np.arange(volume), num_splits)]
 
 
-def compute_bitmasks(nbmap: np.ndarray, segment: Optional[np.ndarray] = None) -> np.ndarray:
+def compute_bitmasks(
+    nbmap: np.ndarray, segment: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Boolean neighbour-presence matrix ``(N_out, |segment|)``."""
     if segment is None:
         return nbmap >= 0
@@ -52,7 +54,8 @@ def sort_bitmasks(masks: np.ndarray) -> np.ndarray:
     keys = tuple(~masks[:, k] for k in range(masks.shape[1] - 1, -1, -1))
     if not keys:
         return np.arange(len(masks))
-    return np.lexsort(keys)
+    order: np.ndarray = np.lexsort(keys)
+    return order
 
 
 @dataclasses.dataclass
@@ -64,7 +67,6 @@ class MaskReordering:
         orders: per split, the row permutation applied to the map (identity
             when sorting is disabled — the *unsorted* dataflow of Figure 5).
         sorted: whether bitmask sorting was applied.
-        sort_key_bits: bits per sort key (for the cost model).
     """
 
     segments: List[np.ndarray]
@@ -108,9 +110,8 @@ def warp_mac_slots(masks: np.ndarray, warp_rows: int) -> Tuple[int, int]:
     Args:
         masks: boolean ``(N, V)`` neighbour-presence matrix, already in
             execution order.
-        warp_rows: rows mapped onto one warp (4 in the paper's figures,
-            32 on real hardware for a 128-thread CTA with 128x... tiling —
-            the model exposes it so tile configs can set it).
+        warp_rows: rows mapped onto one warp: 4 in the paper's figures,
+            up to 32 (one row per lane) in the tile configs, which set it.
 
     Returns:
         ``(effective, issued)`` MAC slots, in units of
@@ -130,26 +131,84 @@ def warp_mac_slots(masks: np.ndarray, warp_rows: int) -> Tuple[int, int]:
     return effective, active_warps * warp_rows
 
 
+#: Bits per packed mask word.
+WORD_BITS = 64
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Boolean ``(N, C)`` rows, ``C`` a multiple of 8, packed into
+    ``(N, ceil(C / 64))`` ``uint64`` words.
+
+    Column ``k`` is bit ``63 - k % 64`` of word ``k // 64``, so column 0
+    is the most significant bit and comparing rows word by word compares
+    them as numbers (the :func:`sort_bitmasks` order).
+    """
+    rows, columns = bits.shape
+    packed = np.zeros((rows, -(-columns // WORD_BITS) * 8), dtype=np.uint8)
+    packed[:, :columns // 8] = np.packbits(bits).reshape(rows, columns // 8)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Set bits in ``words`` (``np.bitwise_count`` needs numpy 2)."""
+    return int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+
+
+def mac_slot_counts(
+    nbmap: np.ndarray, num_splits: int, sort: bool, warp_widths: Iterable[int]
+) -> Tuple[int, Dict[int, int]]:
+    """Effective MAC slots and issued slots per warp width, in one pass.
+
+    The result is ``(effective, {warp_rows: issued})``, summed over the
+    split segments, with the units of :func:`warp_mac_slots`.  Each row's
+    mask is packed once into 64-bit words (:func:`_pack_rows`); a
+    segment's masks are those words with the segment's bits kept.  With
+    ``sort``, the masks are sorted descending *as values*: rows with
+    equal masks are interchangeable, so the stable row order of
+    :class:`MaskReordering` and any other order of the same sorted
+    sequence give the same counts.  A segment over 64 offsets spans
+    several words, ordered by :func:`numpy.lexsort`.  A warp of
+    ``w`` rows issues ``w`` slots per bit of the OR of its masks; the
+    short last warp counts as if padded with empty rows.
+    """
+    widths = sorted(set(warp_widths))
+    if not widths or widths[0] < 1:
+        raise ConfigError(f"warp widths must be >= 1, got {widths}")
+    rows, volume = nbmap.shape
+    present = np.zeros((rows, -(-volume // 8) * 8), dtype=bool)
+    np.greater_equal(nbmap, 0, out=present[:, :volume])
+    effective = int(np.count_nonzero(present))
+    packed = _pack_rows(present)
+    issued = dict.fromkeys(widths, 0)
+    for segment in split_offsets(volume, num_splits):
+        in_segment = np.zeros((1, present.shape[1]), dtype=bool)
+        in_segment[0, segment] = True
+        lo, hi = segment[0] // WORD_BITS, segment[-1] // WORD_BITS + 1
+        masks: np.ndarray = packed[:, lo:hi] & _pack_rows(in_segment)[0, lo:hi]
+        if sort and hi - lo == 1:
+            masks = np.sort(masks, axis=0)[::-1]
+        elif sort:
+            masks = masks[np.lexsort(masks.T[::-1])[::-1]]
+        for width in widths:
+            warps = np.bitwise_or.reduceat(
+                masks, np.arange(0, rows, width), axis=0
+            )
+            issued[width] += width * _popcount(warps)
+    return effective, issued
+
+
 def mac_slots(
     nbmap: np.ndarray, num_splits: int, sort: bool, warp_rows: int
 ) -> Tuple[int, int]:
-    """``(effective, issued)`` MAC slots summed over the split segments.
+    """``(effective, issued)`` MAC slots summed over the split segments,
+    as :class:`MaskReordering` would run them.
 
-    Each segment is counted on its own bitmasks gathered in execution
-    order (:func:`sort_bitmasks` when ``sort``, else map order), as
-    :class:`MaskReordering` would run it; no reordered map is built.
+    Counted by :func:`mac_slot_counts` on packed mask words sorted as
+    values: :class:`MaskReordering`'s stable order only permutes rows
+    with equal masks, which no warp's OR can tell apart.
     """
-    present = compute_bitmasks(nbmap)
-    effective_total = 0
-    issued_total = 0
-    for segment in split_offsets(nbmap.shape[1], num_splits):
-        masks = present[:, segment[0]:segment[-1] + 1]
-        if sort:
-            masks = masks[sort_bitmasks(masks)]
-        effective, issued = warp_mac_slots(masks, warp_rows)
-        effective_total += effective
-        issued_total += issued
-    return effective_total, issued_total
+    effective, issued = mac_slot_counts(nbmap, num_splits, sort, (warp_rows,))
+    return effective, issued[warp_rows]
 
 
 def redundancy_ratio(

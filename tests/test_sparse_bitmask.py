@@ -5,16 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels.implicit_gemm as implicit_gemm
+from repro.data.datasets import make_sample
 from repro.errors import ConfigError
+from repro.kernels.base import KernelSchedule
+from repro.models.registry import get_workload
 from repro.sparse.bitmask import (
     MaskReordering,
     compute_bitmasks,
+    mac_slot_counts,
     mac_slots,
     redundancy_ratio,
     sort_bitmasks,
     split_offsets,
     warp_mac_slots,
 )
+from repro.sparse.kmap import build_kernel_map
+from repro.sparse.tensor import batch_sparse_tensors
+from repro.tune import SparseAutotuner, TrainingTuner
 
 
 def figure5_nbmap():
@@ -193,6 +201,174 @@ class TestMacSlots:
         for pad_rows in (0, 5, 128):
             assert got == reference_mac_slots(
                 nbmap, splits, sort, warp_rows, pad_rows
+            )
+
+
+def bool_matrix_mac_slots(nbmap, num_splits, sort, warp_rows):
+    """The bool-matrix count the packed one replaced: each segment's masks
+    gathered in :func:`sort_bitmasks` order, counted warp by warp."""
+    present = compute_bitmasks(nbmap)
+    effective_total = 0
+    issued_total = 0
+    for segment in split_offsets(nbmap.shape[1], num_splits):
+        masks = present[:, segment[0]:segment[-1] + 1]
+        if sort:
+            masks = masks[sort_bitmasks(masks)]
+        effective, issued = warp_mac_slots(masks, warp_rows)
+        effective_total += effective
+        issued_total += issued
+    return effective_total, issued_total
+
+
+EQUIVALENCE_WIDTHS = (1, 2, 4, 16, 32)
+
+
+def assert_packed_matches_bool_matrix(nbmap, widths=EQUIVALENCE_WIDTHS):
+    for splits in range(1, min(4, nbmap.shape[1]) + 1):
+        for sort in (False, True):
+            effective, issued = mac_slot_counts(nbmap, splits, sort, widths)
+            for width in widths:
+                assert (effective, issued[width]) == bool_matrix_mac_slots(
+                    nbmap, splits, sort, width
+                ), (nbmap.shape, splits, sort, width)
+
+
+def record_slot_passes(monkeypatch):
+    """Record every slot pass the implicit-GEMM cost model runs as
+    ``(nbmap, splits, sort, widths, result)``; the map is kept alive, so
+    ``id(nbmap)`` names it for the whole test."""
+    passes = []
+
+    def recording(nbmap, num_splits, sort, warp_widths):
+        widths = tuple(sorted(warp_widths))
+        result = mac_slot_counts(nbmap, num_splits, sort, widths)
+        passes.append((nbmap, num_splits, sort, widths, result))
+        return result
+
+    monkeypatch.setattr(implicit_gemm, "mac_slot_counts", recording)
+    return passes
+
+
+OFFLINE_INFER_PRESETS = ("SK-M-0.5", "SK-M-1.0", "NS-M-1f", "NS-M-3f",
+                         "NS-C-10f", "WM-C-1f", "WM-C-3f")
+
+
+def held_out_scene(workload, batch=1):
+    """The benchmark's held-out tuning scene of ``workload`` at scale 0.05."""
+    scene = make_sample(
+        workload.dataset, frames=workload.frames, seed=9_000_000, scale=0.05
+    )
+    return scene if batch == 1 else batch_sparse_tensors([scene] * batch)
+
+
+@pytest.fixture(scope="module")
+def offline_infer_passes():
+    """Per preset, the slot passes of one ``SparseAutotuner.tune`` on the
+    held-out scene, as the offline-infer benchmark set-up runs it."""
+    per_preset = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for preset in OFFLINE_INFER_PRESETS:
+            workload = get_workload(preset)
+            model = workload.build_model()
+            model.eval()
+            passes = record_slot_passes(monkeypatch)
+            SparseAutotuner().tune(
+                model, [held_out_scene(workload)], "a100", "fp16"
+            )
+            per_preset[preset] = passes
+    return per_preset
+
+
+def distinct_maps(passes):
+    return list({id(nbmap): nbmap for nbmap, *_ in passes}.values())
+
+
+class TestPackedSlotCounts:
+    @pytest.mark.parametrize("rows", [0, 1, 3, 31, 32, 100])
+    @pytest.mark.parametrize("volume", [1, 8, 27, 64, 125])
+    def test_matches_bool_matrix(self, rows, volume):
+        # rows=0, rows < w and rows not a multiple of w; V=64 fills one
+        # word exactly and V=125 spans two (an unsplit 5^3 kernel).
+        rng = np.random.default_rng(rows * 1000 + volume)
+        nbmap = np.where(
+            rng.random((rows, volume)) < 0.3,
+            rng.integers(0, 64, (rows, volume)), -1,
+        ).astype(np.int32)
+        assert_packed_matches_bool_matrix(nbmap)
+
+    @pytest.mark.parametrize("volume", [27, 125])
+    def test_repeated_masks_straddling_warps(self, volume):
+        # Few distinct masks, so long runs of equal masks cross warp
+        # boundaries; an all-absent column and an all-present column.
+        rng = np.random.default_rng(volume)
+        patterns = rng.random((5, volume)) < 0.5
+        patterns[:, 0] = False
+        patterns[:, -1] = True
+        masks = patterns[rng.integers(0, 5, 203)]
+        nbmap = np.where(masks, 7, -1).astype(np.int32)
+        assert_packed_matches_bool_matrix(nbmap)
+
+    def test_offline_infer_maps(self, offline_infer_passes):
+        for passes in offline_infer_passes.values():
+            for nbmap in distinct_maps(passes):
+                assert_packed_matches_bool_matrix(nbmap)
+
+    def test_invalid_widths(self):
+        nbmap = np.zeros((4, 27), dtype=np.int32)
+        with pytest.raises(ConfigError):
+            mac_slot_counts(nbmap, 1, True, (0, 32))
+        with pytest.raises(ConfigError):
+            mac_slot_counts(nbmap, 1, True, ())
+
+
+class TestOneSlotPassPerTriple:
+    def test_sparse_autotuner(self, offline_infer_passes):
+        calls = triples = 0
+        for passes in offline_infer_passes.values():
+            keys = [(id(nbmap), splits, sort) for nbmap, splits, sort, *_ in
+                    passes]
+            assert len(keys) == len(set(keys))
+            calls += len(keys)
+            triples += len(set(keys))
+        assert calls == triples > 0
+
+    def test_training_tuner(self, monkeypatch):
+        workload = get_workload("SK-M-0.5")
+        model = workload.build_model()
+        model.train()
+        passes = record_slot_passes(monkeypatch)
+        TrainingTuner().tune(
+            model, [held_out_scene(workload, batch=2)], "a100", "fp16"
+        )
+        keys = [(id(nbmap), splits, sort) for nbmap, splits, sort, *_ in passes]
+        assert len(keys) == len(set(keys)) > 0
+        # The counts the trace reads are the bool-matrix counts.
+        for nbmap, splits, sort, widths, (effective, issued) in passes:
+            for width in widths:
+                assert (effective, issued[width]) == bool_matrix_mac_slots(
+                    nbmap, splits, sort, width
+                )
+
+    def test_other_warp_width_extends_the_cached_counts(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        coords = np.unique(np.concatenate(
+            [np.zeros((300, 1), np.int32),
+             rng.integers(0, 12, (300, 3)).astype(np.int32)], axis=1,
+        ), axis=0)
+        kmap = build_kernel_map(coords, 3)
+        passes = record_slot_passes(monkeypatch)
+        for warp_rows in (32, 16, 8, 32, 8):
+            implicit_gemm.implicit_gemm_trace(
+                kmap, 16, 16, KernelSchedule(warp_rows=warp_rows)
+            )
+        # The first pass counts the tile widths; warp 8 adds itself once.
+        assert [widths for _, _, _, widths, _ in passes] == [
+            (16, 32), (8, 16, 32)
+        ]
+        effective, issued = kmap.analysis_cache[("ig_slots", 1, True)]
+        for width in (8, 16, 32):
+            assert (effective, issued[width]) == bool_matrix_mac_slots(
+                kmap.nbmap, 1, True, width
             )
 
 
