@@ -95,13 +95,6 @@ from repro.nn.module import Module
 from repro.precision import Precision
 
 
-def analyze_model(
-    model: Module, in_channels: int, ndim: int = 3
-) -> ModelIR:
-    """Build the static IR of ``model`` (alias of :func:`trace_model`)."""
-    return trace_model(model, in_channels=in_channels, ndim=ndim)
-
-
 def collect_execution_trace(
     model: Module,
     in_channels: int,
@@ -260,7 +253,6 @@ __all__ = [
     "SymbolicTracer",
     "TraceViolation",
     "ValueRange",
-    "analyze_model",
     "assert_trace_ok",
     "audit_cache_site",
     "audit_cache_sites",

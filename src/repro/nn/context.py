@@ -260,8 +260,3 @@ class ExecutionContext:
 
     def latency_ms(self) -> float:
         return self.latency_us() / 1e3
-
-    def scheduled_latency(self) -> Tuple[float, int]:
-        """``(latency_us(), sync events charged)`` from one pricing."""
-        run = self.execution()
-        return run.latency_us, run.sync_events

@@ -22,8 +22,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, MapError
-from repro.gpusim.trace import TraceScope
-from repro.kernels.base import sparse_conv
+from repro.gpusim.trace import UNSCOPED, KernelTrace, TraceScope
+from repro.kernels.base import KernelSchedule, sparse_conv
 from repro.kernels.registry import Dataflow, trace_dataflow
 from repro.kernels.wgrad import wgrad, wgrad_trace
 from repro.nn.context import (
@@ -35,6 +35,7 @@ from repro.nn.context import (
 )
 from repro.nn.mapping_cost import map_build_trace, map_reorder_trace
 from repro.nn.module import ConstantInit, Module, NormalInit, Parameter
+from repro.precision import Precision
 from repro.sparse.hashmap import HashMapStats
 from repro.sparse.kernel_offsets import kernel_volume, normalize_kernel_size
 from repro.sparse.kmap import KernelMap, MapKey, build_kernel_map
@@ -57,6 +58,92 @@ def _identity_kmap(tensor: SparseTensor) -> KernelMap:
         ),
         in_coords=tensor.coords,
     )
+
+
+def _pass_operands(
+    role: Role, kmap: KernelMap, c_in: int, c_out: int
+) -> Tuple[KernelMap, int, int]:
+    """The map and channel counts a forward or dgrad pass runs on: dgrad
+    runs the forward dataflow on the transposed map with the channel
+    counts swapped."""
+    if role is Role.DGRAD:
+        return kmap.transposed(), c_out, c_in
+    return kmap, c_in, c_out
+
+
+def conv_pass_trace(
+    role: Role,
+    kmap: KernelMap,
+    c_in: int,
+    c_out: int,
+    config: LayerConfig,
+    precision: Precision,
+    schedule: Optional[KernelSchedule] = None,
+    charge_mapping: bool = True,
+    scope: TraceScope = UNSCOPED,
+) -> KernelTrace:
+    """The trace of one ``role`` pass of a ``c_in -> c_out`` convolution
+    on ``kmap`` under ``config``: the one cost recipe that
+    :class:`SparseConv3d` executes and both autotuners price.
+
+    ``schedule`` overrides the config's tiles (adaptive tiling);
+    ``charge_mapping=False`` omits the map preparation a warm
+    (map, config) already paid.
+    """
+    schedule = schedule or config.schedule
+    if role is Role.WGRAD:
+        ig = config.ig_config
+        sorted_maps = config.dataflow is Dataflow.IMPLICIT_GEMM and ig.sort
+        gathered = config.dataflow in (Dataflow.GATHER_SCATTER,
+                                       Dataflow.GATHER_SCATTER_FUSED)
+        return wgrad_trace(
+            kmap, c_in, c_out, schedule=schedule, precision=precision,
+            gathered=gathered, sorted_maps=sorted_maps,
+            online_reorder=sorted_maps and not ig.offline_reorder,
+            tensor_cores=config.tensor_cores, scope=scope,
+        )
+    kmap, c_in, c_out = _pass_operands(role, kmap, c_in, c_out)
+    return trace_dataflow(
+        config.dataflow, kmap, c_in, c_out, schedule=schedule,
+        precision=precision, ig_config=config.ig_config,
+        tensor_cores=config.tensor_cores, charge_mapping=charge_mapping,
+        gs_chunks=config.gs_chunks, scope=scope,
+    )
+
+
+def needs_conversion(kmap: KernelMap, config: LayerConfig) -> bool:
+    """Whether ``config``'s dataflow needs ``kmap`` in a storage order the
+    map was not built in (Section 4.2: maps are stored weight- or
+    output-stationary, and converting costs real time — the reason
+    intra-group heterogeneous dataflows are not allowed).  Pointwise maps
+    have no structure to convert."""
+    return (
+        kmap.volume > 1
+        and config.dataflow.weight_stationary != kmap.native_weight_stationary
+    )
+
+
+def structure_conversion_trace(
+    kmap: KernelMap, config: LayerConfig, name: str = "convert"
+) -> KernelTrace:
+    """The storage-order conversion ``config`` needs on ``kmap``: one
+    reordering pass, or an empty trace when none is needed."""
+    if not needs_conversion(kmap, config):
+        return KernelTrace()
+    return map_reorder_trace(kmap, name)
+
+
+def backward_prep_identity(config: LayerConfig) -> Tuple:
+    """What a backward pass's map preparation depends on: two backward
+    configs with the same identity share one preparation (Figure 13)."""
+    return (config.dataflow, config.ig_config, config.schedule.tile_m)
+
+
+def backward_prep_trace(kmap: KernelMap, name: str = "bwd_prep") -> KernelTrace:
+    """The map preparation a backward pass pays when its prep identity
+    differs from the other backward pass's: one reordering pass over
+    ``kmap`` (the first identity's preparation is in dgrad's own trace)."""
+    return map_reorder_trace(kmap, name)
 
 
 class SparseConv3d(Module):
@@ -112,11 +199,6 @@ class SparseConv3d(Module):
         self._saved: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
-    def _weights(self, ctx: ExecutionContext) -> np.ndarray:
-        """The weight values, or a shape-only view when simulating, so a
-        simulate-only run never draws them."""
-        return self.weight.shape_only() if ctx.simulate_only else self.weight.data
-
     @property
     def volume(self) -> int:
         return self.weight.shape[0]
@@ -193,27 +275,22 @@ class SparseConv3d(Module):
         return kmap, out_stride
 
     def _run(
-        self,
-        feats: np.ndarray,
-        weights: np.ndarray,
-        kmap: KernelMap,
-        config: LayerConfig,
-        ctx: ExecutionContext,
-        tag: str,
+        self, feats: np.ndarray, kmap: KernelMap, config: LayerConfig,
+        ctx: ExecutionContext, role: Role,
     ) -> np.ndarray:
+        """One forward or dgrad pass over the layer's map ``kmap``: its
+        output (shape-only when simulating) and its trace."""
+        tag = "fwd" if role is Role.FORWARD else "dgrad"
+        run_map, c_in, c_out = _pass_operands(
+            role, kmap, self.in_channels, self.out_channels
+        )
         schedule = config.schedule
         if ctx.adaptive_tiling:
             from repro.codegen.tiling import adaptive_schedule
 
-            macs = float(kmap.total_pairs) * weights.shape[1] * weights.shape[2]
             schedule = adaptive_schedule(
-                macs,
-                base=schedule,
-                shape=(
-                    kmap.num_outputs,
-                    weights.shape[2],
-                    kmap.volume * weights.shape[1],
-                ),
+                float(run_map.total_pairs) * c_in * c_out, base=schedule,
+                shape=(run_map.num_outputs, c_out, run_map.volume * c_in),
                 device=ctx.device,
             )
         # Sorting/reordering happens once per (map, config) and is reused
@@ -223,38 +300,29 @@ class SparseConv3d(Module):
         # downsample's dgrad run on the same transposed map, and each pass
         # prepares its own reordering.
         charge_mapping = ctx.charge_once(
-            (id(kmap), "reorder", tag, config.dataflow, config.ig_config)
+            (id(run_map), "reorder", tag, config.dataflow, config.ig_config)
         )
 
         if ctx.simulate_only:
-            out = shape_only_feats(
-                kmap.num_outputs, weights.shape[2], ctx.precision.dtype
-            )
+            out = shape_only_feats(run_map.num_outputs, c_out, ctx.precision.dtype)
         else:
-            out = sparse_conv(feats, weights, kmap, ctx.precision)
+            weights = self.weight.data
+            if role is Role.DGRAD:  # W^T per offset
+                weights = np.ascontiguousarray(weights.transpose(0, 2, 1))
+            out = sparse_conv(feats, weights, run_map, ctx.precision)
         # Launches and buffers are named per layer and pass; forward passes
         # read their input features from the previous layer's output buffer
         # so consecutive convolutions are chained by real RAW edges.
         scope = TraceScope(
             f"{self.label}/{tag}",
-            feats_in=ctx.feature_buffer if tag == "fwd" else None,
+            feats_in=ctx.feature_buffer if role is Role.FORWARD else None,
         )
-        ctx.trace.extend(
-            trace_dataflow(
-                config.dataflow,
-                kmap,
-                weights.shape[1],
-                weights.shape[2],
-                schedule=schedule,
-                precision=ctx.precision,
-                ig_config=config.ig_config,
-                tensor_cores=config.tensor_cores,
-                charge_mapping=charge_mapping,
-                gs_chunks=config.gs_chunks,
-                scope=scope,
-            )
-        )
-        if tag == "fwd":
+        ctx.trace.extend(conv_pass_trace(
+            role, kmap, self.in_channels, self.out_channels, config,
+            ctx.precision, schedule=schedule, charge_mapping=charge_mapping,
+            scope=scope,
+        ))
+        if role is Role.FORWARD:
             ctx.feature_buffer = f"ext:{scope.prefix}:feats_out"
         return out
 
@@ -273,10 +341,8 @@ class SparseConv3d(Module):
             )
         )
         config = ctx.config(signature, Role.FORWARD)
-        self._mark_structure(kmap, config.dataflow.weight_stationary, ctx)
-        out_feats = self._run(
-            x.feats, self._weights(ctx), kmap, config, ctx, "fwd"
-        )
+        self._mark_structure(kmap, config, ctx)
+        out_feats = self._run(x.feats, kmap, config, ctx, Role.FORWARD)
         if self.bias is not None and not ctx.simulate_only:
             out_feats = out_feats + self.bias.data.astype(out_feats.dtype)
         if self.training:
@@ -290,34 +356,30 @@ class SparseConv3d(Module):
         )
 
     def _mark_structure(
-        self, kmap: KernelMap, weight_stationary: bool, ctx: ExecutionContext
+        self, kmap: KernelMap, config: LayerConfig, ctx: ExecutionContext
     ) -> None:
-        """Charge a map-restructure pass the first time a map is needed in
-        a storage order it was not built in (Section 4.2: maps are stored
-        weight- or output-stationary and converting costs real time — the
-        reason intra-group heterogeneous dataflows are not allowed)."""
-        if kmap.volume <= 1:
-            return  # pointwise maps have no structure to convert
-        if weight_stationary == kmap.native_weight_stationary:
-            return  # the map already exists in this storage order
-        if not ctx.charge_once((id(kmap), "structure", weight_stationary)):
-            return
-        ctx.trace.extend(map_reorder_trace(kmap, f"{self.label}/map"))
+        """Charge the storage-order conversion ``config`` needs the first
+        time this context needs ``kmap`` in that order."""
+        key = (id(kmap), "structure", config.dataflow.weight_stationary)
+        if needs_conversion(kmap, config) and ctx.charge_once(key):
+            ctx.trace.extend(
+                structure_conversion_trace(kmap, config, f"{self.label}/map")
+            )
 
     def _charge_backward_prep(
         self, kmap: KernelMap, config: LayerConfig, ctx: ExecutionContext
     ) -> None:
         """Charge backward map preparation once per distinct backward
-        config (Figure 13): dgrad and wgrad share the same maps, so when
-        the training tuner binds them (sparse-mapping oriented scheme) the
-        backward pass prepares maps once; decoupled configs pay twice."""
-        key = (id(kmap), "bwd_prep", config.dataflow, config.ig_config,
-               config.schedule.tile_m)
+        prep identity (Figure 13): dgrad and wgrad share the same maps, so
+        when the training tuner binds them (sparse-mapping oriented
+        scheme) the backward pass prepares maps once; decoupled configs
+        pay twice."""
+        key = (id(kmap), "bwd_prep", *backward_prep_identity(config))
         if not ctx.charge_once(key):
             return
         if ctx.charge_once((id(kmap), "bwd_prep_any")):
             return  # dgrad's own trace already charges its preparation
-        ctx.trace.extend(map_reorder_trace(kmap, f"{self.label}/bwd_map"))
+        ctx.trace.extend(backward_prep_trace(kmap, f"{self.label}/bwd_map"))
 
     def backward(self, grad_out: np.ndarray, ctx: ExecutionContext) -> np.ndarray:
         """Compute input gradients; accumulates weight/bias gradients."""
@@ -332,46 +394,19 @@ class SparseConv3d(Module):
         # dgrad: forward dataflow on the transposed map with W^T per offset.
         dgrad_cfg = ctx.config(signature, Role.DGRAD)
         self._charge_backward_prep(kmap, dgrad_cfg, ctx)
-        t_kmap = kmap.transposed()
-        w_t = self._weights(ctx).transpose(0, 2, 1)
-        if not ctx.simulate_only:
-            w_t = np.ascontiguousarray(w_t)
-        grad_in = self._run(grad_out, w_t, t_kmap, dgrad_cfg, ctx, "dgrad")
+        grad_in = self._run(grad_out, kmap, dgrad_cfg, ctx, Role.DGRAD)
 
         # wgrad under its own config.
         wgrad_cfg = ctx.config(signature, Role.WGRAD)
-        gathered = wgrad_cfg.dataflow in (
-            Dataflow.GATHER_SCATTER,
-            Dataflow.GATHER_SCATTER_FUSED,
-        )
         self._charge_backward_prep(kmap, wgrad_cfg, ctx)
-        online = (
-            wgrad_cfg.dataflow is Dataflow.IMPLICIT_GEMM
-            and wgrad_cfg.ig_config.sort
-            and not wgrad_cfg.ig_config.offline_reorder
-        )
-        sorted_maps = (
-            wgrad_cfg.dataflow is Dataflow.IMPLICIT_GEMM
-            and wgrad_cfg.ig_config.sort
-        )
         if not ctx.simulate_only:
             self.weight.accumulate(wgrad(feats, grad_out, kmap, ctx.precision))
             if self.bias is not None:
                 self.bias.accumulate(grad_out.sum(axis=0))
         elif self.weight.grad is None:
             self.weight.grad = self.weight.shape_only()
-        ctx.trace.extend(
-            wgrad_trace(
-                kmap,
-                self.in_channels,
-                self.out_channels,
-                schedule=wgrad_cfg.schedule,
-                precision=ctx.precision,
-                gathered=gathered,
-                online_reorder=online,
-                sorted_maps=sorted_maps,
-                tensor_cores=wgrad_cfg.tensor_cores,
-                scope=TraceScope(f"{self.label}/wgrad"),
-            )
-        )
+        ctx.trace.extend(conv_pass_trace(
+            Role.WGRAD, kmap, self.in_channels, self.out_channels, wgrad_cfg,
+            ctx.precision, scope=TraceScope(f"{self.label}/wgrad"),
+        ))
         return grad_in

@@ -843,12 +843,13 @@ class ServingRuntime:
             adaptive_tiling=not degraded,
             gpu_streams=self.config.gpu_streams,
         )
-        charges: List[Tuple[tuple, FrozenSet[tuple]]] = []
+        filled: Dict[tuple, FrozenSet[tuple]] = {}
         kmap_hits: List[bool] = []
         preprocess_us = 0.0
         feature_bytes = 0.0
         for request, sample in zip(batch, samples):
-            entry = kmap_cache.get(request.scene_key)
+            key = request.scene_key
+            entry = kmap_cache.get(key)
             hit = entry is not None
             kmap_hits.append(hit)
             if entry is not None:
@@ -856,11 +857,14 @@ class ServingRuntime:
             before = ctx.charged_keys()
             sample_feature_bytes = self._forward(model, sample, ctx)
             if not hit:
-                charge = frozenset(ctx.charged_keys() - before)
-                charges.append((request.scene_key, charge))
+                # A scene evicted and re-filled within this batch keeps
+                # the charge its first fill recorded: the shared context
+                # already paid those keys, so the difference is empty.
+                charge = filled.setdefault(
+                    key, frozenset(ctx.charged_keys() - before)
+                )
                 kmap_cache.put(
-                    request.scene_key,
-                    KmapEntry(sample=sample, charge_keys=charge),
+                    key, KmapEntry(sample=sample, charge_keys=charge)
                 )
             preprocess_us += PREPROCESS_US_PER_POINT * sample.num_points
             feature_bytes += sample_feature_bytes  # batch members co-reside
@@ -910,7 +914,9 @@ class ServingRuntime:
             retry.precharge(ctx.charged_keys())  # maps survive the OOM
             for sample in samples:
                 model(sample, retry)
-            retry_us, retry_sync_events = retry.scheduled_latency()
+            retry_run = retry.execution()
+            retry_us = retry_run.latency_us
+            retry_sync_events = retry_run.sync_events
             degraded = True
 
         run = ctx.execution()
@@ -928,7 +934,7 @@ class ServingRuntime:
                 sync_events=sync_events,
                 oomed=oomed,
                 degraded=degraded,
-                charges=tuple(charges),
+                charges=tuple(filled.items()),
             ),
             kmap_hits,
         )

@@ -29,14 +29,14 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.gpusim.engine import estimate_trace_us
 from repro.hw.specs import DeviceSpec, get_device
-from repro.nn.mapping_cost import map_reorder_trace
-from repro.nn.context import GroupPolicy, LayerConfig, LayerRecord, Role, Signature
+from repro.nn.context import GroupPolicy, LayerConfig, Role, Signature
+from repro.nn.conv import backward_prep_identity, backward_prep_trace
 from repro.nn.module import Module
 from repro.precision import Precision
 from repro.sparse.tensor import SparseTensor
 from repro.tune.groups import probe_samples
-from repro.tune.space import DesignSpace, TORCHSPARSEPP_SPACE
-from repro.tune.tuner import SparseAutotuner
+from repro.tune.space import TORCHSPARSEPP_SPACE, DesignSpace
+from repro.tune.tuner import group_latency_us, sample_mean
 
 #: tensor:CUDA throughput ratio above which mapping overhead dominates and
 #: the sparse-mapping-oriented scheme wins (A100 is 16x, 2080 Ti is 3x).
@@ -96,27 +96,6 @@ class TrainingTuner:
         self.default = default or LayerConfig()
         self.scheme = scheme  # None = pick by device
 
-    # ------------------------------------------------------------------ #
-    def _roles_latency_us(
-        self,
-        tuner: SparseAutotuner,
-        records: Sequence[LayerRecord],
-        config: LayerConfig,
-        roles: Tuple[Role, ...],
-        device: DeviceSpec,
-        precision: Precision,
-        cache: Dict,
-    ) -> float:
-        """Latency of the given roles of a group under one config."""
-        total = 0.0
-        for i, record in enumerate(records):
-            for role in roles:
-                total += tuner._layer_latency_us(
-                    record, config, device, precision,
-                    charge_mapping=(i == 0), cache=cache, role=role,
-                )
-        return total
-
     def tune(
         self,
         model: Module,
@@ -129,39 +108,38 @@ class TrainingTuner:
         precision = Precision.parse(precision)
         scheme = self.scheme or pick_binding_scheme(device)
         start = time.perf_counter()
-        tuner = SparseAutotuner(space=self.space, default=self.default)
-
         ordered, per_sample = probe_samples(model, samples)
 
-        cache: Dict = {}
+        memo: Dict[tuple, float] = {}
+        costs: Dict[Tuple[Signature, int, Tuple[Role, ...]], float] = {}
 
-        def cost(sig: Signature, config: LayerConfig, roles) -> float:
-            return sum(
-                self._roles_latency_us(
-                    tuner, by_sig.get(sig, []), config, roles,
-                    device, precision, cache,
+        def cost(
+            sig: Signature, config: LayerConfig, roles: Tuple[Role, ...]
+        ) -> float:
+            # The forward's storage-order conversion is not in this
+            # objective, though execution charges it.
+            key = (sig, id(config), roles)
+            if key not in costs:
+                costs[key] = sample_mean(
+                    per_sample, sig,
+                    lambda records: group_latency_us(
+                        records, config, device, precision, memo,
+                        roles=roles, conversion=False,
+                    ),
                 )
-                for by_sig in per_sample
-            ) / len(per_sample)
+            return costs[key]
 
-        def prep_penalty(sig: Signature, dgrad_cfg: LayerConfig,
-                         wgrad_cfg: LayerConfig) -> float:
-            """Backward map-preparation cost when dgrad and wgrad use
-            different configs: the two backward kernels share the same
-            maps (Figure 13), so a bound pair prepares them once while a
-            decoupled pair prepares them twice."""
-            if dgrad_cfg == wgrad_cfg:
-                return 0.0
-            total = 0.0
-            for by_sig in per_sample:
-                records = by_sig.get(sig, [])
-                if not records:
-                    continue
-                total += estimate_trace_us(
-                    map_reorder_trace(records[0].kmap, "bwd_prep"),
-                    device, precision,
-                )
-            return total / len(per_sample)
+        def prep_us(sig: Signature) -> float:
+            """The extra backward map preparation a group pays when dgrad
+            and wgrad prepare differently: the two backward kernels share
+            the same maps (Figure 13), so a bound pair prepares them once
+            while a decoupled pair prepares them twice."""
+            return sample_mean(
+                per_sample, sig,
+                lambda records: estimate_trace_us(
+                    backward_prep_trace(records[0].kmap), device, precision
+                ) if records else 0.0,
+            )
 
         assignment: Dict[Signature, Dict[Role, LayerConfig]] = {}
         all_roles = (Role.FORWARD, Role.DGRAD, Role.WGRAD)
@@ -181,8 +159,9 @@ class TrainingTuner:
             else:
                 # Paper's O(K^2): joint search over the two bound sets,
                 # including the backward map-preparation penalty when
-                # dgrad and wgrad end up with different configs.
+                # dgrad and wgrad end up preparing maps differently.
                 set_a, set_b = role_sets
+                prep = prep_us(sig)
                 best_total = float("inf")
                 by_role = {}
                 for cfg_a in self.space:
@@ -192,12 +171,13 @@ class TrainingTuner:
                             **{r: cfg_a for r in set_a},
                             **{r: cfg_b for r in set_b},
                         }
+                        shared = backward_prep_identity(
+                            cfg_of[Role.DGRAD]
+                        ) == backward_prep_identity(cfg_of[Role.WGRAD])
                         total = (
                             cost_a
                             + cost(sig, cfg_b, set_b)
-                            + prep_penalty(
-                                sig, cfg_of[Role.DGRAD], cfg_of[Role.WGRAD]
-                            )
+                            + (0.0 if shared else prep)
                         )
                         if total < best_total:
                             best_total = total

@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.gpusim.engine import estimate_trace_us
+from repro.gpusim.trace import KernelTrace
 from repro.hw.specs import DeviceSpec, get_device
-from repro.kernels.registry import trace_dataflow
 from repro.nn.context import GroupPolicy, LayerConfig, LayerRecord, Role, Signature
+from repro.nn.conv import conv_pass_trace, structure_conversion_trace
 from repro.nn.module import Module
 from repro.precision import Precision
 from repro.sparse.tensor import SparseTensor
-from repro.tune.groups import probe_samples
-from repro.tune.space import DesignSpace, TORCHSPARSEPP_SPACE
+from repro.tune.groups import Groups, probe_samples
+from repro.tune.space import TORCHSPARSEPP_SPACE, DesignSpace
 
 
 @dataclasses.dataclass
@@ -65,6 +66,59 @@ class TuningReport:
         return "\n".join(lines)
 
 
+def group_latency_us(
+    records: Sequence[LayerRecord],
+    config: LayerConfig,
+    device: DeviceSpec,
+    precision: Precision,
+    memo: Dict[tuple, float],
+    roles: Tuple[Role, ...] = (Role.FORWARD,),
+    conversion: bool = True,
+) -> float:
+    """Simulated latency of the ``roles`` passes of one group's layers
+    under ``config``, priced from the traces the layers execute
+    (:func:`~repro.nn.conv.conv_pass_trace`).  The first layer pays the
+    group's map preparation and, with ``conversion``, the map's
+    storage-order conversion — the asymmetry behind Figure 18's
+    per-group dataflow choices.  ``memo`` keeps prices across calls."""
+
+    def priced(key: tuple, trace: Callable[[], KernelTrace]) -> float:
+        key += (device.name, precision)
+        if key not in memo:
+            memo[key] = estimate_trace_us(trace(), device, precision)
+        return memo[key]
+
+    total = 0.0
+    for i, r in enumerate(records):
+        first = i == 0
+        for role in roles:
+            total += priced(
+                (id(r.kmap), r.c_in, r.c_out, id(config), first, role),
+                lambda: conv_pass_trace(
+                    role, r.kmap, r.c_in, r.c_out, config, precision,
+                    charge_mapping=first,
+                ),
+            )
+        if first and conversion:
+            total += priced(
+                ("convert", id(r.kmap), config.dataflow.weight_stationary),
+                lambda: structure_conversion_trace(r.kmap, config),
+            )
+    return total
+
+
+def sample_mean(
+    per_sample: Sequence[Groups],
+    sig: Signature,
+    cost: Callable[[Sequence[LayerRecord]], float],
+) -> float:
+    """Mean over the probe samples of ``cost`` of group ``sig``'s records
+    (empty in a sample the group does not occur in)."""
+    return sum(cost(by_sig.get(sig, [])) for by_sig in per_sample) / len(
+        per_sample
+    )
+
+
 class SparseAutotuner:
     """Search the design space for the best per-group configuration."""
 
@@ -75,101 +129,6 @@ class SparseAutotuner:
     ):
         self.space = space
         self.default = default or LayerConfig()
-
-    # ------------------------------------------------------------------ #
-    def _layer_latency_us(
-        self,
-        record: LayerRecord,
-        config: LayerConfig,
-        device: DeviceSpec,
-        precision: Precision,
-        charge_mapping: bool,
-        cache: Dict,
-        role: Role = Role.FORWARD,
-    ) -> float:
-        key = (id(record.kmap), record.c_in, record.c_out, id(config),
-               charge_mapping, role, device.name, precision)
-        if key not in cache:
-            kmap = record.kmap
-            c_in, c_out = record.c_in, record.c_out
-            if role is Role.DGRAD:
-                kmap = kmap.transposed()
-                c_in, c_out = c_out, c_in
-            if role is Role.WGRAD:
-                from repro.kernels.wgrad import wgrad_trace
-
-                from repro.kernels.registry import Dataflow
-
-                trace = wgrad_trace(
-                    kmap, record.c_in, record.c_out,
-                    schedule=config.schedule, precision=precision,
-                    gathered=config.dataflow.value.startswith("gather"),
-                    sorted_maps=(
-                        config.dataflow is Dataflow.IMPLICIT_GEMM
-                        and config.ig_config.sort
-                    ),
-                    tensor_cores=config.tensor_cores,
-                )
-            else:
-                trace = trace_dataflow(
-                    config.dataflow, kmap, c_in, c_out,
-                    schedule=config.schedule, precision=precision,
-                    ig_config=config.ig_config,
-                    tensor_cores=config.tensor_cores,
-                    charge_mapping=charge_mapping,
-                )
-            cache[key] = estimate_trace_us(trace, device, precision)
-        return cache[key]
-
-    def _structure_conversion_us(
-        self,
-        record: LayerRecord,
-        config: LayerConfig,
-        device: DeviceSpec,
-        precision: Precision,
-        cache: Dict,
-    ) -> float:
-        """Map storage-order conversion cost (once per group).
-
-        Weight-stationary dataflows on hash-built (output-stationary) maps
-        and implicit GEMM on transposed (weight-stationary) maps both pay
-        one reordering pass — the asymmetry behind Figure 18's per-group
-        dataflow choices.
-        """
-        kmap = record.kmap
-        if kmap.volume <= 1:
-            return 0.0
-        if config.dataflow.weight_stationary == kmap.native_weight_stationary:
-            return 0.0
-        key = ("convert", id(kmap), config.dataflow.weight_stationary,
-               device.name, precision)
-        if key not in cache:
-            from repro.nn.mapping_cost import map_reorder_trace
-
-            cache[key] = estimate_trace_us(
-                map_reorder_trace(kmap, "convert"), device, precision
-            )
-        return cache[key]
-
-    def _group_latency_us(
-        self,
-        records: Sequence[LayerRecord],
-        config: LayerConfig,
-        device: DeviceSpec,
-        precision: Precision,
-        cache: Dict,
-    ) -> float:
-        total = 0.0
-        for i, record in enumerate(records):
-            total += self._layer_latency_us(
-                record, config, device, precision,
-                charge_mapping=(i == 0), cache=cache,
-            )
-            if i == 0:
-                total += self._structure_conversion_us(
-                    record, config, device, precision, cache
-                )
-        return total
 
     # ------------------------------------------------------------------ #
     def tune(
@@ -191,7 +150,7 @@ class SparseAutotuner:
 
         ordered, per_sample_records = probe_samples(model, samples)
 
-        cache: Dict = {}
+        memo: Dict[tuple, float] = {}
         # Each (group, config) cost is evaluated once: the greedy loop
         # below re-reads every group's cost for every candidate.
         costs: Dict[Tuple[Signature, int], float] = {}
@@ -199,12 +158,12 @@ class SparseAutotuner:
         def group_cost(sig: Signature, config: LayerConfig) -> float:
             key = (sig, id(config))
             if key not in costs:
-                costs[key] = sum(
-                    self._group_latency_us(
-                        by_sig.get(sig, []), config, device, precision, cache
-                    )
-                    for by_sig in per_sample_records
-                ) / len(per_sample_records)
+                costs[key] = sample_mean(
+                    per_sample_records, sig,
+                    lambda records: group_latency_us(
+                        records, config, device, precision, memo
+                    ),
+                )
             return costs[key]
 
         # Greedy group-by-group exhaustive search on end-to-end latency.

@@ -177,3 +177,51 @@ class TestEvictingBatches:
         )
         assert (cache.hits, cache.misses, cache.evictions) == (2, 5, 3)
         assert cache.warm_keys() == reference.warm_keys() == tuple(_keys(1, 2))
+
+    def test_refill_within_a_batch_keeps_the_scene_charge(self):
+        """A scene evicted and re-filled inside one cold batch is stored
+        with the charge keys of its first fill, so its next batch is
+        warm: a kmap hit with no mapping work."""
+        from repro.serve import ServeConfig, ServingRuntime
+        from repro.serve.request import InferenceRequest
+        from repro.serve.runtime import DeviceReplica
+
+        runtime = ServingRuntime(ServeConfig(
+            device="a100", scene_scale=0.05, kmap_cache_size=1,
+            lint_admission=False,
+        ))
+        request_ids = iter(range(100))
+
+        def run(replica, *seeds):
+            batch = [
+                InferenceRequest(
+                    request_id=i, workload_id="SK-M-0.5", stream_id=seed,
+                    frame_index=i, scene_seed=seed, arrival_ms=0.0,
+                    deadline_ms=1000.0,
+                )
+                for seed, i in zip(seeds, request_ids)
+            ]
+            return runtime._execute(batch, 0.0, replica)
+
+        def replica():
+            return DeviceReplica(
+                index=0, spec=runtime.device, kmap_cache=KmapCache(capacity=1)
+            )
+
+        reference = replica()
+        first = run(reference, 11)
+        warm = run(reference, 11)
+        assert warm.kmap_hits == [True]
+        assert warm.stages.get("mapping", 0.0) == 0.0 < first.stages["mapping"]
+
+        churned = replica()
+        assert run(churned, 11, 22, 11).kmap_hits == [False, False, False]
+        (key,) = _keys(11)
+        assert (
+            churned.kmap_cache.peek(key).charge_keys
+            == reference.kmap_cache.peek(key).charge_keys
+        )
+        after = run(churned, 11)
+        assert after.kmap_hits == [True]
+        assert after.stages == warm.stages
+        assert after.service_ms == warm.service_ms

@@ -90,7 +90,8 @@ class TestScheduledOnce:
         monkeypatch.setattr(opt_schedule, "best_schedule", counting)
         ctx = ExecutionContext(simulate_only=True, gpu_streams=4)
         MinkUNet(in_channels=4, num_classes=5, width=0.25)(cloud(), ctx)
-        latency_us, events = ctx.scheduled_latency()
+        run = ctx.execution()
+        latency_us, events = run.latency_us, run.sync_events
         # The check verifies the schedule that was priced: no second one.
         assert calls == [4]
         assert latency_us > 0 and events > 0

@@ -170,7 +170,8 @@ def test_map_sizes_counted_once_and_read_only():
 def test_scheduled_latency_equals_estimate():
     ctx = ExecutionContext(simulate_only=True, gpu_streams=2)
     MinkUNet(in_channels=4, num_classes=5, width=0.25)(cloud(), ctx)
-    latency_us, events = ctx.scheduled_latency()
+    run = ctx.execution()
+    latency_us, events = run.latency_us, run.sync_events
     schedule = ctx.execution().schedule
     assert latency_us == ctx.latency_us() == schedule.makespan_us
     assert events == len(schedule.events) > 0

@@ -19,6 +19,7 @@ from repro.tune import (
     pick_binding_scheme,
     save_policy,
 )
+from repro.tune import tuner as tuner_module
 from repro.tune.space import split_space
 
 
@@ -148,13 +149,13 @@ class TestSparseAutotuner:
         samples = [cloud(seed=0), cloud(seed=1)]
         tuner = SparseAutotuner()
         calls = []
-        real = SparseAutotuner._group_latency_us
+        real = tuner_module.group_latency_us
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return real(self, *args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(SparseAutotuner, "_group_latency_us", counting)
+        monkeypatch.setattr(tuner_module, "group_latency_us", counting)
         _, report = tuner.tune(tiny_model, samples, "3090", "fp16")
         groups = len(report.groups)
         # At most one evaluation per (group, candidate-or-default) per sample.
@@ -192,7 +193,7 @@ def _uncached_greedy(tuner, model, samples, device="3090", precision="fp16"):
 
     def group_cost(sig, config):
         return sum(
-            tuner._group_latency_us(
+            tuner_module.group_latency_us(
                 by_sig.get(sig, []), config, device, precision, cache
             )
             for by_sig in per_sample
