@@ -485,11 +485,14 @@ def check_depgraph(
     trace: "KernelTrace | Sequence[KernelLaunch]",
     device: Optional[DeviceSpec] = None,
     precision: Optional[Precision] = None,
+    graph: Optional[DependenceGraph] = None,
 ) -> List[TraceViolation]:
     """All dependence checks; latency cross-validation when a target is
-    given."""
+    given.  ``graph`` is the trace's :class:`DependenceGraph` when the
+    caller already built it."""
     launches = list(trace)
-    graph = DependenceGraph.build(launches)
+    if graph is None:
+        graph = DependenceGraph.build(launches)
     violations = check_dependences(launches, graph)
     if device is not None and precision is not None:
         violations.extend(
@@ -512,7 +515,7 @@ def depgraph_report_json(
             "launch": v.launch,
             "message": v.message,
         }
-        for v in check_depgraph(trace, device, precision)
+        for v in check_depgraph(trace, device, precision, graph)
     ]
     return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from typing import (
     TYPE_CHECKING,
@@ -45,6 +46,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:
+    from repro.analyze.depgraph import DependenceGraph
     from repro.opt.schedule import StreamSchedule
 
 from repro.analyze.ir import ModelIR
@@ -134,45 +136,47 @@ class LintContext:
     #: Optional kernel trace of one executed (or simulated) run; the
     #: dependence/liveness rules are skipped when no trace is supplied.
     trace: Optional[KernelTrace] = None
-    _trace_violations: Optional[List[TraceViolation]] = dataclasses.field(
-        default=None, repr=False
-    )
-    _schedule: Optional["StreamSchedule"] = dataclasses.field(
-        default=None, repr=False
-    )
 
     def layer_config(self, signature: Any) -> LayerConfig:
         if self.policy is None:
             return LayerConfig()
         return self.policy.config(signature, Role.FORWARD)
 
+    @functools.cached_property
+    def graph(self) -> "DependenceGraph":
+        """Dependence graph of ``trace`` (requires one), built once for
+        every rule that reads it."""
+        from repro.analyze.depgraph import DependenceGraph
+
+        assert self.trace is not None
+        return DependenceGraph.build(self.trace)
+
+    @functools.cached_property
     def trace_violations(self) -> List[TraceViolation]:
-        """Depgraph violations of ``trace`` (cached; [] without one)."""
+        """Depgraph violations of ``trace`` ([] without one)."""
         if self.trace is None:
             return []
-        if self._trace_violations is None:
-            from repro.analyze.depgraph import check_depgraph
+        from repro.analyze.depgraph import check_depgraph
 
-            self._trace_violations = check_depgraph(
-                self.trace, device=self.device, precision=self.precision
-            )
-        return self._trace_violations
+        return check_depgraph(
+            self.trace, self.device, self.precision, self.graph
+        )
 
+    @functools.cached_property
     def stream_schedule(self) -> Optional["StreamSchedule"]:
         """Sync-aware best schedule of ``trace`` at the lint stream count
-        (cached; ``None`` without a trace)."""
+        (``None`` without a trace)."""
         if self.trace is None or len(self.trace) == 0:
             return None
-        if self._schedule is None:
-            from repro.opt.schedule import best_schedule
+        from repro.opt.schedule import best_schedule
 
-            self._schedule = best_schedule(
-                self.trace,
-                self.device,
-                self.precision,
-                LINT_SCHEDULE_STREAMS,
-            )
-        return self._schedule
+        return best_schedule(
+            self.trace,
+            self.device,
+            self.precision,
+            LINT_SCHEDULE_STREAMS,
+            self.graph,
+        )
 
 
 RuleFunc = Callable[[LintContext], List[Finding]]
@@ -601,7 +605,7 @@ def _depgraph_findings(
     ctx: LintContext, rule: str, invariants: Sequence[str]
 ) -> List[Finding]:
     findings: List[Finding] = []
-    for violation in ctx.trace_violations():
+    for violation in ctx.trace_violations:
         if violation.invariant not in invariants:
             continue
         findings.append(
@@ -668,12 +672,10 @@ PARALLELISM_INFO_THRESHOLD = 1.5
 def _rule_launch_parallelism(ctx: LintContext) -> List[Finding]:
     if ctx.trace is None or len(ctx.trace) == 0:
         return []
-    from repro.analyze.depgraph import DependenceGraph
     from repro.gpusim.engine import launch_prices
 
-    graph = DependenceGraph.build(ctx.trace)
     prices = launch_prices(ctx.trace, ctx.device, ctx.precision)
-    _, span = graph.critical_path(ctx.device, ctx.precision, prices)
+    _, span = ctx.graph.critical_path(ctx.device, ctx.precision, prices)
     if span <= 0.0:
         return []
     serialized = sum(prices)
@@ -709,7 +711,7 @@ def _rule_launch_parallelism(ctx: LintContext) -> List[Finding]:
     "every cross-stream dependence needs a happens-before sync event",
 )
 def _rule_unsynchronized_cross_stream(ctx: LintContext) -> List[Finding]:
-    schedule = ctx.stream_schedule()
+    schedule = ctx.stream_schedule
     if schedule is None:
         return []
     from repro.analyze.hb import check_schedule
@@ -725,7 +727,7 @@ def _rule_unsynchronized_cross_stream(ctx: LintContext) -> List[Finding]:
     )
     seen = {(f.path, f.message) for f in findings}
     assert ctx.trace is not None
-    for violation in check_schedule(ctx.trace, schedule):
+    for violation in check_schedule(ctx.trace, schedule, ctx.graph):
         key = (violation.launch or "<schedule>", violation.message)
         if key in seen:
             continue
@@ -747,7 +749,7 @@ def _rule_unsynchronized_cross_stream(ctx: LintContext) -> List[Finding]:
     "sync events already implied by happens-before are pure overhead",
 )
 def _rule_redundant_sync(ctx: LintContext) -> List[Finding]:
-    schedule = ctx.stream_schedule()
+    schedule = ctx.stream_schedule
     if schedule is None:
         return []
     from repro.analyze.hb import find_redundant_events
@@ -802,7 +804,7 @@ def _rule_redundant_sync(ctx: LintContext) -> List[Finding]:
     "multi-stream overlap must pay for its synchronization",
 )
 def _rule_sync_overhead_dominates(ctx: LintContext) -> List[Finding]:
-    schedule = ctx.stream_schedule()
+    schedule = ctx.stream_schedule
     if schedule is None:
         return []
     from repro.opt.schedule import best_schedule
@@ -810,7 +812,8 @@ def _rule_sync_overhead_dominates(ctx: LintContext) -> List[Finding]:
     assert ctx.trace is not None
     free_device = dataclasses.replace(ctx.device, sync_event_us=0.0)
     ideal = best_schedule(
-        ctx.trace, free_device, ctx.precision, LINT_SCHEDULE_STREAMS
+        ctx.trace, free_device, ctx.precision, LINT_SCHEDULE_STREAMS,
+        ctx.graph,
     )
     win = ideal.serialized_us - ideal.makespan_us
     if win <= 0.0:

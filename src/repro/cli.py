@@ -681,8 +681,8 @@ def _cmd_depgraph(args) -> int:
             for r in results
         ]
 
-    violations = check_depgraph(trace, device, precision)
     graph = DependenceGraph.build(trace)
+    violations = check_depgraph(trace, device, precision, graph)
     prices = launch_prices(trace, device, precision)
     schedule = None
     loaded_schedule = False

@@ -60,7 +60,6 @@ class FootprintReport:
     weights_bytes: float
     peak_feature_bytes: float
     peak_workspace_bytes: float
-    latency_us: float
     layers: Tuple[LayerFootprint, ...]
 
     @property
@@ -159,7 +158,6 @@ def model_footprint(
     layer_rows: Dict[str, LayerFootprint] = {}
     peak_feature = 0.0
     peak_workspace = 0.0
-    latency_us = 0.0
     for chunk in _chunked(samples, batch_chunks):
         ctx = ExecutionContext(
             device=device,
@@ -198,7 +196,6 @@ def model_footprint(
         peak_workspace = max(
             peak_workspace, ctx.trace.summary().peak_workspace_bytes
         )
-        latency_us += ctx.latency_us()
         for launch in ctx.trace:
             label = launch.name.split("/", 1)[0]
             row = layer_rows.get(label)
@@ -213,7 +210,6 @@ def model_footprint(
         weights_bytes=weights,
         peak_feature_bytes=peak_feature,
         peak_workspace_bytes=peak_workspace,
-        latency_us=latency_us,
         layers=tuple(layer_rows[k] for k in sorted(layer_rows)),
     )
 

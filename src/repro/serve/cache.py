@@ -26,6 +26,10 @@ The runtime's one serving memo sits on top: per-sample costs keyed by
 (workload, scene, warmth, policy version, degraded).  On one GPU stream,
 when no put in a batch can evict (:meth:`KmapCache.may_evict`), a batch's
 cost composes from those entries; every other batch is simulated whole.
+Both paths walk a batch through the cache with one function
+(``repro.serve.runtime._walk_kmap_cache``): ``get`` each scene,
+pre-charge a hit with its entry's keys, ``put`` a miss with the keys of
+the scene's first fill in the batch.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.nn.context import GroupPolicy
-from repro.sparse.tensor import SparseTensor
 
 #: Policy identity: (model key, device name, precision value).
 PolicyKey = Tuple[str, str, str]
@@ -113,21 +116,21 @@ class PolicyCache:
         return self.hits / total if total else 0.0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class KmapEntry:
-    """Warm kernel-map state for one scene geometry.
+    """Warm kernel-map state for one scene geometry: the one-shot charge
+    keys its first cold execution paid (map builds, bitmask sorts,
+    reorderings, structure conversions).
 
-    Holds the scene's :class:`SparseTensor` (whose ``MapCache`` owns the
-    kernel maps — keeping the tensor alive pins the maps' identities) and
-    the set of one-shot charge keys a cold execution paid: map builds,
-    bitmask sorts, reorderings, structure conversions.  A warm execution
-    pre-charges these keys so the simulated trace contains no mapping work,
-    exactly as a real engine skips rebuilding maps for an unchanged scene.
+    A warm execution pre-charges these keys so the simulated trace
+    contains no mapping work, exactly as a real engine skips rebuilding
+    maps for an unchanged scene.  The scene's tensor itself (whose
+    ``MapCache`` owns the maps) stays alive in the runtime's scene
+    provider, which keeps every map's identity — and so every charge
+    key — stable across requests.
     """
 
-    sample: SparseTensor
     charge_keys: FrozenSet[tuple]
-    uses: int = 0
 
 
 class KmapCache:
@@ -149,7 +152,6 @@ class KmapCache:
             return None
         self._entries.move_to_end(scene_key)
         self.hits += 1
-        entry.uses += 1
         return entry
 
     def put(self, scene_key: tuple, entry: KmapEntry) -> KmapEntry:
@@ -172,8 +174,8 @@ class KmapCache:
         return tuple(self._entries)
 
     def peek(self, scene_key: tuple) -> Optional[KmapEntry]:
-        """Entry for ``scene_key`` without touching hit/miss accounting,
-        use counts or LRU order (pure inspection, like ``in``)."""
+        """Entry for ``scene_key`` without touching hit/miss accounting
+        or LRU order (pure inspection, like ``in``)."""
         return self._entries.get(scene_key)
 
     def may_evict(self, scene_keys: Sequence[tuple]) -> bool:

@@ -47,7 +47,9 @@ import dataclasses
 import heapq
 import math
 import random
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import AdmissionError, ConfigError, SimulatedOOMError
 from repro.gpusim.engine import (
@@ -55,7 +57,7 @@ from repro.gpusim.engine import (
     launch_kind,
     memory_budget_bytes,
 )
-from repro.hw.specs import DeviceSpec, get_device
+from repro.hw.specs import get_device
 from repro.models.registry import Workload, get_workload
 from repro.nn.context import ExecutionContext, FixedPolicy, GroupPolicy, LayerConfig
 from repro.nn.module import Module
@@ -134,7 +136,8 @@ class ServeConfig:
         point_budget / max_batch_requests / batch_window_ms: dynamic
             batching knobs (see :class:`DynamicBatcher`).
         kmap_cache_size: LRU capacity of each replica's kernel-map reuse
-            cache, in scenes.
+            cache, in scenes; an entry holds the charge keys of the
+            scene's first cold fill.
         scene_scale: azimuth-resolution scale of generated scenes — a
             wall-clock knob only (simulated numbers scale with it but
             stay internally consistent; comparisons hold at any scale).
@@ -171,16 +174,18 @@ class ServeConfig:
             independent kernel launches on; ``> 1`` prices every batch
             with the dependence-aware multi-stream scheduler
             (:mod:`repro.opt.schedule`) instead of serializing launches,
-            and simulates every batch whole; on one stream batch costs
-            compose from per-sample memo entries.
+            and simulates every batch whole; on one stream, a batch with
+            no injected OOM whose cache puts cannot evict composes its
+            cost from per-sample memo entries.
         mem_headroom: fraction of each replica's DRAM reserved for what
             the simulator does not trace (CUDA context, fragmentation);
-            the usable budget is ``dram_bytes * (1 - mem_headroom)``.  A
-            batch whose modeled peak exceeds its replica's budget raises
-            a simulated OOM and is recovered in place via the degradation
-            ladder (:mod:`repro.resilience`); admission rejects models
-            whose static weight footprint alone exceeds the smallest
-            replica budget.
+            the usable budget is ``dram_bytes * (1 - mem_headroom)``,
+            computed once per runtime (:attr:`ServingRuntime.memory_budget`;
+            every replica runs the configured device).  A batch whose
+            modeled peak exceeds it is a simulated OOM, recovered in place
+            via the degradation ladder (:mod:`repro.resilience`);
+            admission rejects models whose static weight footprint alone
+            exceeds it.
         tenants: the tenant roster (:class:`TenantSpec`); empty serves a
             single implicit ``"default"`` tenant.  Tenants bring per-tenant
             quotas (token buckets), priority classes and retry budgets.
@@ -288,7 +293,6 @@ class DeviceReplica:
     """
 
     index: int
-    spec: DeviceSpec
     busy_ms: float = 0.0
     batches: int = 0
     inflight: int = 0
@@ -309,38 +313,92 @@ class DeviceReplica:
 
 
 @dataclasses.dataclass(frozen=True)
-class _BatchCost:
-    """Result of one batch's (simulated) model execution.
-
-    Everything downstream of :meth:`ServingRuntime._execute`'s expensive
-    portion — service time, stage breakdown, OOM/ladder outcome and the
-    per-scene kernel-map charge keys — as a pure value, returned by both
-    :meth:`ServingRuntime._compose_cost` and
-    :meth:`ServingRuntime._execute_cold`.
-    """
-
-    service_ms: float  # model + ladder retry + preprocess (no dispatch)
-    stages: Tuple[Tuple[str, float], ...]
-    ladder: Tuple[str, ...]
-    sync_events: int
-    oomed: bool
-    degraded: bool
-    #: Charge keys of each scene the execution cold-filled, keyed by
-    #: scene (a scene repeated in the batch fills once).
-    charges: Tuple[Tuple[tuple, FrozenSet[tuple]], ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class _BatchRun:
-    """One batch served by :meth:`ServingRuntime._execute`."""
+    """One batch served by :meth:`ServingRuntime._execute`, as either
+    cost path (:meth:`ServingRuntime._compose_cost` or
+    :meth:`ServingRuntime._execute_cold`) recorded it."""
 
-    service_ms: float  # including dispatch overhead
+    service_ms: float  # model + ladder retry + preprocess + dispatch
     policy_hit: bool
     degraded: bool
     kmap_hits: List[bool]  # per request, in batch order
     stages: Dict[str, float]  # stage breakdown in us
     ladder: Tuple[str, ...]  # degradation-ladder rungs taken
     sync_events: int
+    oomed: bool
+
+
+def _batch_run(
+    samples: Sequence[SparseTensor],
+    stages: Dict[str, float],
+    model_us: float,
+    policy_hit: bool,
+    degraded: bool,
+    kmap_hits: List[bool],
+    ladder: Tuple[str, ...] = (),
+    retry_us: float = 0.0,
+    sync_events: int = 0,
+    oomed: bool = False,
+) -> _BatchRun:
+    """The batch record both cost paths return: ``stages`` (launch kinds
+    in us) gain the host stages and any ladder retry, and the service
+    time adds the ladder retry, each request's preprocess and the
+    dispatch overhead to ``model_us``."""
+    preprocess_us = sum(PREPROCESS_US_PER_POINT * s.num_points for s in samples)
+    stages["host/preprocess"] = preprocess_us
+    if retry_us:
+        stages["resilience/ladder"] = retry_us
+    stages["host/dispatch"] = DISPATCH_OVERHEAD_US
+    return _BatchRun(
+        service_ms=(
+            (model_us + retry_us + preprocess_us) / 1e3
+            + DISPATCH_OVERHEAD_US / 1e3
+        ),
+        policy_hit=policy_hit,
+        degraded=degraded,
+        kmap_hits=kmap_hits,
+        stages=stages,
+        ladder=ladder,
+        sync_events=sync_events,
+        oomed=oomed,
+    )
+
+
+def _walk_kmap_cache(
+    batch: Sequence[InferenceRequest],
+    samples: Sequence[SparseTensor],
+    kmap_cache: KmapCache,
+    run: Callable[
+        [InferenceRequest, SparseTensor, Optional[FrozenSet[tuple]]],
+        FrozenSet[tuple],
+    ],
+    commit: bool = True,
+) -> List[bool]:
+    """Walk a batch through the kernel-map cache in batch order;
+    returns the per-request hits.
+
+    Each request ``get``s its scene and calls ``run(request, sample,
+    warmth)``, which returns the keys the execution charged.  A hit
+    runs pre-charged with its entry's keys; a miss runs cold, or with
+    the keys of the scene's first fill when a put earlier in the
+    batch evicted it, and ``put``s the keys of that first fill.
+    ``commit=False`` only ``peek``s and never puts: the same warmth
+    sequence, valid whenever no put in the batch can evict.
+    """
+    filled: Dict[tuple, FrozenSet[tuple]] = {}
+    hits: List[bool] = []
+    lookup = kmap_cache.get if commit else kmap_cache.peek
+    for request, sample in zip(batch, samples):
+        key = request.scene_key
+        entry = lookup(key)
+        hits.append(entry is not None)
+        warmth = entry.charge_keys if entry is not None else filled.get(key)
+        charge = run(request, sample, warmth)
+        if entry is None:
+            charge = filled.setdefault(key, charge)
+            if commit:
+                kmap_cache.put(key, KmapEntry(charge_keys=charge))
+    return hits
 
 
 @dataclasses.dataclass(frozen=True)
@@ -348,18 +406,19 @@ class _SampleCost:
     """Memoized single-sample simulation at a fixed cache warmth.
 
     On one GPU stream the simulated trace serializes, so every batch
-    quantity is a per-sample sum (latency, stage breakdown, preprocess,
-    co-resident feature bytes) or max (liveness-aware peak workspace) —
+    quantity is a per-sample sum (latency, stage breakdown, co-resident
+    feature bytes) or max (liveness-aware peak workspace) —
     scene charge keys are per-kernel-map and disjoint across scenes, so
     a sample's cost is independent of its batchmates.  Batch costs
     compose from these (:meth:`ServingRuntime._compose_cost`), which
     collapses the memo space from "every distinct batch composition"
-    to "every distinct (scene, warmth)".
+    to "every distinct (scene, warmth)"; each request's warmth is the
+    one :func:`_walk_kmap_cache` hands it.  Preprocess depends only on
+    the scene's point count and is added per batch.
     """
 
     latency_us: float
     stages: Tuple[Tuple[str, float], ...]
-    preprocess_us: float
     feature_bytes: float
     peak_workspace_bytes: float
     charge: FrozenSet[tuple]  # keys a cold fill would record (empty if warm)
@@ -373,12 +432,9 @@ class _Attempt:
     batch_id: int
     start_ms: float
     finish_ms: float
-    service_ms: float
+    service_ms: float  # the run's, slowed by faults and failure
     failed: bool
-    policy_hit: bool
-    degraded: bool
-    kmap_hits: List[bool]
-    ladder: Tuple[str, ...] = ()
+    run: _BatchRun
 
 
 class SceneProvider:
@@ -651,56 +707,23 @@ class ServingRuntime:
         policy, policy_hit, degraded = self._resolve_policy(batch, now)
         kmap_cache = replica.kmap_cache
         samples = [self.scenes.sample(workload, r) for r in batch]
-        # One GPU stream and no possible eviction: per-scene costs are
-        # independent of batchmates and batch order, so the batch cost
-        # composes from per-sample memo entries.  Pure — the get/put
-        # sequence is replayed below from the recorded charge keys.
-        cost: Optional[_BatchCost] = None
-        if self.config.gpu_streams == 1 and not kmap_cache.may_evict(
-            [r.scene_key for r in batch]
+        # One GPU stream, no possible eviction and no injected OOM:
+        # per-scene costs are independent of batchmates and batch order,
+        # so the batch cost composes from per-sample memo entries.
+        if (
+            self.config.gpu_streams == 1
+            and not forced_oom
+            and not kmap_cache.may_evict([r.scene_key for r in batch])
         ):
-            cost = self._compose_cost(
+            run = self._compose_cost(
                 batch, samples, kmap_cache, model, workload_id, policy,
-                degraded, replica.spec, forced_oom,
+                policy_hit, degraded,
             )
-        if cost is None:
-            cost, kmap_hits = self._execute_cold(
-                batch, samples, kmap_cache, model, workload_id, policy,
-                degraded, replica.spec, forced_oom,
-            )
-        else:
-            # Replay the cold execution's cache sequence (same gets, same
-            # fills from the per-scene charge keys), so cache accounting
-            # and future warmth match having simulated the batch whole.
-            charge_by_scene = dict(cost.charges)
-            kmap_hits = []
-            for request, sample in zip(batch, samples):
-                entry = kmap_cache.get(request.scene_key)
-                hit = entry is not None
-                kmap_hits.append(hit)
-                if not hit:
-                    kmap_cache.put(
-                        request.scene_key,
-                        KmapEntry(
-                            sample=sample,
-                            charge_keys=charge_by_scene.get(
-                                request.scene_key, frozenset()
-                            ),
-                        ),
-                    )
-        if cost.oomed:
-            replica.ooms += 1
-        stages = dict(cost.stages)
-        stages["host/dispatch"] = DISPATCH_OVERHEAD_US
-        service_ms = cost.service_ms + DISPATCH_OVERHEAD_US / 1e3
-        return _BatchRun(
-            service_ms=service_ms,
-            policy_hit=policy_hit,
-            degraded=cost.degraded,
-            kmap_hits=kmap_hits,
-            stages=stages,
-            ladder=cost.ladder,
-            sync_events=cost.sync_events,
+            if run is not None:
+                return run
+        return self._execute_cold(
+            batch, samples, kmap_cache, model, workload_id, policy,
+            policy_hit, degraded, forced_oom,
         )
 
     def _compose_cost(
@@ -711,62 +734,55 @@ class ServingRuntime:
         model: Module,
         workload_id: str,
         policy: object,
+        policy_hit: bool,
         degraded: bool,
-        spec: DeviceSpec,
-        forced_oom: bool,
-    ) -> Optional[_BatchCost]:
-        """Compose a batch's :class:`_BatchCost` from per-sample memo
+    ) -> Optional[_BatchRun]:
+        """Compose a batch's :class:`_BatchRun` from per-sample memo
         entries (valid only on one GPU stream when no put in the batch
-        can evict).  Pure — no cache mutation; the caller replays the
-        get/put sequence.  Returns ``None`` when the batch needs the full
-        path: an injected OOM, or a modeled peak over budget (the
-        degradation ladder re-executes the whole batch).
+        can evict).  A walk that leaves the cache untouched prices every
+        request first; only a batch that fits the memory budget then
+        walks the cache for real.  Returns ``None`` when the modeled peak
+        is over budget: the degradation ladder re-executes the whole
+        batch on the cold path.
         """
-        if forced_oom:
-            return None
         version = self.policy_cache.version
-        filled: Dict[tuple, FrozenSet[tuple]] = {}
-        charges: List[Tuple[tuple, FrozenSet[tuple]]] = []
-        latency_us = 0.0
-        stages: Dict[str, float] = {}
-        preprocess_us = 0.0
-        feature_bytes = 0.0
-        peak_workspace = 0.0
-        for request, sample in zip(batch, samples):
-            key = request.scene_key
-            entry = kmap_cache.peek(key)
-            warmth = (
-                entry.charge_keys if entry is not None else filled.get(key)
-            )
-            sample_key = (workload_id, key, warmth, version, degraded)
-            cost = self._sample_memo.get(sample_key)
+        costs: List[_SampleCost] = []
+
+        def price(
+            request: InferenceRequest,
+            sample: SparseTensor,
+            warmth: Optional[FrozenSet[tuple]],
+        ) -> FrozenSet[tuple]:
+            memo_key = (workload_id, request.scene_key, warmth, version, degraded)
+            cost = self._sample_memo.get(memo_key)
             if cost is None:
                 cost = self._simulate_sample(
                     sample, model, policy, degraded, warmth
                 )
-                self._sample_memo[sample_key] = cost
-            if entry is None and key not in filled:
-                filled[key] = cost.charge
-                charges.append((key, cost.charge))
+                self._sample_memo[memo_key] = cost
+            costs.append(cost)
+            return cost.charge
+
+        _walk_kmap_cache(batch, samples, kmap_cache, price, commit=False)
+        resident = self._weight_bytes[workload_id] + sum(
+            cost.feature_bytes for cost in costs
+        )
+        peak_workspace = max(cost.peak_workspace_bytes for cost in costs)
+        if peak_workspace + resident > self.memory_budget:
+            return None
+        latency_us = 0.0
+        stages: Dict[str, float] = {}
+        for cost in costs:
             latency_us += cost.latency_us
             for stage, us in cost.stages:
                 stages[stage] = stages.get(stage, 0.0) + us
-            preprocess_us += cost.preprocess_us
-            feature_bytes += cost.feature_bytes
-            peak_workspace = max(peak_workspace, cost.peak_workspace_bytes)
-        budget = memory_budget_bytes(spec, self.config.mem_headroom)
-        resident = self._weight_bytes[workload_id] + feature_bytes
-        if peak_workspace + resident > budget:
-            return None
-        stages["host/preprocess"] = preprocess_us
-        return _BatchCost(
-            service_ms=(latency_us + preprocess_us) / 1e3,
-            stages=tuple(stages.items()),
-            ladder=(),
-            sync_events=0,
-            oomed=False,
-            degraded=degraded,
-            charges=tuple(charges),
+        charges = iter(costs)
+        kmap_hits = _walk_kmap_cache(
+            batch, samples, kmap_cache,
+            lambda request, sample, warmth: next(charges).charge,
+        )
+        return _batch_run(
+            samples, stages, latency_us, policy_hit, degraded, kmap_hits
         )
 
     def _forward(
@@ -812,7 +828,6 @@ class ServingRuntime:
         return _SampleCost(
             latency_us=run.latency_us,
             stages=tuple(run.split_us(launch_kind).items()),
-            preprocess_us=PREPROCESS_US_PER_POINT * sample.num_points,
             feature_bytes=feature_bytes,
             peak_workspace_bytes=ctx.trace.summary().peak_workspace_bytes,
             charge=(
@@ -829,12 +844,13 @@ class ServingRuntime:
         model: Module,
         workload_id: str,
         policy: object,
+        policy_hit: bool,
         degraded: bool,
-        spec: DeviceSpec,
         forced_oom: bool,
-    ) -> Tuple[_BatchCost, List[bool]]:
-        """Actually simulate one batch; returns (:class:`_BatchCost`,
-        per-request kmap hits)."""
+    ) -> _BatchRun:
+        """Actually simulate one batch in one shared context, walking the
+        cache between forwards (a put may evict a scene a later request
+        of the batch reads)."""
         ctx = ExecutionContext(
             device=self.device,
             precision=self.precision,
@@ -843,60 +859,43 @@ class ServingRuntime:
             adaptive_tiling=not degraded,
             gpu_streams=self.config.gpu_streams,
         )
-        filled: Dict[tuple, FrozenSet[tuple]] = {}
-        kmap_hits: List[bool] = []
-        preprocess_us = 0.0
-        feature_bytes = 0.0
-        for request, sample in zip(batch, samples):
-            key = request.scene_key
-            entry = kmap_cache.get(key)
-            hit = entry is not None
-            kmap_hits.append(hit)
-            if entry is not None:
-                ctx.precharge(entry.charge_keys)
-            before = ctx.charged_keys()
-            sample_feature_bytes = self._forward(model, sample, ctx)
-            if not hit:
-                # A scene evicted and re-filled within this batch keeps
-                # the charge its first fill recorded: the shared context
-                # already paid those keys, so the difference is empty.
-                charge = filled.setdefault(
-                    key, frozenset(ctx.charged_keys() - before)
-                )
-                kmap_cache.put(
-                    key, KmapEntry(sample=sample, charge_keys=charge)
-                )
-            preprocess_us += PREPROCESS_US_PER_POINT * sample.num_points
-            feature_bytes += sample_feature_bytes  # batch members co-reside
+        features: List[float] = []  # batch members co-reside
 
-        budget = memory_budget_bytes(spec, self.config.mem_headroom)
-        resident = self._weight_bytes[workload_id] + feature_bytes
+        def forward(
+            request: InferenceRequest,
+            sample: SparseTensor,
+            warmth: Optional[FrozenSet[tuple]],
+        ) -> FrozenSet[tuple]:
+            if warmth:
+                ctx.precharge(warmth)
+            before = ctx.charged_keys()
+            features.append(self._forward(model, sample, ctx))
+            return ctx.charged_keys() - before
+
+        kmap_hits = _walk_kmap_cache(batch, samples, kmap_cache, forward)
         ladder_taken: Tuple[str, ...] = ()
         retry_us = 0.0
         retry_sync_events = 0
-        oomed = False
+        oomed = forced_oom
         try:
-            peak = enforce_memory_budget(
-                ctx.trace, spec,
-                resident_bytes=resident, budget_bytes=budget,
+            enforce_memory_budget(
+                ctx.trace, self.device,
+                resident_bytes=self._weight_bytes[workload_id] + sum(features),
+                budget_bytes=self.memory_budget,
             )
-            if forced_oom:
-                raise SimulatedOOMError(
-                    f"injected OOM on {spec.name}",
-                    peak_bytes=peak, budget_bytes=budget,
-                )
         except SimulatedOOMError:
             oomed = True
-            footprint = ladder_footprint(model, samples, spec)
+        if oomed:
+            footprint = ladder_footprint(model, samples, self.device)
             start = ExecState(
                 config=self.default_config, precision=self.precision
             )
-            effective = budget
+            effective = self.memory_budget
             if forced_oom:
                 # An injected fault must force real recovery even when the
                 # true budget fits: cap it just under the start footprint
                 # so at least one strictly-reducing rung is taken.
-                effective = min(budget, footprint(start) * (1.0 - 1e-6))
+                effective = min(effective, footprint(start) * (1.0 - 1e-6))
             plan = self.ladder.plan(
                 footprint,
                 start,
@@ -920,23 +919,17 @@ class ServingRuntime:
             degraded = True
 
         run = ctx.execution()
-        stages = run.split_us(launch_kind)
-        stages["host/preprocess"] = preprocess_us
-        if retry_us:
-            stages["resilience/ladder"] = retry_us
-        service_ms = (run.latency_us + retry_us + preprocess_us) / 1e3
-        sync_events = run.sync_events + retry_sync_events
-        return (
-            _BatchCost(
-                service_ms=service_ms,
-                stages=tuple(stages.items()),
-                ladder=ladder_taken,
-                sync_events=sync_events,
-                oomed=oomed,
-                degraded=degraded,
-                charges=tuple(filled.items()),
-            ),
+        return _batch_run(
+            samples,
+            run.split_us(launch_kind),
+            run.latency_us,
+            policy_hit,
+            degraded,
             kmap_hits,
+            ladder=ladder_taken,
+            retry_us=retry_us,
+            sync_events=run.sync_events + retry_sync_events,
+            oomed=oomed,
         )
 
     # ------------------------------------------------------------------ #
@@ -1074,7 +1067,6 @@ class _ServeLoop:
         config = self.config
         self.replicas.append(DeviceReplica(
             index=len(self.replicas),
-            spec=self.runtime.device,
             kmap_cache=KmapCache(capacity=config.kmap_cache_size),
             breaker=(
                 CircuitBreaker(
@@ -1262,12 +1254,12 @@ class _ServeLoop:
         batch_id = self.batch_counter
         self.batch_counter += 1
         injector = self.injector
-        ooms_before = replica.ooms
         run = self.runtime._execute(
             batch, now, replica, forced_oom=injector.batch_ooms(batch_id)
         )
         self.sync_events_total += run.sync_events
-        if replica.ooms > ooms_before:
+        if run.oomed:
+            replica.ooms += 1
             self.oom_events += 1
             self.ladder_steps += len(run.ladder)
         service_ms = run.service_ms * injector.slow_factor(replica.index)
@@ -1298,10 +1290,7 @@ class _ServeLoop:
             finish_ms=finish,
             service_ms=service_ms,
             failed=failed,
-            policy_hit=run.policy_hit,
-            degraded=run.degraded,
-            kmap_hits=run.kmap_hits,
-            ladder=run.ladder,
+            run=run,
         )
 
     def _dispatch(self, batch: List[InferenceRequest], now: float) -> None:
@@ -1336,12 +1325,13 @@ class _ServeLoop:
         winners = [a for a in tries if not a.failed]
         if winners:
             winner = min(winners, key=lambda a: (a.finish_ms, a.batch_id))
-            for request, kmap_hit in zip(batch, winner.kmap_hits):
+            run = winner.run
+            for request, kmap_hit in zip(batch, run.kmap_hits):
                 self._resolve(RequestOutcome(
                     request=request,
                     status=(
                         RequestStatus.DEGRADED
-                        if winner.degraded
+                        if run.degraded
                         else RequestStatus.COMPLETED
                     ),
                     start_ms=winner.start_ms,
@@ -1349,13 +1339,13 @@ class _ServeLoop:
                     batch_id=winner.batch_id,
                     batch_size=len(batch),
                     replica=winner.replica.index,
-                    policy_hit=winner.policy_hit,
+                    policy_hit=run.policy_hit,
                     kmap_hit=kmap_hit,
                     service_ms=winner.service_ms,
                     attempts=attempts[request.request_id],
                     hedged=hedge is not None,
                     hedge_won=hedge is not None and winner is hedge,
-                    ladder=winner.ladder,
+                    ladder=run.ladder,
                 ))
             return
         # Every copy failed: the error surfaces once the last copy

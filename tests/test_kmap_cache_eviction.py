@@ -9,7 +9,7 @@ from repro.serve.cache import KmapCache, KmapEntry, scene_key
 
 
 def _entry(tag="x"):
-    return KmapEntry(sample=object(), charge_keys=frozenset({(tag,)}))
+    return KmapEntry(charge_keys=frozenset({(tag,)}))
 
 
 def _keys(*seeds):
@@ -76,8 +76,7 @@ class TestAccountingPurity:
         cache.put(a, _entry("a"))
         cache.put(b, _entry("b"))
         hits, misses = cache.hits, cache.misses
-        entry = cache.peek(a)
-        assert entry is not None and entry.uses == 0
+        assert cache.peek(a) == _entry("a")
         assert cache.peek(_keys(9)[0]) is None
         assert (cache.hits, cache.misses) == (hits, misses)
         # a's recency was NOT refreshed by peek: it evicts first.
@@ -109,11 +108,11 @@ class TestAccountingPurity:
         )
         assert cache.warm_keys() == order
 
-    def test_get_counts_hits_and_uses(self):
+    def test_get_counts_hits(self):
         cache = KmapCache(capacity=2)
         (a,) = _keys(1)
         cache.put(a, _entry("a"))
-        assert cache.get(a).uses == 1
+        assert cache.get(a) == _entry("a")
         assert cache.get(_keys(9)[0]) is None
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5
@@ -145,9 +144,7 @@ class TestEvictingBatches:
             runtime, "_compose_cost", counted("compose", compose)
         )
         monkeypatch.setattr(runtime, "_execute_cold", counted("cold", cold))
-        replica = DeviceReplica(
-            index=0, spec=runtime.device, kmap_cache=KmapCache(capacity=2)
-        )
+        replica = DeviceReplica(index=0, kmap_cache=KmapCache(capacity=2))
         # [1, 2] fits an empty cache (composed); [3, 1] and [3, 1, 2]
         # each insert past capacity (cold).
         batches = [(1, 2), (3, 1), (3, 1, 2)]
@@ -178,6 +175,45 @@ class TestEvictingBatches:
         assert (cache.hits, cache.misses, cache.evictions) == (2, 5, 3)
         assert cache.warm_keys() == reference.warm_keys() == tuple(_keys(1, 2))
 
+    def test_over_budget_batch_runs_cold_on_an_untouched_cache(
+        self, monkeypatch
+    ):
+        """A composable batch whose modeled peak is over budget falls back
+        to the cold path before the cache sees a single get or put."""
+        from repro.serve import ServeConfig, ServingRuntime
+        from repro.serve.request import InferenceRequest
+        from repro.serve.runtime import DeviceReplica
+
+        runtime = ServingRuntime(ServeConfig(
+            device="rtx3090", scene_scale=0.05, lint_admission=False,
+        ))
+        runtime.model("SK-M-0.5")
+        # Weights alone fit; any resident feature pushes the batch over.
+        runtime.memory_budget = runtime._weight_bytes["SK-M-0.5"] + 1.0
+        seen = []
+        cold = runtime._execute_cold
+
+        def recording(batch, samples, kmap_cache, *args):
+            seen.append((kmap_cache.hits, kmap_cache.misses, len(kmap_cache)))
+            return cold(batch, samples, kmap_cache, *args)
+
+        monkeypatch.setattr(runtime, "_execute_cold", recording)
+        replica = DeviceReplica(index=0, kmap_cache=KmapCache(capacity=4))
+        batch = [
+            InferenceRequest(
+                request_id=i, workload_id="SK-M-0.5", stream_id=seed,
+                frame_index=i, scene_seed=seed, arrival_ms=0.0,
+                deadline_ms=1000.0,
+            )
+            for i, seed in enumerate((1, 2, 1))
+        ]
+        run = runtime._execute(batch, 0.0, replica)
+        assert seen == [(0, 0, 0)]
+        assert run.oomed and run.ladder
+        assert run.kmap_hits == [False, False, True]
+        cache = replica.kmap_cache
+        assert (cache.hits, cache.misses, len(cache)) == (1, 2, 2)
+
     def test_refill_within_a_batch_keeps_the_scene_charge(self):
         """A scene evicted and re-filled inside one cold batch is stored
         with the charge keys of its first fill, so its next batch is
@@ -204,9 +240,7 @@ class TestEvictingBatches:
             return runtime._execute(batch, 0.0, replica)
 
         def replica():
-            return DeviceReplica(
-                index=0, spec=runtime.device, kmap_cache=KmapCache(capacity=1)
-            )
+            return DeviceReplica(index=0, kmap_cache=KmapCache(capacity=1))
 
         reference = replica()
         first = run(reference, 11)

@@ -165,17 +165,14 @@ class TestFeaturePeak:
 class TestLadderFootprint:
     @staticmethod
     def states():
-        """The start state and one state per rung: the rung applied to
-        the first state found so far that it applies to."""
+        """Every ladder state reachable from the FP32 default by applying
+        rungs, in discovery order."""
         found = [ExecState(config=LayerConfig(), precision=Precision.FP32)]
-        for rung in DEFAULT_RUNGS:
-            found.append(
-                next(
-                    after
-                    for after in (apply_rung(state, rung) for state in found)
-                    if after is not None
-                )
-            )
+        for state in found:
+            for rung in DEFAULT_RUNGS:
+                after = apply_rung(state, rung)
+                if after is not None and after not in found:
+                    found.append(after)
         return found
 
     def test_matches_direct_warm_footprint(self, monkeypatch):
@@ -185,7 +182,8 @@ class TestLadderFootprint:
         ).eval()
         samples = [cloud(4, seed=0), cloud(4, seed=1)]
         states = self.states()
-        assert len(set(states)) == len(DEFAULT_RUNGS) + 1
+        # 7 layer configs x 2 precisions x 4 batch chunkings.
+        assert len(set(states)) == len(states) == 56
         expected = {
             state: model_footprint(
                 model,

@@ -6,10 +6,12 @@ from it, and runs the trace check (set by the suite's conftest) with the
 schedule it priced.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.analyze import depgraph
+from repro.analyze import collect_execution_trace, depgraph
 from repro.baselines import get_engine, measure_inference
 from repro.gpusim import engine
 from repro.hw import get_device
@@ -17,6 +19,7 @@ from repro.models import MinkUNet, get_workload
 from repro.nn import ExecutionContext
 from repro.opt import schedule as opt_schedule
 from repro.opt.program import LaunchProgram
+from repro.precision import Precision
 from repro.serve import ServeConfig, ServingRuntime
 from repro.serve.runtime import tuning_samples
 from repro.sparse import SparseTensor
@@ -53,6 +56,22 @@ def count_launch_prices(monkeypatch):
 
     monkeypatch.setattr(engine, "launch_prices", counting)
     return calls
+
+
+@pytest.fixture
+def count_graph_builds(monkeypatch):
+    """Count :meth:`DependenceGraph.build` calls."""
+    counted = []
+    real = depgraph.DependenceGraph.build.__func__
+
+    def counting(cls, trace):
+        counted.append(1)
+        return real(cls, trace)
+
+    monkeypatch.setattr(
+        depgraph.DependenceGraph, "build", classmethod(counting)
+    )
+    return counted
 
 
 class TestCheckedEverywhere:
@@ -161,24 +180,50 @@ class TestCheckedExecutionPricedOnce:
 
     @pytest.mark.parametrize("streams,builds", [(1, 1), (4, 2)])
     def test_checked_execution_builds_graph_once(
-        self, monkeypatch, streams, builds
+        self, count_graph_builds, streams, builds
     ):
         # One stream: the check's one graph serves the dependence and the
         # latency checks; more streams: plus the priced schedule's own.
-        counted = []
-        real = depgraph.DependenceGraph.build.__func__
-
-        def counting(cls, trace):
-            counted.append(1)
-            return real(cls, trace)
-
-        monkeypatch.setattr(
-            depgraph.DependenceGraph, "build", classmethod(counting)
-        )
         ctx = ExecutionContext(simulate_only=True, gpu_streams=streams)
         workload = get_workload("SK-M-0.5")
         workload.build_model()(tuning_samples(workload, 0.05)[0], ctx)
         assert engine.TRACE_CHECK is not None
-        counted.clear()
+        count_graph_builds.clear()
         assert ctx.execution().latency_us > 0
-        assert len(counted) == builds
+        assert len(count_graph_builds) == builds
+
+
+class TestLintBuildsGraphOnce:
+    """Every trace rule of one lint, and each depgraph export, reads one
+    dependence graph of the trace."""
+
+    def test_lint_model_builds_one_graph(self, count_graph_builds):
+        from repro.analyze import Severity, lint_model
+
+        workload = get_workload("SK-M-0.5")
+        model = workload.build_model()
+        trace = collect_execution_trace(model, 4)
+        assert trace is not None and len(trace) > 0
+        count_graph_builds.clear()
+        findings = lint_model(model, in_channels=4, trace=trace)
+        assert len(count_graph_builds) == 1
+        assert not [f for f in findings if f.severity is Severity.ERROR]
+
+    def test_depgraph_report_builds_one_graph(self, count_graph_builds):
+        model = get_workload("SK-M-0.5").build_model()
+        trace = collect_execution_trace(model, 4)
+        count_graph_builds.clear()
+        depgraph.depgraph_report_json(trace, A100, Precision.FP16)
+        assert len(count_graph_builds) == 1
+
+    def test_depgraph_cli_builds_one_graph(
+        self, monkeypatch, count_graph_builds, capsys
+    ):
+        from repro.cli import main
+
+        # The suite's trace check builds its own graph of every priced
+        # execution; switched off, what is counted is the command's own.
+        monkeypatch.setattr(engine, "TRACE_CHECK", None)
+        assert main(["depgraph", "SK-M-0.5", "--scale", "0.05", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == []
+        assert len(count_graph_builds) == 1

@@ -19,7 +19,6 @@ from repro.serve import (
     generate_requests,
     parse_traffic,
 )
-from repro.sparse.tensor import SparseTensor
 
 WORKLOAD = "SK-M-0.5"
 #: Tiny scenes keep the suite fast; simulated comparisons hold at any scale.
@@ -148,16 +147,13 @@ class TestCaches:
 
     def test_kmap_cache_lru_eviction(self):
         cache = KmapCache(capacity=2)
-        sample = SparseTensor(
-            np.zeros((1, 4), np.int32), np.zeros((1, 1), np.float32)
-        )
         for key in ("a", "b", "c"):
-            cache.put((key,), KmapEntry(sample=sample, charge_keys=frozenset()))
+            cache.put((key,), KmapEntry(charge_keys=frozenset()))
         assert cache.evictions == 1
         assert ("a",) not in cache and ("c",) in cache
         # Touching "b" makes "c" the LRU victim.
         assert cache.get(("b",)) is not None
-        cache.put(("d",), KmapEntry(sample=sample, charge_keys=frozenset()))
+        cache.put(("d",), KmapEntry(charge_keys=frozenset()))
         assert ("c",) not in cache and ("b",) in cache
         assert cache.get(("c",)) is None  # evicted -> miss
         assert cache.hits == 1 and cache.misses == 1

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.hw.specs import get_device
 from repro.serve import (
     BALANCERS,
     DeviceReplica,
@@ -31,7 +30,6 @@ SCALE = 0.1
 def make_replica(index, busy_ms=0.0, inflight=0, free_at_ms=0.0, cache=None):
     return DeviceReplica(
         index=index,
-        spec=get_device("rtx3090"),
         busy_ms=busy_ms,
         inflight=inflight,
         free_at_ms=free_at_ms,
@@ -103,19 +101,11 @@ class TestBalancers:
 
     def test_cache_affinity_steers_to_warm_replica(self):
         from repro.serve import KmapEntry
-        from repro.sparse.tensor import SparseTensor
-        import numpy as np
 
         balancer = get_balancer("cache_affinity")
         warm_cache = KmapCache(capacity=4)
-        sample = SparseTensor(
-            np.zeros((1, 4), np.int32), np.zeros((1, 1), np.float32)
-        )
         request = make_request(0, stream=7)
-        warm_cache.put(
-            request.scene_key,
-            KmapEntry(sample=sample, charge_keys=frozenset()),
-        )
+        warm_cache.put(request.scene_key, KmapEntry(charge_keys=frozenset()))
         cold = make_replica(0, cache=KmapCache(capacity=4))
         warm = make_replica(1, cache=warm_cache)
         assert balancer.select([cold, warm], [request], 0.0).index == 1
