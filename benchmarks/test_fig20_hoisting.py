@@ -12,6 +12,6 @@ def test_fig20_hoisting(run_experiment):
     # Hoisting fully closes the gap (and usually beats fixed-shape).
     assert m["max_hoisted_overhead"] <= 1.02
     assert m["hoisted_faster_than_fixed_fraction"] >= 0.5
-    # The HoistLoopInvariants pass applied to the naive trace reproduces
+    # The hoist-invariants pass applied to the naive trace reproduces
     # the hand-modeled hoisted schedule exactly.
     assert m["pass_vs_schedule_max_rel_diff"] < 1e-9

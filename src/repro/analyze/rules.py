@@ -152,14 +152,32 @@ class LintContext:
         return DependenceGraph.build(self.trace)
 
     @functools.cached_property
+    def prices(self) -> List[float]:
+        """:func:`~repro.gpusim.engine.launch_prices` of ``trace``
+        (requires one), priced once for every rule that reads it."""
+        from repro.gpusim.engine import launch_prices
+
+        assert self.trace is not None
+        return launch_prices(self.trace, self.device, self.precision)
+
+    @functools.cached_property
     def trace_violations(self) -> List[TraceViolation]:
-        """Depgraph violations of ``trace`` ([] without one)."""
+        """Depgraph violations of ``trace`` ([] without one); the latency
+        cross-check reads :attr:`prices` and :attr:`stream_schedule`."""
         if self.trace is None:
             return []
-        from repro.analyze.depgraph import check_depgraph
+        from repro.analyze.depgraph import (
+            check_dependences,
+            check_latency_model,
+        )
 
-        return check_depgraph(
-            self.trace, self.device, self.precision, self.graph
+        return check_dependences(self.trace, self.graph) + check_latency_model(
+            self.trace,
+            self.device,
+            self.precision,
+            self.graph,
+            schedule=self.stream_schedule,
+            prices=self.prices,
         )
 
     @functools.cached_property
@@ -672,9 +690,7 @@ PARALLELISM_INFO_THRESHOLD = 1.5
 def _rule_launch_parallelism(ctx: LintContext) -> List[Finding]:
     if ctx.trace is None or len(ctx.trace) == 0:
         return []
-    from repro.gpusim.engine import launch_prices
-
-    prices = launch_prices(ctx.trace, ctx.device, ctx.precision)
+    prices = ctx.prices
     _, span = ctx.graph.critical_path(ctx.device, ctx.precision, prices)
     if span <= 0.0:
         return []

@@ -122,28 +122,32 @@ def _cmd_dataflows(_args) -> int:
     return 0
 
 
+def _import_attr(spec: str):
+    """The attribute a ``module:attr`` spec names; ``ConfigError`` when
+    the module cannot be imported or lacks the attribute."""
+    import importlib
+
+    from repro.errors import ConfigError
+
+    module_name, _, attr = spec.partition(":")
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError as exc:
+        raise ConfigError(
+            f"cannot import module {module_name!r}: {exc}"
+        ) from None
+    value = getattr(module, attr, None)
+    if value is None:
+        raise ConfigError(f"module {module_name!r} has no attribute {attr!r}")
+    return value
+
+
 def _resolve_lint_model(args):
     """Returns ``(model, in_channels, target_name)`` for the lint target:
     a bundled workload id, or a ``module:factory`` import spec."""
-    from repro.errors import ConfigError
-
     target = args.target
     if ":" in target:
-        import importlib
-
-        module_name, _, factory_name = target.partition(":")
-        try:
-            module = importlib.import_module(module_name)
-        except ImportError as exc:
-            raise ConfigError(
-                f"cannot import module {module_name!r}: {exc}"
-            ) from None
-        factory = getattr(module, factory_name, None)
-        if factory is None:
-            raise ConfigError(
-                f"module {module_name!r} has no attribute {factory_name!r}"
-            )
-        return factory(), args.in_channels, target
+        return _import_attr(target)(), args.in_channels, target
     from repro.models import get_workload
 
     workload = get_workload(target)
@@ -219,28 +223,15 @@ def _cmd_keycheck(args) -> int:
     from repro.errors import ConfigError
 
     if args.register:
-        import importlib
-
         module_name, _, func_name = args.register.partition(":")
         if not module_name or not func_name:
             raise ConfigError(
                 f"--register expects module:function, got {args.register!r}"
             )
-        try:
-            module = importlib.import_module(module_name)
-        except ImportError as exc:
-            raise ConfigError(
-                f"cannot import module {module_name!r}: {exc}"
-            ) from None
-        register = getattr(module, func_name, None)
-        if register is None:
-            raise ConfigError(
-                f"module {module_name!r} has no attribute {func_name!r}"
-            )
+        register = _import_attr(args.register)
         if not callable(register):
             raise ConfigError(
-                f"{module_name}:{func_name} is not callable "
-                f"({type(register).__name__})"
+                f"{args.register} is not callable ({type(register).__name__})"
             )
         register()
     if args.site:
@@ -647,28 +638,30 @@ def _trace_workload(args):
 def _cmd_depgraph(args) -> int:
     import json as _json
 
-    from repro.analyze.depgraph import DependenceGraph, check_depgraph
+    from repro.analyze.depgraph import (
+        DependenceGraph,
+        check_dependences,
+        check_latency_model,
+    )
     from repro.analyze.hb import check_schedule
     from repro.gpusim.engine import launch_prices
-    from repro.opt import PassPipeline, best_schedule, schedule_report_json
-    from repro.opt.program import LaunchProgram
+    from repro.opt import best_schedule, optimize_trace, schedule_report_json
     from repro.opt.schedule import schedule_from_json, schedule_to_dot
 
     _validate_target(args.device, args.precision)
     if args.gpu_streams < 1:
         raise ValueError(f"--gpu-streams must be >= 1, got {args.gpu_streams}")
+    pass_names = None
+    if args.passes is not None:
+        pass_names = [p.strip() for p in args.passes.split(",") if p.strip()]
+        if not pass_names:
+            raise ValueError(f"--passes names no pass, got {args.passes!r}")
     workload, _, ctx = _trace_workload(args)
     device, precision, trace = ctx.device, ctx.precision, ctx.trace
 
-    pass_names = None
-    if args.passes:
-        pass_names = [p.strip() for p in args.passes.split(",") if p.strip()]
-    run_passes = args.optimize or pass_names is not None
     pass_rows = []
-    if run_passes:
-        program = LaunchProgram.from_trace(trace)
-        results = PassPipeline(pass_names).run(program)
-        trace = program.to_trace()
+    if args.optimize or pass_names is not None:
+        trace, results = optimize_trace(trace, pass_names)
         pass_rows = [
             {
                 "name": r.name,
@@ -682,8 +675,10 @@ def _cmd_depgraph(args) -> int:
         ]
 
     graph = DependenceGraph.build(trace)
-    violations = check_depgraph(trace, device, precision, graph)
     prices = launch_prices(trace, device, precision)
+    violations = check_dependences(trace, graph) + check_latency_model(
+        trace, device, precision, graph, prices=prices
+    )
     schedule = None
     loaded_schedule = False
     if args.schedule_json:

@@ -6,7 +6,7 @@ the loop invariants eliminates the overhead, ending slightly *faster* than
 fixed-shape in most sample workloads.
 
 The hoisted column is produced by the real compiler pass
-(:class:`repro.opt.passes.HoistLoopInvariants`) applied to the naive
+(:func:`repro.opt.passes.hoist_loop_invariants`) applied to the naive
 dynamic-shape trace — not by re-tracing with a hand-modeled "hoisted"
 schedule.  A hand-hoisted re-trace is kept as a cross-check:
 ``pass_vs_schedule_max_rel_diff`` measures how far the pass output drifts
@@ -25,7 +25,7 @@ from repro.hw import RTX_3090
 from repro.kernels.base import KernelSchedule, launch_part
 from repro.kernels.implicit_gemm import ImplicitGemmConfig
 from repro.kernels.registry import trace_dataflow
-from repro.opt import LaunchProgram, PassPipeline
+from repro.opt import optimize_trace
 from repro.precision import Precision
 
 FIXED = KernelSchedule(fixed_shape=True)
@@ -48,9 +48,8 @@ def _main_us(trace: KernelTrace) -> float:
 
 def _hoist_pass_us(naive_trace: KernelTrace) -> float:
     """Run the verified hoisting pass on the naive trace and price it."""
-    program = LaunchProgram.from_trace(naive_trace)
-    PassPipeline(["hoist-invariants"]).run(program)
-    return _main_us(program.to_trace())
+    hoisted, _ = optimize_trace(naive_trace, passes=["hoist-invariants"])
+    return _main_us(hoisted)
 
 
 def run(quick: bool = True) -> ExperimentResult:

@@ -1,30 +1,23 @@
-"""Launch-program optimization: IR, verified rewrite passes, and the
+"""Launch-sequence optimization: verified rewrite passes and the
 multi-stream scheduler.
 
-The simulator's flat :class:`~repro.gpusim.trace.KernelTrace` becomes an
-optimizable :class:`~repro.opt.program.LaunchProgram`; the passes in
-:mod:`repro.opt.passes` rewrite it under conservation contracts checked
-by the dependence analyzer, and :mod:`repro.opt.schedule` prices the
-result on K virtual streams (``critical_path <= scheduled <=
+The passes in :mod:`repro.opt.passes` are plain functions over the
+simulator's launch list; :func:`optimize_trace` runs them on a
+:class:`~repro.gpusim.trace.KernelTrace` under conservation contracts
+checked by the dependence analyzer, and :mod:`repro.opt.schedule` prices
+the result on K virtual streams (``critical_path <= scheduled <=
 serialized``).
 """
 
 from repro.opt.passes import (
     DEFAULT_PIPELINE,
     PASSES,
-    EliminateDeadLaunches,
-    FuseGatherGemmScatter,
-    HoistLoopInvariants,
-    HoistMapBuilds,
     OptError,
     Pass,
-    PassPipeline,
     PassResult,
     PassSoundnessError,
-    PlanWorkspaceReuse,
     optimize_trace,
 )
-from repro.opt.program import LaunchProgram, ProgramLaunch
 from repro.opt.schedule import (
     ScheduledLaunch,
     StreamSchedule,
@@ -36,18 +29,10 @@ from repro.opt.schedule import (
 __all__ = [
     "DEFAULT_PIPELINE",
     "PASSES",
-    "EliminateDeadLaunches",
-    "FuseGatherGemmScatter",
-    "HoistLoopInvariants",
-    "HoistMapBuilds",
-    "LaunchProgram",
     "OptError",
     "Pass",
-    "PassPipeline",
     "PassResult",
     "PassSoundnessError",
-    "PlanWorkspaceReuse",
-    "ProgramLaunch",
     "ScheduledLaunch",
     "StreamSchedule",
     "best_schedule",

@@ -1,8 +1,10 @@
-"""Verified rewrite passes over :class:`~repro.opt.program.LaunchProgram`.
+"""Verified rewrite passes over a kernel-launch list.
 
-Every pass declares which aggregate counters it may *reduce*
-(``may_reduce``); everything else is conserved.  The pipeline sandwiches
-each pass between soundness checks:
+A pass is a plain function from a launch list to a launch list,
+registered in :data:`PASSES` as a :class:`Pass` record that names it and
+declares which aggregate counters it may *reduce* (``may_reduce``);
+everything else is conserved.  :func:`optimize_trace` sandwiches each
+pass between soundness checks:
 
 * :func:`repro.analyze.depgraph.check_dependences` must be no worse
   after the rewrite than before (clean stays clean);
@@ -12,36 +14,39 @@ each pass between soundness checks:
   counters outside ``may_reduce`` are unchanged (to float slack), and
   counters inside it never *increase*.
 
-A pass that breaks its contract raises :class:`PassSoundnessError` and
-the program is left at its last sound state, so optimization can never
-silently corrupt a trace.
+Passes never mutate their input: a launch they change is a new object
+(``dataclasses.replace``).  A pass that breaks its contract raises
+:class:`PassSoundnessError` with the caller's trace untouched, so
+optimization can never silently corrupt a trace.
 
 The passes themselves mirror the schedule rewrites of TorchSparse /
 TorchSparse++ and Minuet:
 
-* :class:`FuseGatherGemmScatter` — collapse gather -> gemm -> scatter
-  chains (marked by :attr:`KernelLaunch.fuse_group`) into one fused
-  launch, eliminating the staging-buffer round trips (Figure 9's fused
-  dataflow, derived instead of hand-built);
-* :class:`HoistLoopInvariants` — remove loop-invariant address
-  arithmetic declared in :attr:`KernelLaunch.hoistable_scalar_ops`
-  (Section 3.2, the Figure 20 mechanism);
-* :class:`HoistMapBuilds` — conservative cross-layer CSE of identical
-  map-build launches (paper Figure 20's kernel-map reuse);
-* :class:`EliminateDeadLaunches` — drop launches whose only effect is
-  writing workspace nobody reads;
-* :class:`PlanWorkspaceReuse` — tighten over-declared per-launch
-  workspace to what liveness actually requires, provably never
-  increasing ``peak_workspace_bytes``.
+* ``fuse`` (:func:`fuse_gather_gemm_scatter`) — collapse gather -> gemm
+  -> scatter chains (marked by :attr:`KernelLaunch.fuse_group`) into one
+  fused launch, eliminating the staging-buffer round trips (Figure 9's
+  fused dataflow, derived instead of hand-built);
+* ``hoist-invariants`` (:func:`hoist_loop_invariants`) — remove
+  loop-invariant address arithmetic declared in
+  :attr:`KernelLaunch.hoistable_scalar_ops` (Section 3.2, the Figure 20
+  mechanism);
+* ``hoist-maps`` (:func:`hoist_map_builds`) — conservative cross-layer
+  CSE of identical map-build launches (paper Figure 20's kernel-map
+  reuse);
+* ``dle`` (:func:`eliminate_dead_launches`) — drop launches whose only
+  effect is writing workspace nobody reads;
+* ``plan-workspace`` (:func:`plan_workspace_reuse`) — tighten
+  over-declared per-launch workspace to what liveness actually requires,
+  provably never increasing ``peak_workspace_bytes``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Type
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analyze.depgraph import check_dependences
-from repro.analyze.tracecheck import TraceViolation, check_trace
+from repro.analyze.tracecheck import check_trace
 from repro.errors import ReproError
 from repro.gpusim.trace import (
     BufferAccess,
@@ -50,7 +55,6 @@ from repro.gpusim.trace import (
     LaunchKind,
     TraceSummary,
 )
-from repro.opt.program import LaunchProgram, ProgramLaunch
 
 #: Absolute slack for float counter comparisons (bytes / flops).
 _EPS = 0.5
@@ -95,17 +99,17 @@ class PassResult:
         )
 
 
+@dataclasses.dataclass(frozen=True)
 class Pass:
-    """Base class: a named rewrite with a declared conservation contract."""
+    """A named rewrite with a declared conservation contract."""
 
     #: Unique pass name (used by ``--passes`` and reports).
-    name: str = "pass"
+    name: str
     #: TraceSummary counters this pass may legitimately reduce.
-    may_reduce: FrozenSet[str] = frozenset()
-
-    def run(self, program: LaunchProgram) -> bool:
-        """Rewrite ``program`` in place; return whether anything changed."""
-        raise NotImplementedError
+    may_reduce: FrozenSet[str]
+    #: The launch list in, the rewritten list out; launches it changes
+    #: are new objects, the input is never mutated.
+    rewrite: Callable[[Sequence[KernelLaunch]], List[KernelLaunch]]
 
 
 # ---------------------------------------------------------------------- #
@@ -199,98 +203,74 @@ def _fused_launch(members: Sequence[KernelLaunch]) -> KernelLaunch:
     )
 
 
-class FuseGatherGemmScatter(Pass):
+def fuse_gather_gemm_scatter(
+    launches: Sequence[KernelLaunch],
+) -> List[KernelLaunch]:
     """Fuse contiguous same-``fuse_group`` producer/consumer chains.
 
     Reduces launch count, DRAM traffic (the staging round trips) and
     workspace; total flops and scalar ops are conserved — fusion changes
     where data lives, not how much math runs.
     """
+    # Buffers used outside a group must survive fusion; collect each
+    # buffer's set of accessor groups ("" = ungrouped).
+    accessor_groups: Dict[str, Set[str]] = {}
+    for launch in launches:
+        for access in (*launch.reads, *launch.writes):
+            accessor_groups.setdefault(access.buffer, set()).add(
+                launch.fuse_group
+            )
+    out: List[KernelLaunch] = []
+    run: List[KernelLaunch] = []
 
-    name = "fuse"
-    may_reduce = frozenset(
-        {
-            "launches",
-            "dram_read_bytes",
-            "dram_write_bytes",
-            "atomic_write_bytes",
-            "peak_workspace_bytes",
-        }
-    )
+    def flush() -> None:
+        if len(run) >= 2:
+            internal = _internal_ws_buffers(run)
+            group = run[0].fuse_group
+            if all(
+                accessor_groups.get(buf, set()) <= {group} for buf in internal
+            ):
+                out.append(_fused_launch(run))
+                run.clear()
+                return
+        out.extend(run)
+        run.clear()
 
-    def run(self, program: LaunchProgram) -> bool:
-        entries = program.entries
-        # Buffers used outside a group must survive fusion; collect each
-        # buffer's set of accessor groups ("" = ungrouped).
-        accessor_groups: Dict[str, Set[str]] = {}
-        for entry in entries:
-            for access in (*entry.launch.reads, *entry.launch.writes):
-                accessor_groups.setdefault(access.buffer, set()).add(
-                    entry.launch.fuse_group
-                )
-        out: List[ProgramLaunch] = []
-        run: List[ProgramLaunch] = []
-        changed = False
-
-        def flush() -> None:
-            nonlocal changed
-            if len(run) >= 2:
-                members = [e.launch for e in run]
-                internal = _internal_ws_buffers(members)
-                group = members[0].fuse_group
-                if all(
-                    accessor_groups.get(buf, set()) <= {group}
-                    for buf in internal
-                ):
-                    out.append(
-                        ProgramLaunch(program.fresh_id(), _fused_launch(members))
-                    )
-                    changed = True
-                    run.clear()
-                    return
-            out.extend(run)
-            run.clear()
-
-        for entry in entries:
-            group = entry.launch.fuse_group
-            if not group:
-                flush()
-                out.append(entry)
-                continue
-            if run and run[-1].launch.fuse_group != group:
-                flush()
-            run.append(entry)
-        flush()
-        if changed:
-            program.replace(out)
-        return changed
+    for launch in launches:
+        group = launch.fuse_group
+        if not group:
+            flush()
+            out.append(launch)
+            continue
+        if run and run[-1].fuse_group != group:
+            flush()
+        run.append(launch)
+    flush()
+    return out
 
 
 # ---------------------------------------------------------------------- #
 # Loop-invariant hoisting
 # ---------------------------------------------------------------------- #
-class HoistLoopInvariants(Pass):
+def hoist_loop_invariants(
+    launches: Sequence[KernelLaunch],
+) -> List[KernelLaunch]:
     """Remove the scalar address arithmetic a code generator can hoist.
 
     Launches declare the removable portion in ``hoistable_scalar_ops``
     (Section 3.2: dynamic-shape address computation that specializing or
     hoisting eliminates, the quantity behind Figure 20).
     """
-
-    name = "hoist-invariants"
-    may_reduce = frozenset({"scalar_ops"})
-
-    def run(self, program: LaunchProgram) -> bool:
-        changed = False
-        for entry in program.entries:
-            launch = entry.launch
-            if launch.hoistable_scalar_ops > 0.0:
-                launch.scalar_ops -= launch.hoistable_scalar_ops
-                launch.hoistable_scalar_ops = 0.0
-                changed = True
-        if changed:
-            program.replace(program.entries)
-        return changed
+    return [
+        dataclasses.replace(
+            launch,
+            scalar_ops=launch.scalar_ops - launch.hoistable_scalar_ops,
+            hoistable_scalar_ops=0.0,
+        )
+        if launch.hoistable_scalar_ops > 0.0
+        else launch
+        for launch in launches
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -312,7 +292,7 @@ def _launch_key(launch: KernelLaunch) -> Tuple[object, ...]:
     )
 
 
-class HoistMapBuilds(Pass):
+def hoist_map_builds(launches: Sequence[KernelLaunch]) -> List[KernelLaunch]:
     """Eliminate repeated identical mapping launches (kernel-map reuse).
 
     A mapping launch is redundant with an earlier *identical* launch when
@@ -321,113 +301,70 @@ class HoistMapBuilds(Pass):
     a stride configuration can reuse the first build (Figure 20's map
     reuse, here derived from the trace instead of hand-modeled).
     """
-
-    name = "hoist-maps"
-    may_reduce = frozenset(
-        {
-            "launches",
-            "flops",
-            "dram_read_bytes",
-            "dram_write_bytes",
-            "atomic_write_bytes",
-            "scalar_ops",
-            "peak_workspace_bytes",
-        }
-    )
-
-    def run(self, program: LaunchProgram) -> bool:
-        out: List[ProgramLaunch] = []
-        # last surviving occurrence of each key -> index in `out` order
-        seen: Dict[Tuple[object, ...], int] = {}
-        write_epoch: Dict[str, int] = {}  # buffer -> out-position of last write
-        changed = False
-        for entry in program.entries:
-            launch = entry.launch
-            if launch.kind is LaunchKind.MAPPING and launch.reads:
-                key = _launch_key(launch)
-                prior = seen.get(key)
-                if prior is not None:
-                    buffers = {
-                        a.buffer
-                        for a in (*launch.reads, *launch.writes)
-                    }
-                    if all(
-                        write_epoch.get(buf, -1) <= prior for buf in buffers
-                    ):
-                        changed = True
-                        continue  # redundant rebuild: drop it
-            pos = len(out)
-            out.append(entry)
-            for access in launch.writes:
-                write_epoch[access.buffer] = pos
-            if launch.kind is LaunchKind.MAPPING and launch.reads:
-                seen[_launch_key(launch)] = pos
-        if changed:
-            program.replace(out)
-        return changed
+    out: List[KernelLaunch] = []
+    # last surviving occurrence of each key -> index in `out` order
+    seen: Dict[Tuple[object, ...], int] = {}
+    write_epoch: Dict[str, int] = {}  # buffer -> out-position of last write
+    for launch in launches:
+        if launch.kind is LaunchKind.MAPPING and launch.reads:
+            key = _launch_key(launch)
+            prior = seen.get(key)
+            if prior is not None:
+                buffers = {
+                    a.buffer for a in (*launch.reads, *launch.writes)
+                }
+                if all(
+                    write_epoch.get(buf, -1) <= prior for buf in buffers
+                ):
+                    continue  # redundant rebuild: drop it
+        pos = len(out)
+        out.append(launch)
+        for access in launch.writes:
+            write_epoch[access.buffer] = pos
+        if launch.kind is LaunchKind.MAPPING and launch.reads:
+            seen[_launch_key(launch)] = pos
+    return out
 
 
 # ---------------------------------------------------------------------- #
 # Dead-launch elimination
 # ---------------------------------------------------------------------- #
-class EliminateDeadLaunches(Pass):
+def eliminate_dead_launches(
+    launches: Sequence[KernelLaunch],
+) -> List[KernelLaunch]:
     """Drop launches whose only effect is writing workspace nobody reads.
 
     Runs to a fixpoint (removing a consumer can orphan its producer).
     Only fully-annotated launches whose writes all target unread ``ws:``
     buffers qualify — external and atomic writes are observable effects.
     """
-
-    name = "dle"
-    may_reduce = frozenset(
-        {
-            "launches",
-            "flops",
-            "dram_read_bytes",
-            "dram_write_bytes",
-            "atomic_write_bytes",
-            "scalar_ops",
-            "peak_workspace_bytes",
+    keep = list(launches)
+    while True:
+        read_buffers = {
+            access.buffer for launch in keep for access in launch.reads
         }
-    )
-
-    def run(self, program: LaunchProgram) -> bool:
-        changed = False
-        while True:
-            entries = program.entries
-            read_buffers = {
-                access.buffer
-                for entry in entries
-                for access in entry.launch.reads
-            }
-            keep: List[ProgramLaunch] = []
-            removed = False
-            for entry in entries:
-                launch = entry.launch
-                dead = (
-                    bool(launch.writes)
-                    and all(
-                        access.workspace
-                        and not access.atomic
-                        and access.buffer not in read_buffers
-                        for access in launch.writes
-                    )
-                )
-                if dead:
-                    removed = True
-                else:
-                    keep.append(entry)
-            if not removed:
-                break
-            program.replace(keep)
-            changed = True
-        return changed
+        live = [
+            launch
+            for launch in keep
+            if not launch.writes
+            or not all(
+                access.workspace
+                and not access.atomic
+                and access.buffer not in read_buffers
+                for access in launch.writes
+            )
+        ]
+        if len(live) == len(keep):
+            return keep
+        keep = live
 
 
 # ---------------------------------------------------------------------- #
 # Workspace re-use planning
 # ---------------------------------------------------------------------- #
-class PlanWorkspaceReuse(Pass):
+def plan_workspace_reuse(
+    launches: Sequence[KernelLaunch],
+) -> List[KernelLaunch]:
     """Tighten over-declared workspace to the liveness-true requirement.
 
     For each launch the pass computes the workspace actually live while
@@ -438,62 +375,68 @@ class PlanWorkspaceReuse(Pass):
     stays satisfiable; never above the original declaration, so the peak
     provably cannot increase).
     """
-
-    name = "plan-workspace"
-    may_reduce = frozenset({"peak_workspace_bytes"})
-
-    def run(self, program: LaunchProgram) -> bool:
-        entries = program.entries
-        n = len(entries)
-        extent: Dict[str, float] = {}
-        first: Dict[str, int] = {}
-        last: Dict[str, int] = {}
-        for i, entry in enumerate(entries):
-            for access in (*entry.launch.reads, *entry.launch.writes):
-                if not access.workspace:
-                    continue
-                buf = access.buffer
-                extent[buf] = max(extent.get(buf, 0.0), access.nbytes)
-                first.setdefault(buf, i)
-                last[buf] = i
-        changed = False
-        for i in range(n):
-            launch = entries[i].launch
-            if launch.is_barrier:
-                continue  # unannotated: nothing provable, leave declared
-            live = sum(
-                extent[buf]
-                for buf in extent
-                if first[buf] <= i <= last[buf]
-            )
-            touched: Dict[str, float] = {}
-            for access in (*launch.reads, *launch.writes):
-                if access.workspace:
-                    touched[access.buffer] = max(
-                        touched.get(access.buffer, 0.0), access.nbytes
-                    )
-            floor = sum(touched.values())
-            need = max(floor, live + launch.untracked_workspace_bytes)
-            planned = min(launch.workspace_bytes, need)
-            if planned < launch.workspace_bytes - _EPS:
-                launch.workspace_bytes = planned
-                changed = True
-        if changed:
-            program.replace(program.entries)
-        return changed
+    extent: Dict[str, float] = {}
+    first: Dict[str, int] = {}
+    last: Dict[str, int] = {}
+    for i, launch in enumerate(launches):
+        for access in (*launch.reads, *launch.writes):
+            if not access.workspace:
+                continue
+            buf = access.buffer
+            extent[buf] = max(extent.get(buf, 0.0), access.nbytes)
+            first.setdefault(buf, i)
+            last[buf] = i
+    out: List[KernelLaunch] = []
+    for i, launch in enumerate(launches):
+        if launch.is_barrier:
+            out.append(launch)  # unannotated: nothing provable, leave it
+            continue
+        live = sum(
+            extent[buf] for buf in extent if first[buf] <= i <= last[buf]
+        )
+        touched: Dict[str, float] = {}
+        for access in (*launch.reads, *launch.writes):
+            if access.workspace:
+                touched[access.buffer] = max(
+                    touched.get(access.buffer, 0.0), access.nbytes
+                )
+        floor = sum(touched.values())
+        need = max(floor, live + launch.untracked_workspace_bytes)
+        planned = min(launch.workspace_bytes, need)
+        out.append(
+            dataclasses.replace(launch, workspace_bytes=planned)
+            if planned < launch.workspace_bytes - _EPS
+            else launch
+        )
+    return out
 
 
 # ---------------------------------------------------------------------- #
 # The verified pipeline
 # ---------------------------------------------------------------------- #
-PASSES: Dict[str, Type[Pass]] = {
-    cls.name: cls
-    for cls in (
-        FuseGatherGemmScatter,
-        HoistLoopInvariants,
-        HoistMapBuilds,
-        EliminateDeadLaunches,
-        PlanWorkspaceReuse,
+#: Counters fusion may reduce: it moves data, not math.
+_FUSE_REDUCES = frozenset(
+    {
+        "launches",
+        "dram_read_bytes",
+        "dram_write_bytes",
+        "atomic_write_bytes",
+        "peak_workspace_bytes",
+    }
+)
+
+PASSES: Dict[str, Pass] = {
+    p.name: p
+    for p in (
+        Pass("fuse", _FUSE_REDUCES, fuse_gather_gemm_scatter),
+        Pass("hoist-invariants", frozenset({"scalar_ops"}), hoist_loop_invariants),
+        Pass("hoist-maps", frozenset(_COUNTER_FIELDS), hoist_map_builds),
+        Pass("dle", frozenset(_COUNTER_FIELDS), eliminate_dead_launches),
+        Pass(
+            "plan-workspace",
+            frozenset({"peak_workspace_bytes"}),
+            plan_workspace_reuse,
+        ),
     )
 }
 
@@ -507,8 +450,14 @@ DEFAULT_PIPELINE = (
 )
 
 
-def _violation_keys(violations: Sequence[TraceViolation]) -> Set[str]:
-    return {v.invariant for v in violations}
+def _violation_kinds(launches: Sequence[KernelLaunch]) -> Set[str]:
+    return {
+        v.invariant
+        for v in (
+            *check_dependences(launches),
+            *check_trace(KernelTrace(launches)),
+        )
+    }
 
 
 def _check_conservation(
@@ -533,79 +482,59 @@ def _check_conservation(
             )
 
 
-class PassPipeline:
-    """Apply passes in order, verifying soundness around every rewrite."""
-
-    def __init__(self, passes: Optional[Sequence[str]] = None):
-        names = list(DEFAULT_PIPELINE if passes is None else passes)
-        unknown = [n for n in names if n not in PASSES]
-        if unknown:
-            raise OptError(
-                f"unknown pass(es) {unknown}; available: {sorted(PASSES)}"
-            )
-        self.passes: List[Pass] = [PASSES[n]() for n in names]
-
-    def run(self, program: LaunchProgram) -> List[PassResult]:
-        """Run the pipeline; every pass is check-sandwiched.
-
-        New violation kinds after a rewrite (relative to the pre-pass
-        state) are a soundness failure — an already-broken input trace
-        stays diagnosable, but a pass may never *introduce* breakage.
-        """
-        results: List[PassResult] = []
-        for p in self.passes:
-            before_summary = program.summary()
-            before_keys = _violation_keys(
-                check_dependences(program.launches)
-            ) | _violation_keys(check_trace(program.to_trace()))
-            changed = p.run(program)
-            after_summary = program.summary()
-            if changed:
-                after = _violation_keys(
-                    check_dependences(program.launches)
-                ) | _violation_keys(check_trace(program.to_trace()))
-                introduced = after - before_keys
-                if introduced:
-                    raise PassSoundnessError(
-                        f"pass {p.name!r} introduced violation(s) "
-                        f"{sorted(introduced)}"
-                    )
-                _check_conservation(
-                    p.name, p.may_reduce, before_summary, after_summary
-                )
-            results.append(
-                PassResult(
-                    name=p.name,
-                    changed=changed,
-                    before=before_summary,
-                    after=after_summary,
-                )
-            )
-        return results
-
-
 def optimize_trace(
     trace: "KernelTrace | Sequence[KernelLaunch]",
     passes: Optional[Sequence[str]] = None,
-) -> Tuple[LaunchProgram, List[PassResult]]:
-    """Convenience: wrap a trace, run a (default) pipeline, return both."""
-    program = LaunchProgram.from_trace(trace)
-    results = PassPipeline(passes).run(program)
-    return program, results
+) -> Tuple[KernelTrace, List[PassResult]]:
+    """Run ``passes`` (default :data:`DEFAULT_PIPELINE`) in order over
+    ``trace``, checking every rewrite; return the optimized trace and one
+    :class:`PassResult` per pass.
+
+    New violation kinds after a rewrite (relative to the pre-pass state)
+    are a soundness failure — an already-broken input trace stays
+    diagnosable, but a pass may never *introduce* breakage.
+    """
+    names = list(DEFAULT_PIPELINE if passes is None else passes)
+    unknown = [n for n in names if n not in PASSES]
+    if unknown:
+        raise OptError(
+            f"unknown pass(es) {unknown}; available: {sorted(PASSES)}"
+        )
+    launches = list(trace)
+    kinds = _violation_kinds(launches)
+    results: List[PassResult] = []
+    for p in (PASSES[n] for n in names):
+        before = KernelTrace(launches).summary()
+        rewritten = p.rewrite(launches)
+        after = KernelTrace(rewritten).summary()
+        changed = rewritten != launches
+        if changed:
+            after_kinds = _violation_kinds(rewritten)
+            introduced = after_kinds - kinds
+            if introduced:
+                raise PassSoundnessError(
+                    f"pass {p.name!r} introduced violation(s) "
+                    f"{sorted(introduced)}"
+                )
+            _check_conservation(p.name, p.may_reduce, before, after)
+            launches, kinds = rewritten, after_kinds
+        results.append(
+            PassResult(name=p.name, changed=changed, before=before, after=after)
+        )
+    return KernelTrace(launches), results
 
 
 __all__ = [
     "DEFAULT_PIPELINE",
-    "EliminateDeadLaunches",
-    "FuseGatherGemmScatter",
-    "HoistLoopInvariants",
-    "HoistMapBuilds",
     "OptError",
+    "PASSES",
     "Pass",
-    "PassPipeline",
     "PassResult",
     "PassSoundnessError",
-    "PlanWorkspaceReuse",
-    "PASSES",
+    "eliminate_dead_launches",
+    "fuse_gather_gemm_scatter",
+    "hoist_loop_invariants",
+    "hoist_map_builds",
     "optimize_trace",
+    "plan_workspace_reuse",
 ]

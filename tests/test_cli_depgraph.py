@@ -68,6 +68,15 @@ class TestDepgraphCommand:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec", [",", " , ,", ""])
+    def test_passes_naming_no_pass_exits_two(self, capsys, spec):
+        rc, out, err = run(
+            capsys, ["depgraph", WORKLOAD, *FAST, "--passes", spec]
+        )
+        assert rc == 2
+        assert out == ""
+        assert "error:" in err and "--passes" in err
+
 
 BROKEN_TRACES = {
     "tests.broken_traces:build_dropped_gather": "uninitialized-read",

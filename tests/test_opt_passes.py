@@ -12,16 +12,17 @@ Every pass is exercised over the dataflow x precision grid and must
 
 Negative tests prove the sandwich actually bites: contract-breaking
 passes raise :class:`PassSoundnessError` instead of silently corrupting
-the program.
+the trace, and leave the caller's trace untouched.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.analyze.depgraph import check_dependences
-from repro.analyze.tracecheck import check_trace
+from repro.analyze.tracecheck import TraceViolation, check_trace
 from repro.gpusim.trace import (
     UNSCOPED,
     BufferAccess,
@@ -36,16 +37,12 @@ from repro.kernels.registry import DATAFLOWS, trace_dataflow
 from repro.opt import (
     DEFAULT_PIPELINE,
     PASSES,
-    EliminateDeadLaunches,
-    HoistMapBuilds,
-    LaunchProgram,
     OptError,
     Pass,
-    PassPipeline,
     PassSoundnessError,
-    PlanWorkspaceReuse,
     optimize_trace,
 )
+from repro.opt import passes as opt_passes
 from repro.precision import Precision
 from tests.broken_traces import healthy_trace, leaked_staging_trace
 from tests.test_dataflow_differential import (
@@ -104,10 +101,10 @@ class TestPipelineGrid:
             schedule=NAIVE, precision=precision,
         )
         assert check_dependences(list(trace)) == []
-        program, results = optimize_trace(trace)
+        optimized, results = optimize_trace(trace)
         # (a) still hazard-free after the full pipeline
-        assert check_dependences(program.launches) == []
-        assert check_trace(program.to_trace()) == []
+        assert check_dependences(optimized.launches) == []
+        assert check_trace(optimized) == []
         # (b) every pass honored its conservation contract
         for result in results:
             assert_conserved(result)
@@ -125,16 +122,19 @@ class TestPipelineGrid:
             dataflow, kmap, c_in=5, c_out=6,
             schedule=NAIVE, precision=Precision.FP16,
         )
-        program, results = optimize_trace(trace, passes=[pass_name])
-        assert check_dependences(program.launches) == []
+        snapshot = copy.deepcopy(list(trace))
+        optimized, results = optimize_trace(trace, passes=[pass_name])
+        assert check_dependences(optimized.launches) == []
         assert_conserved(results[0])
+        # Passes build the launches they change anew.
+        assert list(trace) == snapshot
 
 
 class TestFusion:
     def test_fuses_gather_gemm_scatter_chains(self):
         _, _, _, kmap = build_case(3, 1, 1, seed=3)
         trace = trace_dataflow("gather_scatter", kmap, c_in=8, c_out=16)
-        program, results = optimize_trace(trace, passes=["fuse"])
+        optimized, results = optimize_trace(trace, passes=["fuse"])
         (result,) = results
         assert result.changed
         # Each per-offset gather/gemm/scatter triple collapses to one
@@ -155,18 +155,16 @@ class TestFusion:
             result.before.scalar_ops
         )
         # The fused names stay legible to the scatter-race checker.
-        assert check_trace(program.to_trace()) == []
+        assert check_trace(optimized) == []
 
     def test_fusion_is_idempotent(self):
         _, _, _, kmap = build_case(3, 1, 1, seed=4)
         trace = trace_dataflow("gather_scatter", kmap, c_in=8, c_out=8)
-        program, _ = optimize_trace(trace, passes=["fuse"])
-        once = [launch.name for launch in program.launches]
-        program2, results = optimize_trace(
-            program.to_trace(), passes=["fuse"]
-        )
+        optimized, _ = optimize_trace(trace, passes=["fuse"])
+        once = [launch.name for launch in optimized]
+        again, results = optimize_trace(optimized, passes=["fuse"])
         assert not results[0].changed
-        assert [launch.name for launch in program2.launches] == once
+        assert [launch.name for launch in again] == once
 
     def test_external_consumer_blocks_fusion(self):
         # A second reader of a staging buffer outside the group must keep
@@ -186,8 +184,8 @@ class TestFusion:
             reads=(BufferAccess(staged, 8.0),),
         )
         trace.append(spy)
-        program, _ = optimize_trace(KernelTrace(trace), passes=["fuse"])
-        names = [launch.name for launch in program.launches]
+        optimized, _ = optimize_trace(KernelTrace(trace), passes=["fuse"])
+        names = [launch.name for launch in optimized]
         # The triple whose staging buffer the spy reads stayed unfused...
         assert any(name.startswith("gather/") for name in names)
         # ...while the other offsets fused normally.
@@ -204,9 +202,11 @@ class TestHoistInvariants:
             "implicit_gemm", kmap, c_in=8, c_out=16,
             schedule=KernelSchedule(hoist_invariants=True),
         )
-        program, results = optimize_trace(naive, passes=["hoist-invariants"])
+        optimized, results = optimize_trace(
+            naive, passes=["hoist-invariants"]
+        )
         assert results[0].changed
-        got = program.summary()
+        got = optimized.summary()
         want = hoisted_by_hand.summary()
         assert got.scalar_ops == pytest.approx(want.scalar_ops)
         assert got.flops == pytest.approx(want.flops)
@@ -252,9 +252,9 @@ class TestHoistMapBuilds:
             1 for launch in layer if launch.kind is LaunchKind.MAPPING
         )
         assert mapping > 0
-        program, results = optimize_trace(doubled, passes=["hoist-maps"])
+        optimized, results = optimize_trace(doubled, passes=["hoist-maps"])
         assert results[0].launches_removed == mapping
-        assert check_dependences(program.launches) == []
+        assert check_dependences(optimized.launches) == []
 
     def test_intervening_write_blocks_reuse(self):
         _, _, _, kmap = build_case(3, 1, 1, seed=10)
@@ -272,12 +272,12 @@ class TestHoistMapBuilds:
             writes=(BufferAccess(map_written, 8.0),),
         )
         doubled = KernelTrace([*layer, clobber, *_second_layer(layer)])
-        program, _ = optimize_trace(doubled, passes=["hoist-maps"])
+        optimized, _ = optimize_trace(doubled, passes=["hoist-maps"])
         # The clobbered build must be recomputed: the mapping launch whose
         # buffer was overwritten survives in both layers.
         rebuilt = [
             launch
-            for launch in program.launches
+            for launch in optimized
             if launch.kind is LaunchKind.MAPPING
             and any(a.buffer == map_written for a in launch.writes)
         ]
@@ -298,10 +298,10 @@ class TestDeadLaunchElimination:
             v.invariant == "workspace-lifetime"
             for v in check_dependences(list(broken))
         )
-        program, results = optimize_trace(broken, passes=["dle"])
+        optimized, results = optimize_trace(broken, passes=["dle"])
         assert results[0].changed
         # ...and gone after: the orphan GEMM and its gather are removed.
-        assert check_dependences(program.launches) == []
+        assert check_dependences(optimized.launches) == []
         assert results[0].launches_removed == 2
 
     def test_keeps_observable_writes(self):
@@ -326,11 +326,11 @@ class TestPlanWorkspace:
             workspace_bytes=10_000.0,
             reads=(UNSCOPED.ws("stage", 100.0),),
         )
-        program, results = optimize_trace(
+        optimized, results = optimize_trace(
             KernelTrace([producer, consumer]), passes=["plan-workspace"]
         )
         assert results[0].changed
-        for launch in program.launches:
+        for launch in optimized:
             assert launch.workspace_bytes == pytest.approx(100.0)
         assert results[0].workspace_saved_bytes == pytest.approx(9_900.0)
 
@@ -338,13 +338,15 @@ class TestPlanWorkspace:
     def test_never_increases_peak(self, dataflow):
         _, _, _, kmap = build_case(2, 2, 1, seed=13)
         trace = trace_dataflow(dataflow, kmap, c_in=8, c_out=8)
-        program, results = optimize_trace(trace, passes=["plan-workspace"])
+        optimized, results = optimize_trace(
+            trace, passes=["plan-workspace"]
+        )
         assert (
             results[0].after.peak_workspace_bytes
             <= results[0].before.peak_workspace_bytes + EPS
         )
         # Tightened plans still satisfy the lifetime accounting check.
-        assert check_dependences(program.launches) == []
+        assert check_dependences(optimized.launches) == []
 
     def test_shrinks_fused_gather_scatter_staging(self):
         # The generator's fused-gs GEMMs over-declare workspace (pair
@@ -352,15 +354,16 @@ class TestPlanWorkspace:
         # provably tightens them.
         _, _, _, kmap = build_case(3, 1, 1, seed=14)
         trace = trace_dataflow("gather_scatter_fused", kmap, c_in=8, c_out=16)
-        # Snapshot first: passes rewrite launches in place.
         declared_before = sum(launch.workspace_bytes for launch in trace)
-        program, results = optimize_trace(trace, passes=["plan-workspace"])
+        optimized, results = optimize_trace(
+            trace, passes=["plan-workspace"]
+        )
         assert results[0].changed
         # Early GEMM groups run before most staged outputs exist: their
         # declarations tighten, so total declared workspace shrinks even
         # though the peak (set by the last, fully-live group) stands.
         declared_after = sum(
-            launch.workspace_bytes for launch in program.launches
+            launch.workspace_bytes for launch in optimized
         )
         assert declared_after < declared_before
         assert results[0].workspace_saved_bytes >= 0
@@ -383,84 +386,90 @@ class TestAcceptance:
             scope=TraceScope("l1/fwd", feats_in="ext:l0/fwd:feats_out"),
         )
         trace = KernelTrace([*gs, *ig])
-        before = trace.summary()  # snapshot: passes mutate launches in place
-        program, results = optimize_trace(trace)
-        after = program.summary()
+        before = trace.summary()
+        optimized, results = optimize_trace(trace)
+        after = optimized.summary()
         assert after.launches < before.launches
         assert after.peak_workspace_bytes < before.peak_workspace_bytes
         assert after.scalar_ops < before.scalar_ops  # hoisting fired too
-        assert check_dependences(program.launches) == []
+        assert check_dependences(optimized.launches) == []
         assert [r.name for r in results] == list(DEFAULT_PIPELINE)
 
 
-class _CounterfeitFlops(Pass):
-    """Deliberately broken: inflates a conserved counter."""
-
-    name = "counterfeit-flops"
-    may_reduce = frozenset()
-
-    def run(self, program):
-        program.entries[0].launch.flops += 1e6
-        program.replace(program.entries)
-        return True
+def _add_flops(launches):
+    """Deliberately broken: inflates a conserved counter by 1,000 flops
+    per launch (on new launch objects, as a pass must)."""
+    return [
+        dataclasses.replace(launch, flops=launch.flops + 1e3)
+        for launch in launches
+    ]
 
 
-class _DropScatter(Pass):
+def _drop_scatter(launches):
     """Deliberately broken: orphans a staging buffer (introduces a leak)."""
+    return [
+        launch for launch in launches if not launch.name.startswith("scatter/")
+    ]
 
-    name = "drop-scatter"
-    may_reduce = frozenset(COUNTERS)
 
-    def run(self, program):
-        keep = [
-            entry
-            for entry in program.entries
-            if not entry.launch.name.startswith("scatter/")
-        ]
-        program.replace(keep)
-        return True
+COUNTERFEIT_FLOPS = Pass("counterfeit-flops", frozenset(), _add_flops)
+DROP_SCATTER = Pass("drop-scatter", frozenset(COUNTERS), _drop_scatter)
 
 
 class TestSoundnessSandwich:
     def test_unknown_pass_name_rejected(self):
         with pytest.raises(OptError, match="unknown pass"):
-            PassPipeline(["fuse", "no-such-pass"])
+            optimize_trace(healthy_trace(), ["fuse", "no-such-pass"])
 
     def test_conservation_violation_raises(self, monkeypatch):
-        monkeypatch.setitem(PASSES, _CounterfeitFlops.name, _CounterfeitFlops)
-        program = LaunchProgram.from_trace(healthy_trace())
+        monkeypatch.setitem(PASSES, COUNTERFEIT_FLOPS.name, COUNTERFEIT_FLOPS)
         with pytest.raises(PassSoundnessError, match="conserved counter"):
-            PassPipeline([_CounterfeitFlops.name]).run(program)
+            optimize_trace(healthy_trace(), [COUNTERFEIT_FLOPS.name])
 
     def test_introduced_violation_raises(self, monkeypatch):
-        monkeypatch.setitem(PASSES, _DropScatter.name, _DropScatter)
-        program = LaunchProgram.from_trace(healthy_trace())
+        monkeypatch.setitem(PASSES, DROP_SCATTER.name, DROP_SCATTER)
         with pytest.raises(PassSoundnessError, match="introduced"):
-            PassPipeline([_DropScatter.name]).run(program)
+            optimize_trace(healthy_trace(), [DROP_SCATTER.name])
 
     def test_broken_input_stays_diagnosable(self):
         # An already-broken trace may flow through: passes must not
         # *introduce* violations, but pre-existing ones are tolerated
         # (and dle may even repair them).
-        program, _ = optimize_trace(leaked_staging_trace(), passes=["fuse"])
-        assert len(program) > 0
+        optimized, _ = optimize_trace(leaked_staging_trace(), passes=["fuse"])
+        assert len(optimized) > 0
 
 
-class TestStableIds:
-    def test_ids_survive_rewrites(self):
+class TestRejectedPassLeavesInputAlone:
+    """A rejected pass raises with the caller's trace as it was."""
+
+    def test_counterfeit_pass(self, monkeypatch):
+        monkeypatch.setitem(PASSES, COUNTERFEIT_FLOPS.name, COUNTERFEIT_FLOPS)
         trace = healthy_trace()
-        program = LaunchProgram.from_trace(trace)
-        original = set(program.ids())
-        PassPipeline(["fuse"]).run(program)
-        after = program.ids()
-        assert len(after) == len(set(after))
-        # Fused launches got fresh ids; survivors kept theirs.
-        assert set(after) - original, "fusion should mint fresh ids"
-        assert max(after) >= max(original)
+        before = trace.summary()
+        with pytest.raises(PassSoundnessError, match="conserved counter"):
+            optimize_trace(trace, [COUNTERFEIT_FLOPS.name])
+        assert trace.summary() == before
 
-    def test_duplicate_ids_rejected(self):
-        program = LaunchProgram.from_trace(healthy_trace())
-        entries = list(program.entries)
-        entries[1] = type(entries[1])(entries[0].id, entries[1].launch)
-        with pytest.raises(ValueError, match="duplicate"):
-            program.replace(entries)
+    def test_hoisting_pass(self, monkeypatch):
+        # Force the post-rewrite structural check to report a new kind:
+        # the hoisting pass is rejected, and must not have rewritten the
+        # caller's launches on the way.
+        _, _, _, kmap = build_case(3, 1, 1, seed=7)
+        trace = trace_dataflow(
+            "implicit_gemm", kmap, c_in=8, c_out=16, schedule=NAIVE
+        )
+        snapshot = copy.deepcopy(list(trace))
+        real = opt_passes.check_trace
+        calls = []
+
+        def check_trace_failing_after(candidate):
+            calls.append(1)
+            found = real(candidate)
+            if len(calls) > 1:
+                found = [*found, TraceViolation("forced", "by the test")]
+            return found
+
+        monkeypatch.setattr(opt_passes, "check_trace", check_trace_failing_after)
+        with pytest.raises(PassSoundnessError, match="introduced"):
+            optimize_trace(trace, passes=["hoist-invariants"])
+        assert list(trace) == snapshot

@@ -17,8 +17,8 @@ from repro.gpusim import engine
 from repro.hw import get_device
 from repro.models import MinkUNet, get_workload
 from repro.nn import ExecutionContext
+from repro.codegen.cost import achieved_utilization
 from repro.opt import schedule as opt_schedule
-from repro.opt.program import LaunchProgram
 from repro.precision import Precision
 from repro.serve import ServeConfig, ServingRuntime
 from repro.serve.runtime import tuning_samples
@@ -76,11 +76,10 @@ def count_graph_builds(monkeypatch):
 
 class TestCheckedEverywhere:
     def test_program_pricing_is_checked(self):
-        # ``repro.opt.program`` imports ``estimate_trace_us`` by name; the
+        # ``repro.codegen.cost`` imports ``estimate_trace_us`` by name; the
         # check inside the entry point still sees its trace.
-        program = LaunchProgram.from_trace(dropped_gather_trace())
         with pytest.raises(AssertionError, match="uninitialized-read"):
-            program.serialized_us(A100, "fp16")
+            achieved_utilization(dropped_gather_trace(), A100, Precision.FP16)
 
     def test_check_is_off_while_it_runs(self, monkeypatch):
         seen = []
@@ -227,3 +226,48 @@ class TestLintBuildsGraphOnce:
         assert main(["depgraph", "SK-M-0.5", "--scale", "0.05", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["violations"] == []
         assert len(count_graph_builds) == 1
+
+
+@pytest.fixture
+def count_all_launch_prices(monkeypatch):
+    """Count every pricing call, including those made through the names
+    :mod:`repro.analyze.depgraph` and :mod:`repro.opt.schedule` import."""
+    calls = []
+    real = engine.launch_prices
+
+    def counting(trace, device, precision):
+        calls.append(1)
+        return real(trace, device, precision)
+
+    for module in (engine, depgraph, opt_schedule):
+        monkeypatch.setattr(module, "launch_prices", counting)
+    return calls
+
+
+class TestChecksPriceOnce:
+    """Lint and ``repro depgraph`` price the trace once for their own
+    checks; the other calls are the schedules ``best_schedule`` builds."""
+
+    def test_lint_model_prices_three_times(self, count_all_launch_prices):
+        from repro.analyze import lint_model
+
+        model = get_workload("SK-M-0.5").build_model()
+        trace = collect_execution_trace(model, 4)
+        count_all_launch_prices.clear()
+        lint_model(model, in_channels=4, trace=trace)
+        # The shared vector, the lint-stream schedule (which the latency
+        # check verifies too) and the sync-free schedule.
+        assert len(count_all_launch_prices) == 3
+
+    def test_depgraph_cli_prices_three_times(
+        self, monkeypatch, count_all_launch_prices, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setattr(engine, "TRACE_CHECK", None)
+        argv = ["depgraph", "SK-M-0.5", "--scale", "0.05", "--schedule"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # The command's vector (shared with the latency check), the
+        # check's two-stream schedule and the reported schedule.
+        assert len(count_all_launch_prices) == 3
