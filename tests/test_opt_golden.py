@@ -36,7 +36,7 @@ GOLDEN = Path(__file__).parent / "golden" / "opt_passes.json"
 DEPGRAPH_GOLDEN = Path(__file__).parent / "golden" / "depgraph_optimized.json"
 
 #: Pipelines per dataflow: each pass alone, then the default (``None``).
-PIPELINES = [*([name] for name in sorted(PASSES)), None]
+PIPELINES = [[name] for name in sorted(PASSES)] + [None]
 
 
 def case_key(dataflow, passes):

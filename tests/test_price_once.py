@@ -59,6 +59,22 @@ def count_launch_prices(monkeypatch):
 
 
 @pytest.fixture
+def count_all_launch_prices(monkeypatch):
+    """Count every pricing call, including those made through the names
+    :mod:`repro.analyze.depgraph` and :mod:`repro.opt.schedule` import."""
+    calls = []
+    real = engine.launch_prices
+
+    def counting(trace, device, precision):
+        calls.append(1)
+        return real(trace, device, precision)
+
+    for module in (engine, depgraph, opt_schedule):
+        monkeypatch.setattr(module, "launch_prices", counting)
+    return calls
+
+
+@pytest.fixture
 def count_graph_builds(monkeypatch):
     """Count :meth:`DependenceGraph.build` calls."""
     counted = []
@@ -156,19 +172,13 @@ class TestCheckedExecutionPricedOnce:
     """The trace check reads the vector the execution was priced with."""
 
     @pytest.mark.parametrize("streams,calls", [(1, 2), (4, 1)])
-    def test_checked_execution_prices(self, monkeypatch, streams, calls):
+    def test_checked_execution_prices(
+        self, count_all_launch_prices, streams, calls
+    ):
         # The suite's check stays on.  One stream: the execution's vector
         # plus the check's fresh two-stream cross-check schedule; more
         # streams: the priced schedule's vector alone.
-        counted = []
-        real = engine.launch_prices
-
-        def counting(trace, device, precision):
-            counted.append(1)
-            return real(trace, device, precision)
-
-        for module in (engine, depgraph, opt_schedule):
-            monkeypatch.setattr(module, "launch_prices", counting)
+        counted = count_all_launch_prices
         ctx = ExecutionContext(simulate_only=True, gpu_streams=streams)
         workload = get_workload("SK-M-0.5")
         workload.build_model()(tuning_samples(workload, 0.05)[0], ctx)
@@ -226,22 +236,6 @@ class TestLintBuildsGraphOnce:
         assert main(["depgraph", "SK-M-0.5", "--scale", "0.05", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["violations"] == []
         assert len(count_graph_builds) == 1
-
-
-@pytest.fixture
-def count_all_launch_prices(monkeypatch):
-    """Count every pricing call, including those made through the names
-    :mod:`repro.analyze.depgraph` and :mod:`repro.opt.schedule` import."""
-    calls = []
-    real = engine.launch_prices
-
-    def counting(trace, device, precision):
-        calls.append(1)
-        return real(trace, device, precision)
-
-    for module in (engine, depgraph, opt_schedule):
-        monkeypatch.setattr(module, "launch_prices", counting)
-    return calls
 
 
 class TestChecksPriceOnce:
