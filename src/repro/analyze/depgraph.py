@@ -445,7 +445,9 @@ def check_latency_model(
         from repro.opt.schedule import best_schedule
 
         if schedule is None:
-            schedule = best_schedule(launches, device, precision, 2, graph)
+            schedule = best_schedule(
+                launches, device, precision, 2, graph, prices
+            )
         # The schedule is bounded by its *own* weight sums (the same
         # estimate_launch_us weights its makespan is built from), so
         # this stays a scheduler-consistency check even when the trace

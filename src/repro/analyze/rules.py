@@ -194,6 +194,7 @@ class LintContext:
             self.precision,
             LINT_SCHEDULE_STREAMS,
             self.graph,
+            self.prices,
         )
 
 
@@ -829,7 +830,7 @@ def _rule_sync_overhead_dominates(ctx: LintContext) -> List[Finding]:
     free_device = dataclasses.replace(ctx.device, sync_event_us=0.0)
     ideal = best_schedule(
         ctx.trace, free_device, ctx.precision, LINT_SCHEDULE_STREAMS,
-        ctx.graph,
+        ctx.graph, ctx.prices,
     )
     win = ideal.serialized_us - ideal.makespan_us
     if win <= 0.0:

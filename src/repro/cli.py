@@ -690,13 +690,13 @@ def _cmd_depgraph(args) -> int:
         loaded_schedule = True
     elif args.schedule:
         schedule = best_schedule(
-            trace, device, precision, args.gpu_streams, graph
+            trace, device, precision, args.gpu_streams, graph, prices
         )
     verify_violations = []
     if args.verify:
         if schedule is None:
             schedule = best_schedule(
-                trace, device, precision, args.gpu_streams, graph
+                trace, device, precision, args.gpu_streams, graph, prices
             )
         verify_violations = check_schedule(trace, schedule, graph)
     failed = bool(violations or verify_violations)

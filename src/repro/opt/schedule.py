@@ -37,9 +37,9 @@ inside ``[critical_path, serialized]``.  It does the per-trace work once
 and every per-K phase in about O((n + E)·K):
 
 1. **Price once.** One :func:`~repro.gpusim.engine.launch_prices`
-   vector, the deduplicated dependence pairs, the predecessor lists, the
-   barrier indices and the critical path are computed per trace and
-   shared by every K.
+   vector (the caller's, when it passes one), the deduplicated
+   dependence pairs, the predecessor lists, the barrier indices and the
+   critical path are computed per trace and shared by every K.
 2. **K = 1** is the serialized prefix sum: no placement, no candidates,
    no reduction.
 3. **Placement-bound pruning.** With ``sync_event_us >= 0`` the
@@ -132,12 +132,16 @@ def _trace_state(
     device: DeviceSpec,
     precision: "Precision | str",
     graph: Optional[DependenceGraph],
+    prices: Optional[Sequence[float]] = None,
 ) -> _TraceState:
     precision = Precision.parse(precision)
     launches = list(trace)
     if graph is None:
         graph = DependenceGraph.build(launches)
-    prices = launch_prices(launches, device, precision)
+    if prices is None:
+        prices = launch_prices(launches, device, precision)
+    elif len(prices) != len(launches):
+        raise ValueError(f"{len(prices)} prices for {len(launches)} launches")
     edges = list(dict.fromkeys((edge.src, edge.dst) for edge in graph.edges))
     preds: List[List[int]] = [[] for _ in launches]
     for src, dst in edges:
@@ -150,7 +154,7 @@ def _trace_state(
     _, span = graph.critical_path(device, precision, prices)
     return _TraceState(
         launches=launches,
-        prices=prices,
+        prices=list(prices),
         edges=edges,
         preds=preds,
         barriers=[i for i, launch in enumerate(launches) if launch.is_barrier],
@@ -479,6 +483,7 @@ def best_schedule(
     precision: "Precision | str",
     streams: int,
     graph: Optional[DependenceGraph] = None,
+    prices: Optional[Sequence[float]] = None,
 ) -> StreamSchedule:
     """The best list schedule over 1..``streams`` streams.
 
@@ -487,9 +492,12 @@ def best_schedule(
     in ``streams`` and always in ``[critical_path, serialized]``.  Ties
     go to the smallest stream count, so overlap whose sync cost eats
     the whole win falls back to fewer streams (ultimately K=1 with zero
-    events).  Each launch is priced once per call, and a K whose
-    sync-free placement cannot beat the best makespan so far is pruned
-    — exact only for ``sync_event_us >= 0``, which is enforced.
+    events).  Each launch is priced once per call, or not at all when
+    the caller passes the trace's
+    :func:`~repro.gpusim.engine.launch_prices` vector as ``prices``
+    (it does not depend on ``sync_event_us``).  A K whose sync-free
+    placement cannot beat the best makespan so far is pruned — exact
+    only for ``sync_event_us >= 0``, which is enforced.
     """
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
@@ -499,7 +507,7 @@ def best_schedule(
             f"sync_event_us must be >= 0 for placement-bound pruning, "
             f"got {sync_cost}"
         )
-    state = _trace_state(trace, device, precision, graph)
+    state = _trace_state(trace, device, precision, graph, prices)
     best = _serial_timing(state)
     for k in range(2, streams + 1):
         candidate = _timing(state, k, sync_cost, bound=best.makespan_us)

@@ -15,15 +15,24 @@ table with linear probing, vectorised over numpy — rather than using a Python
 Insertion runs in rounds, like concurrent ``atomicCAS`` inserts: every
 pending key tries its current slot, the first pending key (in pending order)
 aiming at a free slot wins it, and everyone else moves one slot on, the
-losers of a race keeping their pending order.  The table never deletes, so
-every slot between a stored key's home slot and its final slot is occupied.
-That makes a query's probe count a function of the layout alone: a hit
-costs the key's displacement from its home slot plus one, a miss the
-circular distance from its home slot to the next empty slot plus one.
-:meth:`CoordinateHashMap.charge_known` uses it to account for queries whose
-answers are already known without probing for them, which is how
-:func:`~repro.sparse.kmap.build_kernel_map` charges the mirrored half of a
-submanifold map.
+losers of a race keeping their pending order.  All pending keys advance
+together, so in round ``r`` every pending key sits at its home slot plus
+``r``: two keys meet only if they share a home, and then they meet in every
+round until one is placed.  Keys of one home therefore leave in their
+original order, one per round at most, and keys of different homes never
+compete.  The table runs exactly that: one sort groups the keys into a
+queue per home, and round ``r`` offers slot ``home + r`` to the head of
+every queue that still waits.  A key placed in round ``r`` paid ``r``
+extra probes, which is recorded as its displacement.
+
+The table never deletes, so every slot between a stored key's home slot and
+its final slot is occupied.  That makes a query's probe count a function of
+the layout alone: a hit costs the key's displacement from its home slot plus
+one, a miss the circular distance from its home slot to the next empty slot
+plus one.  :meth:`CoordinateHashMap.charge_known` uses it to account for
+queries whose answers are already known without probing for them, which is
+how :func:`~repro.sparse.kmap.build_kernel_map` charges the mirrored half of
+a submanifold map.
 """
 
 from __future__ import annotations
@@ -49,8 +58,10 @@ def _hash_keys(keys: np.ndarray, capacity: int) -> np.ndarray:
     probing to long chains).
     """
     log2_capacity = capacity.bit_length() - 1
-    mixed = (keys * _HASH_MULT).view(np.uint64)
-    return (mixed >> np.uint64(64 - log2_capacity)).view(np.int64)
+    mixed: np.ndarray = keys * _HASH_MULT
+    bits = mixed.view(np.uint64)
+    bits >>= np.uint64(64 - log2_capacity)
+    return mixed
 
 
 @dataclasses.dataclass
@@ -73,7 +84,7 @@ class CoordinateHashMap:
     #: Table slots per key (load factor 0.5, typical for GPU hash tables).
     GROWTH_FACTOR = 2
 
-    def __init__(self, keys: np.ndarray):
+    def __init__(self, keys: np.ndarray) -> None:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 1:
             raise MapError(f"hash keys must be 1-D, got shape {keys.shape}")
@@ -88,6 +99,9 @@ class CoordinateHashMap:
         self._capacity = 1 << (wanted - 1).bit_length()
         self._slots_keys = np.full(self._capacity, _EMPTY, dtype=np.int64)
         self._slots_vals = np.full(self._capacity, -1, dtype=np.int32)
+        #: Displacement of each stored key from its home slot, indexed by
+        #: its value (the row indices ``0..N-1`` inserted below).
+        self._displacement = np.zeros(len(keys), dtype=np.int64)
         self._insert(keys, np.arange(len(keys), dtype=np.int32))
 
     def __len__(self) -> int:
@@ -95,36 +109,44 @@ class CoordinateHashMap:
 
     # ------------------------------------------------------------------ #
     def _insert(self, keys: np.ndarray, values: np.ndarray) -> None:
+        num = len(keys)
         mask = self._capacity - 1
-        # ``pending`` indexes ``keys``; ``slots`` is aligned with it.
-        slots = _hash_keys(keys, self._capacity)
-        pending = np.arange(len(keys))
-        while len(pending):
-            occupied = self._slots_keys[slots] != _EMPTY
-            free = np.flatnonzero(~occupied)
-            if len(free):
-                # Among pending keys aiming at the same free slot only the
-                # first wins (atomicCAS semantics); a stable sort puts it
-                # first in its run of equal targets.
-                order = np.argsort(slots[free], kind="stable")
-                ranked = slots[free[order]]
-                first = np.ones(len(order), dtype=bool)
-                first[1:] = ranked[1:] != ranked[:-1]
-                won = np.zeros(len(free), dtype=bool)
-                won[order[first]] = True
-                chosen = free[won]
-                self._slots_keys[slots[chosen]] = keys[pending[chosen]]
-                self._slots_vals[slots[chosen]] = values[pending[chosen]]
-                # Losers stay in ``free`` order.  Pending keys all advance
-                # together, so keys meet again only if they share a home
-                # slot, and their order decides who wins there next.
-                keep = np.concatenate([np.flatnonzero(occupied), free[~won]])
-                pending = pending[keep]
-                slots = slots[keep]
-            self.stats.insert_probes += len(pending)
-            slots = (slots + 1) & mask
-        self.stats.inserts += len(keys)
-        self.stats.insert_probes += len(keys)  # the successful probe
+        home = _hash_keys(keys, self._capacity)
+        # Group the keys by home slot, in insertion order within a home: one
+        # sort of ``home << b | i`` with ``b`` bits for the index ``i``,
+        # exact while ``capacity << b < 2**63`` (``capacity <= max(8, 4N)``,
+        # so for any N below 2**30).
+        bits = num.bit_length()
+        queued_home = np.sort((home << bits) | np.arange(num))
+        member = queued_home & ((1 << bits) - 1)
+        queued_home >>= bits
+        # One queue per home slot: ``head`` is the position of its next key
+        # in ``member``, ``end`` one past its last.
+        head = np.flatnonzero(np.diff(queued_home, prepend=-1))
+        end = np.append(head[1:], num)
+        queue_home = queued_home.take(head)
+        placed = np.empty(num, dtype=np.int64)  # each key's final slot
+        rnd = 0
+        while len(head):
+            # Round ``rnd``: the head of every queue tries its home slot
+            # plus ``rnd``; no two queues aim at the same slot.
+            slots = queue_home + rnd
+            slots &= mask
+            free = self._slots_keys.take(slots) == _EMPTY
+            won = member.take(head[free])
+            slots = slots[free]
+            self._slots_keys[slots] = keys.take(won)
+            placed[won] = slots
+            head += free
+            waiting = head < end
+            head, end, queue_home = head[waiting], end[waiting], queue_home[waiting]
+            rnd += 1
+        self._slots_vals[placed] = values
+        displacement = (placed - home) & mask
+        self._displacement[values] = displacement
+        self.stats.inserts += num
+        # One probe per round spent waiting plus the successful probe.
+        self.stats.insert_probes += num + int(displacement.sum())
 
     # ------------------------------------------------------------------ #
     def query(self, keys: np.ndarray) -> np.ndarray:
@@ -132,25 +154,36 @@ class CoordinateHashMap:
         keys = np.asarray(keys, dtype=np.int64)
         mask = self._capacity - 1
         slots = _hash_keys(keys, self._capacity)
-        slot_keys = self._slots_keys[slots]
-        hit = slot_keys == keys
-        result = np.where(hit, self._slots_vals[slots], np.int32(-1))
-        self.stats.queries += len(keys)
-        self.stats.query_probes += len(keys)
-        # Continue probing only where the slot is occupied by another key;
+        slot_keys = self._slots_keys.take(slots)
+        result = np.full(len(keys), -1, dtype=np.int32)
+        hit = np.flatnonzero(slot_keys == keys)
+        result[hit] = self._slots_vals.take(slots.take(hit))
+        probes = len(keys)
+        # Continue probing only where the slot holds another key;
         # ``active`` indexes ``result``, ``slots``/``keys`` are aligned.
-        active = np.flatnonzero(~hit & (slot_keys != _EMPTY))
-        slots = (slots[active] + 1) & mask
-        keys = keys[active]
+        going = slot_keys != keys
+        going &= slot_keys != _EMPTY
+        active = np.flatnonzero(going)
+        slots = slots.take(active)
+        keys = keys.take(active)
         while len(active):
-            self.stats.query_probes += len(active)
-            slot_keys = self._slots_keys[slots]
-            hit = slot_keys == keys
-            result[active[hit]] = self._slots_vals[slots[hit]]
-            keep = ~hit & (slot_keys != _EMPTY)
-            active = active[keep]
-            slots = (slots[keep] + 1) & mask
-            keys = keys[keep]
+            slots += 1
+            slots &= mask
+            probes += len(active)
+            slot_keys = self._slots_keys.take(slots)
+            going = slot_keys != keys
+            hit = np.flatnonzero(~going)
+            if len(hit):
+                result[active.take(hit)] = self._slots_vals.take(
+                    slots.take(hit)
+                )
+            going &= slot_keys != _EMPTY
+            keep = np.flatnonzero(going)
+            active = active.take(keep)
+            slots = slots.take(keep)
+            keys = keys.take(keep)
+        self.stats.queries += len(result)
+        self.stats.query_probes += probes
         return result
 
     def charge_known(self, keys: np.ndarray, values: np.ndarray) -> None:
@@ -159,29 +192,25 @@ class CoordinateHashMap:
         Adds exactly what :meth:`query` would add to ``queries`` and
         ``query_probes``, read off the table layout instead of probing:
         a hit on the key with value ``i`` costs that key's displacement
-        from its home slot plus one, a miss the circular distance from its
-        home slot to the next empty slot plus one.  Exact because probing
-        is linear and nothing is ever deleted.
+        from its home slot (recorded at insert) plus one, a miss the
+        circular distance from its home slot to the next empty slot plus
+        one.  Exact because probing is linear and nothing is ever deleted.
         """
-        mask = self._capacity - 1
         values = np.asarray(values)
-        misses = values < 0
         empty = self._slots_keys == _EMPTY
-        # Displacement of each stored key, indexed by its value (the row
-        # indices ``0..N-1`` the constructor inserted).
-        stored = np.flatnonzero(~empty)
-        displacement = np.empty(len(stored), dtype=np.int64)
-        displacement[self._slots_vals[stored]] = (
-            stored - _hash_keys(self._slots_keys[stored], self._capacity)
-        ) & mask
         # Circular distance from every slot to the next empty one (the
         # load factor keeps at least half the slots empty).
         position = np.arange(self._capacity)
         next_empty = np.where(empty, position, np.argmax(empty) + self._capacity)
         gap = np.minimum.accumulate(next_empty[::-1])[::-1] - position
-        home = _hash_keys(np.asarray(keys, dtype=np.int64)[misses],
-                          self._capacity)
+        # Charge every key as a miss, then swap each hit's gap for its
+        # displacement.
+        home = _hash_keys(np.asarray(keys, dtype=np.int64), self._capacity)
+        hit = np.flatnonzero(values >= 0)
         self.stats.queries += len(values)
         self.stats.query_probes += int(
-            len(values) + displacement[values[~misses]].sum() + gap[home].sum()
+            len(values)
+            + gap.take(home).sum()
+            - gap.take(home.take(hit)).sum()
+            + self._displacement.take(values.take(hit)).sum()
         )

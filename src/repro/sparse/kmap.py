@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import MapError, ShapeError
-from repro.sparse.coords import pack_coords, pack_shifted, unique_coords
+from repro.sparse.coords import pack_coords, pack_shifted
 from repro.sparse.hashmap import CoordinateHashMap, HashMapStats
 from repro.sparse.kernel_offsets import (
     KernelSize,
@@ -65,7 +65,7 @@ class KernelMap:
         build_stats: HashMapStats,
         key: MapKey,
         in_coords: Optional[np.ndarray] = None,
-    ):
+    ) -> None:
         nbmap = np.asarray(nbmap, dtype=np.int32)
         if nbmap.ndim != 2:
             raise ShapeError(f"nbmap must be 2-D, got shape {nbmap.shape}")
@@ -89,7 +89,7 @@ class KernelMap:
         #: mirrors real systems, which reorder each map once and reuse it
         #: across every layer in the group (Section 4.2) — plus the
         #: transposed map under ``"transposed"``.
-        self.analysis_cache: dict = {}
+        self.analysis_cache: Dict[Any, Any] = {}
         #: Storage order the map was materialised in.  Hash-built maps are
         #: natively output-stationary (the nbmap); *transposed* maps are
         #: natively weight-stationary (on device, swapping each pair list's
@@ -119,7 +119,7 @@ class KernelMap:
         Counted once (``nbmap`` is never reassigned) and read-only, since
         every caller shares the one array.
         """
-        sizes = np.count_nonzero(self.nbmap >= 0, axis=0)
+        sizes: np.ndarray = np.count_nonzero(self.nbmap >= 0, axis=0)
         sizes.flags.writeable = False
         return sizes
 
@@ -181,7 +181,7 @@ class KernelMap:
         fewer valid entries than pairs.  Built once per map; later calls
         return the same object.
         """
-        cached = self.analysis_cache.get("transposed")
+        cached: Optional[KernelMap] = self.analysis_cache.get("transposed")
         if cached is not None:
             return cached
         rows, cols = np.nonzero(self.nbmap >= 0)
@@ -239,8 +239,8 @@ def downsample_coords(
     spatial = out[:, 1:].astype(np.int64)
     spatial = np.floor_divide(spatial, step) * step
     out[:, 1:] = spatial.astype(np.int32)
-    unique, _ = unique_coords(out)
-    return unique
+    _, first = np.unique(pack_coords(out), return_index=True)
+    return out[np.sort(first)]
 
 
 def build_kernel_map(

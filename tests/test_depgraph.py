@@ -28,6 +28,7 @@ from repro.kernels.wgrad import wgrad_trace
 from repro.nn.blocks import ConvBlock
 from repro.nn.context import ExecutionContext
 from repro.nn.module import Module
+from repro.opt.schedule import best_schedule
 from repro.precision import Precision
 from repro.sparse.tensor import SparseTensor
 from tests.broken_traces import (
@@ -221,11 +222,14 @@ class TestCriticalPath:
         # Shrink the serialized estimate below the span: the lint fires.
         # Both bounds read the price vector handed in, so only a price no
         # launch can have (negative) puts its sum below its longest chain.
+        # A fresh schedule would read that vector too; the one handed in
+        # is priced from the model, so only the trace estimate is off.
         trace = healthy_trace()
         prices = [1.0] * len(trace)
         prices[0] = -float(len(trace))
+        schedule = best_schedule(trace, DEVICE, Precision.FP32, 2)
         violations = check_latency_model(
-            trace, DEVICE, Precision.FP32, prices=prices
+            trace, DEVICE, Precision.FP32, schedule=schedule, prices=prices
         )
         assert [v.invariant for v in violations] == ["critical-path-bound"]
 

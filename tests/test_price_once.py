@@ -117,9 +117,10 @@ class TestScheduledOnce:
         calls = []
         real = opt_schedule.best_schedule
 
-        def counting(trace, device, precision, streams, graph=None):
+        def counting(trace, device, precision, streams, graph=None,
+                     prices=None):
             calls.append(streams)
-            return real(trace, device, precision, streams, graph)
+            return real(trace, device, precision, streams, graph, prices)
 
         monkeypatch.setattr(opt_schedule, "best_schedule", counting)
         ctx = ExecutionContext(simulate_only=True, gpu_streams=4)
@@ -171,13 +172,13 @@ class TestPricedOnce:
 class TestCheckedExecutionPricedOnce:
     """The trace check reads the vector the execution was priced with."""
 
-    @pytest.mark.parametrize("streams,calls", [(1, 2), (4, 1)])
+    @pytest.mark.parametrize("streams,calls", [(1, 1), (4, 1)])
     def test_checked_execution_prices(
         self, count_all_launch_prices, streams, calls
     ):
-        # The suite's check stays on.  One stream: the execution's vector
-        # plus the check's fresh two-stream cross-check schedule; more
-        # streams: the priced schedule's vector alone.
+        # The suite's check stays on.  One stream: the execution's vector,
+        # which the check's fresh two-stream cross-check schedule reads;
+        # more streams: the priced schedule's vector alone.
         counted = count_all_launch_prices
         ctx = ExecutionContext(simulate_only=True, gpu_streams=streams)
         workload = get_workload("SK-M-0.5")
@@ -239,21 +240,21 @@ class TestLintBuildsGraphOnce:
 
 
 class TestChecksPriceOnce:
-    """Lint and ``repro depgraph`` price the trace once for their own
-    checks; the other calls are the schedules ``best_schedule`` builds."""
+    """Lint and ``repro depgraph`` price the trace once; the schedules
+    ``best_schedule`` builds for them read that vector."""
 
-    def test_lint_model_prices_three_times(self, count_all_launch_prices):
+    def test_lint_model_prices_once(self, count_all_launch_prices):
         from repro.analyze import lint_model
 
         model = get_workload("SK-M-0.5").build_model()
         trace = collect_execution_trace(model, 4)
         count_all_launch_prices.clear()
         lint_model(model, in_channels=4, trace=trace)
-        # The shared vector, the lint-stream schedule (which the latency
-        # check verifies too) and the sync-free schedule.
-        assert len(count_all_launch_prices) == 3
+        # The shared vector; the lint-stream schedule (which the latency
+        # check verifies too) and the sync-free schedule read it.
+        assert len(count_all_launch_prices) == 1
 
-    def test_depgraph_cli_prices_three_times(
+    def test_depgraph_cli_prices_once(
         self, monkeypatch, count_all_launch_prices, capsys
     ):
         from repro.cli import main
@@ -262,6 +263,6 @@ class TestChecksPriceOnce:
         argv = ["depgraph", "SK-M-0.5", "--scale", "0.05", "--schedule"]
         assert main(argv) == 0
         capsys.readouterr()
-        # The command's vector (shared with the latency check), the
+        # The command's vector, shared with the latency check, the
         # check's two-stream schedule and the reported schedule.
-        assert len(count_all_launch_prices) == 3
+        assert len(count_all_launch_prices) == 1

@@ -181,12 +181,12 @@ def test_multistream_serving_schedules_each_batch_once(monkeypatch):
     calls = []
     real = opt_schedule.best_schedule
 
-    def counting(trace, device, precision, streams, graph=None):
+    def counting(trace, device, precision, streams, graph=None, prices=None):
         # The suite's trace sanitizer schedules on 2 streams; count only
         # the runtime's own 3-stream schedules.
         if streams == 3:
             calls.append(1)
-        return real(trace, device, precision, streams, graph)
+        return real(trace, device, precision, streams, graph, prices)
 
     monkeypatch.setattr(opt_schedule, "best_schedule", counting)
     requests = generate_requests(

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import make_sample
 from repro.errors import MapError
+from repro.sparse.coords import pack_coords
 from repro.sparse.hashmap import _EMPTY, CoordinateHashMap, _hash_keys
 
 
@@ -132,6 +134,81 @@ class TestAgainstReference:
         table.charge_known(np.array([], dtype=np.int64), np.array([], int))
         assert table.stats.queries == 2
         assert table.stats.query_probes == 2
+
+
+def keys_with_homes(homes, count, capacity, exclude=()):
+    """The first ``count`` non-negative ints whose home slot at
+    ``capacity`` is in ``homes`` (and not in ``exclude``), in order."""
+    candidates = np.arange(1 << 22, dtype=np.int64)
+    wanted = np.isin(_hash_keys(candidates, capacity), list(homes))
+    picked = candidates[wanted & ~np.isin(candidates, list(exclude))]
+    assert len(picked) >= count
+    return picked[:count]
+
+
+def assert_matches_reference(keys, queries):
+    """Layout, query answers and every stats field of a table over
+    ``keys`` equal the plain loops', and ``charge_known`` charges
+    exactly what probing for ``queries`` costs."""
+    table, reference = CoordinateHashMap(keys), ReferenceHashMap(keys)
+    assert np.array_equal(table._slots_keys, reference._slots_keys)
+    assert np.array_equal(table._slots_vals, reference._slots_vals)
+    assert table.stats == reference.stats
+    expected = reference.query(queries)
+    assert np.array_equal(table.query(queries), expected)
+    assert table.stats == reference.stats
+    charged = CoordinateHashMap(keys)
+    charged.charge_known(queries, expected)
+    assert charged.stats == reference.stats
+    return table
+
+
+class TestAgainstReferenceAtScale:
+    """Deterministic cases beyond the property tests' ~300 keys: a
+    LiDAR-sized table, clusters that wrap past the last slot, one
+    n-long chain, and an empty table."""
+
+    def test_lidar_keys(self):
+        coords = make_sample("semantickitti", seed=3, scale=0.5).coords
+        keys = pack_coords(coords)[:50_000]
+        assert len(keys) == 50_000
+        offsets = np.array([0, 1, -1, 1 << 16, -(1 << 32), 3 << 16])
+        queries = (keys[:, np.newaxis] + offsets).ravel()
+        table = assert_matches_reference(keys, queries)
+        assert table.stats.insert_probes > table.stats.inserts  # collisions
+
+    def test_clusters_wrap_to_slot_zero(self):
+        capacity = _capacity(64)
+        last = range(capacity - 4, capacity)
+        keys = keys_with_homes(last, 64, capacity)
+        table = assert_matches_reference(
+            keys,
+            np.concatenate([
+                keys,
+                keys_with_homes(last, 16, capacity, exclude=keys),
+                keys_with_homes([0, 1], 16, capacity),
+            ]),
+        )
+        # The cluster runs from the last slots through slot 0 onwards.
+        assert table._slots_keys[0] != _EMPTY
+        assert table._slots_keys[capacity - 1] != _EMPTY
+
+    def test_every_key_on_one_home(self):
+        capacity = _capacity(200)
+        keys = keys_with_homes([5], 200, capacity)
+        others = keys_with_homes([5], 220, capacity)[200:]
+        table = assert_matches_reference(
+            keys, np.concatenate([keys[::-1], others])
+        )
+        # One chain: key i sits i slots past the home, in insertion order.
+        assert np.array_equal(table._slots_keys[5:205], keys)
+        assert table.stats.insert_probes == 200 + 199 * 200 // 2
+
+    def test_empty_table(self):
+        table = assert_matches_reference(
+            np.array([], dtype=np.int64), np.array([3, -4, 0], dtype=np.int64)
+        )
+        assert table.stats.query_probes == 3
 
 
 class TestCoordinateHashMap:
