@@ -23,9 +23,9 @@ from repro.analyze.depgraph import (
     DepEdge,
     DependenceGraph,
     check_dependences,
-    check_depgraph,
+    check_execution,
     check_latency_model,
-    depgraph_report_json,
+    depgraph_report,
 )
 from repro.analyze.hb import (
     HappensBefore,
@@ -208,15 +208,14 @@ def sanitize_trace(
     priced: PricedTrace, device: DeviceSpec, precision: Precision
 ) -> None:
     """The trace check (:data:`repro.gpusim.engine.TRACE_CHECK`): raise
-    ``AssertionError`` listing every violation :func:`check_trace`,
-    :func:`check_dependences` and :func:`check_latency_model` (on the
-    priced schedule and price vector) find in the priced execution."""
+    ``AssertionError`` listing every violation :func:`check_trace` and
+    :func:`check_execution` (on the priced schedule and price vector)
+    find in the priced execution.  ``precision`` is the hook's; the
+    price vector already carries it."""
     trace = priced.trace
-    graph = DependenceGraph.build(trace)
-    violations = check_trace(trace) + check_dependences(trace, graph)
-    violations += check_latency_model(
-        trace, device, precision, graph,
-        schedule=priced.schedule, prices=priced.prices,
+    violations = check_trace(trace) + check_execution(
+        trace, device, DependenceGraph.build(trace), priced.prices,
+        priced.schedule,
     )
     if violations:
         details = "\n".join(f"  - {v}" for v in violations)
@@ -258,13 +257,13 @@ __all__ = [
     "audit_cache_sites",
     "check_conv_trace",
     "check_dependences",
-    "check_depgraph",
+    "check_execution",
     "check_latency_model",
     "check_scatter_races",
     "check_schedule",
     "check_trace",
     "collect_execution_trace",
-    "depgraph_report_json",
+    "depgraph_report",
     "find_redundant_events",
     "fuzz_all",
     "fuzz_cache_site",

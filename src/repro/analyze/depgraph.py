@@ -23,12 +23,14 @@ From one serialized trace this module builds the dependence DAG —
   the conflict (the launch-level generalization of the scatter race
   detector).
 
-From the same DAG the analyzer computes the critical path under
-:func:`~repro.gpusim.engine.launch_prices` node weights.  Because
-the serialized-stream estimate sums every launch, it can never be below
-the longest dependence chain — ``check_latency_model`` cross-validates
-exactly that and reports ``critical-path-bound`` violations when a
-future engine change breaks the invariant.
+From the same DAG the analyzer computes the critical path under the
+caller's :func:`~repro.gpusim.engine.launch_prices` node weights.
+Because the serialized-stream estimate sums every launch, it can never
+be below the longest dependence chain — ``check_latency_model``
+cross-validates exactly that and reports ``critical-path-bound``
+violations when a future engine change breaks the invariant.
+:func:`check_execution` is the one recipe that runs both families of
+checks on a priced execution.
 
 Launches with empty read/write sets are treated as unannotated and do
 not participate (they still count toward serialized latency).
@@ -37,11 +39,9 @@ not participate (they still count toward serialized latency).
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analyze.tracecheck import TraceViolation
-from repro.gpusim.engine import launch_prices
 from repro.gpusim.trace import KernelLaunch, KernelTrace
 from repro.hw.specs import DeviceSpec
 from repro.precision import Precision
@@ -125,41 +125,26 @@ class DependenceGraph:
             counts[edge.kind] += 1
         return counts
 
-    def _prices(
-        self,
-        device: DeviceSpec,
-        precision: Precision,
-        prices: Optional[Sequence[float]],
-    ) -> Sequence[float]:
-        if prices is None:
-            return launch_prices(self.launches, device, precision)
-        return prices
-
     def critical_path(
-        self,
-        device: DeviceSpec,
-        precision: Precision,
-        prices: Optional[Sequence[float]] = None,
+        self, prices: Sequence[float]
     ) -> Tuple[List[int], float]:
         """Longest dependence chain: launch indices and its latency (us).
 
         Edges only ever point forward in program order, so program order
         is a topological order and one forward DP suffices.  ``prices``
-        is the trace's :func:`~repro.gpusim.engine.launch_prices` vector
-        when the caller already has it.
+        is the trace's :func:`~repro.gpusim.engine.launch_prices` vector.
         """
         n = len(self.launches)
         if n == 0:
             return [], 0.0
-        weights = self._prices(device, precision, prices)
         preds: Dict[int, List[int]] = {}
         for edge in self.edges:
             preds.setdefault(edge.dst, []).append(edge.src)
-        best = list(weights)
+        best = list(prices)
         best_pred: List[Optional[int]] = [None] * n
         for i in range(n):
             for p in preds.get(i, ()):
-                candidate = best[p] + weights[i]
+                candidate = best[p] + prices[i]
                 if candidate > best[i]:
                     best[i] = candidate
                     best_pred[i] = p
@@ -170,32 +155,18 @@ class DependenceGraph:
         path.reverse()
         return path, best[end]
 
-    def parallelism(
-        self,
-        device: DeviceSpec,
-        precision: Precision,
-        prices: Optional[Sequence[float]] = None,
-    ) -> float:
-        """Available launch parallelism: serialized latency over span."""
-        weights = self._prices(device, precision, prices)
-        _, span = self.critical_path(device, precision, weights)
-        if span <= 0.0:
-            return 1.0
-        serialized = sum(weights)
-        return serialized / span
-
     # ------------------------------------------------------------------ #
     def to_json(
         self,
         device: DeviceSpec,
         precision: Precision,
+        prices: Sequence[float],
         ndigits: int = 3,
-        prices: Optional[Sequence[float]] = None,
     ) -> Dict[str, object]:
-        """Deterministic JSON document (floats rounded for stability)."""
-        weights = self._prices(device, precision, prices)
-        path, span = self.critical_path(device, precision, weights)
-        serialized = sum(weights)
+        """Deterministic JSON document (floats rounded for stability);
+        ``device`` and ``precision`` label the ``prices`` it reports."""
+        path, span = self.critical_path(prices)
+        serialized = sum(prices)
         return {
             "device": device.name,
             "precision": precision.value,
@@ -211,7 +182,7 @@ class DependenceGraph:
                     "index": i,
                     "name": self.launches[i].name,
                     "kind": self.launches[i].kind.value,
-                    "us": round(weights[i], ndigits),
+                    "us": round(prices[i], ndigits),
                 }
                 for i in path
             ],
@@ -409,23 +380,19 @@ def check_dependences(
 def check_latency_model(
     trace: "KernelTrace | Sequence[KernelLaunch]",
     device: DeviceSpec,
-    precision: Precision,
-    graph: Optional[DependenceGraph] = None,
+    graph: DependenceGraph,
+    prices: Sequence[float],
     schedule: Optional["StreamSchedule"] = None,
-    prices: Optional[Sequence[float]] = None,
 ) -> List[TraceViolation]:
     """Cross-validate the serialized-stream estimate against the DAG
     critical-path lower bound, and a sync-aware multi-stream schedule
     (``schedule``, else a fresh two-stream one) against both bounds plus
-    the happens-before race detector.  ``prices`` is the trace's
-    :func:`~repro.gpusim.engine.launch_prices` vector when the caller
-    already priced it: both bounds read it instead of pricing again."""
+    the happens-before race detector.  ``graph`` is the trace's
+    :class:`DependenceGraph` and ``prices`` its
+    :func:`~repro.gpusim.engine.launch_prices` vector: both bounds and
+    the fresh schedule read them."""
     launches = list(trace)
-    if graph is None:
-        graph = DependenceGraph.build(launches)
-    if prices is None:
-        prices = launch_prices(launches, device, precision)
-    _, span = graph.critical_path(device, precision, prices)
+    _, span = graph.critical_path(prices)
     serialized = sum(prices)
     violations: List[TraceViolation] = []
     if serialized < span * (1.0 - _EPS_REL) - _EPS_REL:
@@ -445,9 +412,7 @@ def check_latency_model(
         from repro.opt.schedule import best_schedule
 
         if schedule is None:
-            schedule = best_schedule(
-                launches, device, precision, 2, graph, prices
-            )
+            schedule = best_schedule(launches, device, 2, graph, prices)
         # The schedule is bounded by its *own* weight sums (the same
         # estimate_launch_us weights its makespan is built from), so
         # this stays a scheduler-consistency check even when the trace
@@ -483,50 +448,57 @@ def check_latency_model(
     return violations
 
 
-def check_depgraph(
-    trace: "KernelTrace | Sequence[KernelLaunch]",
-    device: Optional[DeviceSpec] = None,
-    precision: Optional[Precision] = None,
-    graph: Optional[DependenceGraph] = None,
-) -> List[TraceViolation]:
-    """All dependence checks; latency cross-validation when a target is
-    given.  ``graph`` is the trace's :class:`DependenceGraph` when the
-    caller already built it."""
-    launches = list(trace)
-    if graph is None:
-        graph = DependenceGraph.build(launches)
-    violations = check_dependences(launches, graph)
-    if device is not None and precision is not None:
-        violations.extend(
-            check_latency_model(launches, device, precision, graph)
-        )
-    return violations
-
-
-def depgraph_report_json(
+def check_execution(
     trace: "KernelTrace | Sequence[KernelLaunch]",
     device: DeviceSpec,
+    graph: DependenceGraph,
+    prices: Sequence[float],
+    schedule: Optional["StreamSchedule"] = None,
+) -> List[TraceViolation]:
+    """The checks on one priced execution: :func:`check_dependences`,
+    then :func:`check_latency_model` on ``schedule`` (else a fresh
+    two-stream one).  The trace check, lint's trace rules and ``repro
+    depgraph`` all run this one recipe on the graph and price vector
+    they already hold."""
+    return check_dependences(trace, graph) + check_latency_model(
+        trace, device, graph, prices, schedule
+    )
+
+
+def depgraph_report(
+    graph: DependenceGraph,
+    device: DeviceSpec,
     precision: Precision,
-) -> str:
-    """Stable JSON string for CLI export and determinism smokes."""
-    graph = DependenceGraph.build(trace)
-    doc = graph.to_json(device, precision)
-    doc["violations"] = [
-        {
-            "invariant": v.invariant,
-            "launch": v.launch,
-            "message": v.message,
-        }
-        for v in check_depgraph(trace, device, precision, graph)
-    ]
-    return json.dumps(doc, indent=2, sort_keys=True)
+    prices: Sequence[float],
+    violations: Sequence[TraceViolation],
+    *,
+    passes: Sequence[Dict[str, object]] = (),
+    schedule: Optional["StreamSchedule"] = None,
+    verification: Optional[Sequence[TraceViolation]] = None,
+) -> Dict[str, object]:
+    """The ``repro depgraph --json`` document: the graph summary, the
+    ``violations`` of :func:`check_execution`, and when given the
+    optimization ``passes``, the reported ``schedule`` and its
+    ``verification`` by :func:`~repro.analyze.hb.check_schedule`."""
+    doc = graph.to_json(device, precision, prices)
+    doc["violations"] = [v.to_dict() for v in violations]
+    if passes:
+        doc["passes"] = list(passes)
+    if schedule is not None:
+        # Imported lazily: repro.opt builds on this module.
+        from repro.opt.schedule import schedule_report_json
+
+        doc["schedule"] = schedule_report_json(schedule)
+    if verification is not None:
+        doc["schedule_verification"] = [v.to_dict() for v in verification]
+    return doc
 
 
 __all__ = [
     "DepEdge",
     "DependenceGraph",
     "check_dependences",
+    "check_execution",
     "check_latency_model",
-    "check_depgraph",
-    "depgraph_report_json",
+    "depgraph_report",
 ]

@@ -162,22 +162,16 @@ class LintContext:
 
     @functools.cached_property
     def trace_violations(self) -> List[TraceViolation]:
-        """Depgraph violations of ``trace`` ([] without one); the latency
-        cross-check reads :attr:`prices` and :attr:`stream_schedule`."""
+        """:func:`~repro.analyze.depgraph.check_execution` of ``trace``
+        ([] without one) on :attr:`graph`, :attr:`prices` and
+        :attr:`stream_schedule`."""
         if self.trace is None:
             return []
-        from repro.analyze.depgraph import (
-            check_dependences,
-            check_latency_model,
-        )
+        from repro.analyze.depgraph import check_execution
 
-        return check_dependences(self.trace, self.graph) + check_latency_model(
-            self.trace,
-            self.device,
-            self.precision,
-            self.graph,
-            schedule=self.stream_schedule,
-            prices=self.prices,
+        return check_execution(
+            self.trace, self.device, self.graph, self.prices,
+            self.stream_schedule,
         )
 
     @functools.cached_property
@@ -189,11 +183,7 @@ class LintContext:
         from repro.opt.schedule import best_schedule
 
         return best_schedule(
-            self.trace,
-            self.device,
-            self.precision,
-            LINT_SCHEDULE_STREAMS,
-            self.graph,
+            self.trace, self.device, LINT_SCHEDULE_STREAMS, self.graph,
             self.prices,
         )
 
@@ -692,7 +682,7 @@ def _rule_launch_parallelism(ctx: LintContext) -> List[Finding]:
     if ctx.trace is None or len(ctx.trace) == 0:
         return []
     prices = ctx.prices
-    _, span = ctx.graph.critical_path(ctx.device, ctx.precision, prices)
+    _, span = ctx.graph.critical_path(prices)
     if span <= 0.0:
         return []
     serialized = sum(prices)
@@ -728,12 +718,8 @@ def _rule_launch_parallelism(ctx: LintContext) -> List[Finding]:
     "every cross-stream dependence needs a happens-before sync event",
 )
 def _rule_unsynchronized_cross_stream(ctx: LintContext) -> List[Finding]:
-    schedule = ctx.stream_schedule
-    if schedule is None:
-        return []
-    from repro.analyze.hb import check_schedule
-
-    findings = _depgraph_findings(
+    # The latency check verifies the lint schedule with check_schedule.
+    return _depgraph_findings(
         ctx,
         "unsynchronized-cross-stream-dep",
         (
@@ -742,23 +728,6 @@ def _rule_unsynchronized_cross_stream(ctx: LintContext) -> List[Finding]:
             "malformed-schedule",
         ),
     )
-    seen = {(f.path, f.message) for f in findings}
-    assert ctx.trace is not None
-    for violation in check_schedule(ctx.trace, schedule, ctx.graph):
-        key = (violation.launch or "<schedule>", violation.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        findings.append(
-            Finding(
-                rule="unsynchronized-cross-stream-dep",
-                severity=Severity.ERROR,
-                path=violation.launch or "<schedule>",
-                message=violation.message,
-                data={"invariant": violation.invariant},
-            )
-        )
-    return findings
 
 
 @lint_rule(
@@ -829,8 +798,7 @@ def _rule_sync_overhead_dominates(ctx: LintContext) -> List[Finding]:
     assert ctx.trace is not None
     free_device = dataclasses.replace(ctx.device, sync_event_us=0.0)
     ideal = best_schedule(
-        ctx.trace, free_device, ctx.precision, LINT_SCHEDULE_STREAMS,
-        ctx.graph, ctx.prices,
+        ctx.trace, free_device, LINT_SCHEDULE_STREAMS, ctx.graph, ctx.prices
     )
     win = ideal.serialized_us - ideal.makespan_us
     if win <= 0.0:

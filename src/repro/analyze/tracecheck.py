@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -58,6 +58,13 @@ class TraceViolation:
     def __str__(self) -> str:
         where = f" [{self.launch}]" if self.launch else ""
         return f"{self.invariant}{where}: {self.message}"
+
+    def to_dict(self) -> Dict[str, Optional[str]]:
+        return {
+            "invariant": self.invariant,
+            "launch": self.launch,
+            "message": self.message,
+        }
 
 
 def _numeric_fields(launch: KernelLaunch) -> List[str]:

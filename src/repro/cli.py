@@ -640,12 +640,12 @@ def _cmd_depgraph(args) -> int:
 
     from repro.analyze.depgraph import (
         DependenceGraph,
-        check_dependences,
-        check_latency_model,
+        check_execution,
+        depgraph_report,
     )
     from repro.analyze.hb import check_schedule
     from repro.gpusim.engine import launch_prices
-    from repro.opt import best_schedule, optimize_trace, schedule_report_json
+    from repro.opt import best_schedule, optimize_trace
     from repro.opt.schedule import schedule_from_json, schedule_to_dot
 
     _validate_target(args.device, args.precision)
@@ -676,9 +676,7 @@ def _cmd_depgraph(args) -> int:
 
     graph = DependenceGraph.build(trace)
     prices = launch_prices(trace, device, precision)
-    violations = check_dependences(trace, graph) + check_latency_model(
-        trace, device, precision, graph, prices=prices
-    )
+    violations = check_execution(trace, device, graph, prices)
     schedule = None
     loaded_schedule = False
     if args.schedule_json:
@@ -688,37 +686,21 @@ def _cmd_depgraph(args) -> int:
             doc_in = doc_in["schedule"]
         schedule = schedule_from_json(doc_in)
         loaded_schedule = True
-    elif args.schedule:
+    elif args.schedule or args.verify:
         schedule = best_schedule(
-            trace, device, precision, args.gpu_streams, graph, prices
+            trace, device, args.gpu_streams, graph, prices
         )
     verify_violations = []
     if args.verify:
-        if schedule is None:
-            schedule = best_schedule(
-                trace, device, precision, args.gpu_streams, graph, prices
-            )
         verify_violations = check_schedule(trace, schedule, graph)
     failed = bool(violations or verify_violations)
     if args.json:
-        doc = graph.to_json(device, precision, prices=prices)
-        doc["violations"] = [
-            {"invariant": v.invariant, "launch": v.launch, "message": v.message}
-            for v in violations
-        ]
-        if pass_rows:
-            doc["passes"] = pass_rows
-        if schedule is not None:
-            doc["schedule"] = schedule_report_json(schedule)
-        if args.verify:
-            doc["schedule_verification"] = [
-                {
-                    "invariant": v.invariant,
-                    "launch": v.launch,
-                    "message": v.message,
-                }
-                for v in verify_violations
-            ]
+        doc = depgraph_report(
+            graph, device, precision, prices, violations,
+            passes=pass_rows,
+            schedule=schedule,
+            verification=verify_violations if args.verify else None,
+        )
         print(_json.dumps(doc, indent=2, sort_keys=True))
         return 1 if failed else 0
     if args.dot:
@@ -728,7 +710,7 @@ def _cmd_depgraph(args) -> int:
             print(graph.to_dot())
         return 1 if failed else 0
     counts = graph.edge_counts()
-    path, span = graph.critical_path(device, precision, prices)
+    path, span = graph.critical_path(prices)
     serialized = sum(prices)
     print(
         f"{workload.id} @ {device.name}/{precision.value} x{args.batch} "

@@ -179,17 +179,19 @@ def price_trace(
     if not isinstance(trace, KernelTrace):
         trace = KernelTrace(trace)
     parsed = Precision.parse(precision)
-    schedule: Optional["StreamSchedule"] = None
+    prices = launch_prices(trace, device, parsed)
     if streams > 1:
-        # Imported lazily: repro.opt prices launches with this module.
+        # Imported lazily: repro.analyze and repro.opt build on this module.
+        from repro.analyze.depgraph import DependenceGraph
         from repro.opt.schedule import best_schedule
 
-        schedule = best_schedule(trace, device, parsed, streams)
+        schedule = best_schedule(
+            trace, device, streams, DependenceGraph.build(trace), prices
+        )
         priced = PricedTrace(
             trace, schedule.prices, schedule.makespan_us, schedule
         )
     else:
-        prices = launch_prices(trace, device, parsed)
         priced = PricedTrace(trace, prices, sum(prices))
     check = TRACE_CHECK
     if check is not None:

@@ -21,7 +21,6 @@ Weight-gradient (wgrad) numerics and traces live in
 """
 
 from repro.kernels.base import (
-    ConvSpec,
     KernelSchedule,
     dense_gemm_trace,
     gemm_efficiency,
@@ -40,7 +39,6 @@ from repro.kernels.registry import (
 )
 
 __all__ = [
-    "ConvSpec",
     "KernelSchedule",
     "dense_gemm_trace",
     "gemm_efficiency",

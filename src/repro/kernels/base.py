@@ -122,17 +122,6 @@ SMALL_TILE = KernelSchedule(tile_m=64, tile_n=32, tile_k=16, warp_rows=16)
 DEFAULT_SCHEDULE = KernelSchedule()
 
 
-@dataclasses.dataclass(frozen=True)
-class ConvSpec:
-    """Shape summary of one sparse convolution (for reports and costing)."""
-
-    num_inputs: int
-    num_outputs: int
-    volume: int
-    c_in: int
-    c_out: int
-
-
 def check_conv_args(
     feats: np.ndarray, weights: np.ndarray, volume: int
 ) -> Tuple[int, int]:

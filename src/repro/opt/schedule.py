@@ -36,10 +36,12 @@ over 1..K streams.  That restores monotonicity and keeps the result
 inside ``[critical_path, serialized]``.  It does the per-trace work once
 and every per-K phase in about O((n + E)·K):
 
-1. **Price once.** One :func:`~repro.gpusim.engine.launch_prices`
-   vector (the caller's, when it passes one), the deduplicated
+1. **Price once.** The caller's :func:`~repro.gpusim.engine.launch_prices`
+   vector and dependence graph are required inputs: the scheduler never
+   prices a launch or builds a graph itself.  The deduplicated
    dependence pairs, the predecessor lists, the barrier indices and the
-   critical path are computed per trace and shared by every K.
+   critical path are computed from them once per trace and shared by
+   every K.
 2. **K = 1** is the serialized prefix sum: no placement, no candidates,
    no reduction.
 3. **Placement-bound pruning.** With ``sync_event_us >= 0`` the
@@ -63,10 +65,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analyze.depgraph import DependenceGraph
 from repro.analyze.hb import SyncEvent, stream_sequences
-from repro.gpusim.engine import launch_prices
 from repro.gpusim.trace import KernelLaunch, KernelTrace
 from repro.hw.specs import DeviceSpec
-from repro.precision import Precision
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,18 +129,11 @@ class _TraceState:
 
 def _trace_state(
     trace: "KernelTrace | Sequence[KernelLaunch]",
-    device: DeviceSpec,
-    precision: "Precision | str",
-    graph: Optional[DependenceGraph],
-    prices: Optional[Sequence[float]] = None,
+    graph: DependenceGraph,
+    prices: Sequence[float],
 ) -> _TraceState:
-    precision = Precision.parse(precision)
     launches = list(trace)
-    if graph is None:
-        graph = DependenceGraph.build(launches)
-    if prices is None:
-        prices = launch_prices(launches, device, precision)
-    elif len(prices) != len(launches):
+    if len(prices) != len(launches):
         raise ValueError(f"{len(prices)} prices for {len(launches)} launches")
     edges = list(dict.fromkeys((edge.src, edge.dst) for edge in graph.edges))
     preds: List[List[int]] = [[] for _ in launches]
@@ -151,7 +144,7 @@ def _trace_state(
     serialized = 0.0
     for price in prices:
         serialized += price
-    _, span = graph.critical_path(device, precision, prices)
+    _, span = graph.critical_path(prices)
     return _TraceState(
         launches=launches,
         prices=list(prices),
@@ -453,16 +446,17 @@ def _materialize(
 def list_schedule(
     trace: "KernelTrace | Sequence[KernelLaunch]",
     device: DeviceSpec,
-    precision: "Precision | str",
     streams: int,
-    graph: Optional[DependenceGraph] = None,
+    graph: DependenceGraph,
+    prices: Sequence[float],
 ) -> StreamSchedule:
     """Greedy program-order list schedule onto exactly ``streams`` streams.
 
     Runs in four phases: greedy placement, sync-event emission for
     every cross-stream ordering, transitive reduction of the event set,
     and a final re-timing pass that charges ``device.sync_event_us``
-    per surviving event.
+    per surviving event.  ``graph`` and ``prices`` are the trace's, as
+    for :func:`best_schedule`.
 
     Note: makespan is not guaranteed monotone in ``streams`` (Graham's
     scheduling anomalies), and with nonzero sync cost a fixed K can
@@ -471,7 +465,7 @@ def list_schedule(
     """
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
-    state = _trace_state(trace, device, precision, graph)
+    state = _trace_state(trace, graph, prices)
     timing = _timing(state, streams, device.sync_event_us)
     assert timing is not None
     return _materialize(state, timing, device.sync_event_us)
@@ -480,10 +474,9 @@ def list_schedule(
 def best_schedule(
     trace: "KernelTrace | Sequence[KernelLaunch]",
     device: DeviceSpec,
-    precision: "Precision | str",
     streams: int,
-    graph: Optional[DependenceGraph] = None,
-    prices: Optional[Sequence[float]] = None,
+    graph: DependenceGraph,
+    prices: Sequence[float],
 ) -> StreamSchedule:
     """The best list schedule over 1..``streams`` streams.
 
@@ -492,12 +485,11 @@ def best_schedule(
     in ``streams`` and always in ``[critical_path, serialized]``.  Ties
     go to the smallest stream count, so overlap whose sync cost eats
     the whole win falls back to fewer streams (ultimately K=1 with zero
-    events).  Each launch is priced once per call, or not at all when
-    the caller passes the trace's
-    :func:`~repro.gpusim.engine.launch_prices` vector as ``prices``
-    (it does not depend on ``sync_event_us``).  A K whose sync-free
-    placement cannot beat the best makespan so far is pruned — exact
-    only for ``sync_event_us >= 0``, which is enforced.
+    events).  ``graph`` is the trace's dependence graph and ``prices``
+    its :func:`~repro.gpusim.engine.launch_prices` vector (which does
+    not depend on ``sync_event_us``); no launch is priced here.  A K
+    whose sync-free placement cannot beat the best makespan so far is
+    pruned — exact only for ``sync_event_us >= 0``, which is enforced.
     """
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
@@ -507,7 +499,7 @@ def best_schedule(
             f"sync_event_us must be >= 0 for placement-bound pruning, "
             f"got {sync_cost}"
         )
-    state = _trace_state(trace, device, precision, graph, prices)
+    state = _trace_state(trace, graph, prices)
     best = _serial_timing(state)
     for k in range(2, streams + 1):
         candidate = _timing(state, k, sync_cost, bound=best.makespan_us)

@@ -226,11 +226,14 @@ class KernelMap:
 
 def downsample_coords(
     coords: np.ndarray, stride: Tuple[int, ...], tensor_stride: Tuple[int, ...]
-) -> np.ndarray:
-    """Output coordinates of a strided convolution.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Output coordinates of a strided convolution, and their packed keys.
 
     Outputs live on the coarser grid ``tensor_stride * stride``; a cell is
-    occupied when it contains at least one input point.
+    occupied when it contains at least one input point.  Cells keep the
+    order of their first input, and the keys
+    (:func:`~repro.sparse.coords.pack_coords` of the outputs) come from
+    the one packing that deduplicates them.
     """
     step = np.asarray(stride, dtype=np.int64) * np.asarray(
         tensor_stride, dtype=np.int64
@@ -239,8 +242,10 @@ def downsample_coords(
     spatial = out[:, 1:].astype(np.int64)
     spatial = np.floor_divide(spatial, step) * step
     out[:, 1:] = spatial.astype(np.int32)
-    _, first = np.unique(pack_coords(out), return_index=True)
-    return out[np.sort(first)]
+    keys = pack_coords(out)
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    return out[first], keys[first]
 
 
 def build_kernel_map(
@@ -286,14 +291,12 @@ def build_kernel_map(
     tstride = normalize_kernel_size(tensor_stride, ndim)
     offsets = kernel_offsets(sizes, ndim)
 
-    if all(s == 1 for s in stride_t):
-        out_coords = in_coords
-    else:
-        out_coords = downsample_coords(in_coords, stride_t, tstride)
-
     in_keys = pack_coords(in_coords)
     table = CoordinateHashMap(in_keys)
-    out_keys = in_keys if out_coords is in_coords else pack_coords(out_coords)
+    if all(s == 1 for s in stride_t):
+        out_coords, out_keys = in_coords, in_keys
+    else:
+        out_coords, out_keys = downsample_coords(in_coords, stride_t, tstride)
     dilated = offsets.astype(np.int64) * np.asarray(tstride, dtype=np.int64)
     # Query all offsets in one vectorised batch, as a fused GPU kernel would.
     queries = pack_shifted(out_coords, out_keys, dilated)

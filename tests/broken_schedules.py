@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.analyze.depgraph import DependenceGraph
 from repro.analyze.hb import SyncEvent, check_schedule
 from repro.data.datasets import make_sample
+from repro.gpusim.engine import launch_prices
 from repro.gpusim.trace import KernelLaunch
 from repro.hw import get_device
 from repro.models import get_workload
@@ -76,10 +77,9 @@ def workload_trace() -> List[KernelLaunch]:
 def healthy_schedule(
     launches: List[KernelLaunch], graph: DependenceGraph
 ) -> StreamSchedule:
-    schedule = best_schedule(
-        launches, get_device(DEVICE), Precision.parse(PRECISION),
-        STREAMS, graph,
-    )
+    device = get_device(DEVICE)
+    prices = launch_prices(launches, device, PRECISION)
+    schedule = best_schedule(launches, device, STREAMS, graph, prices)
     assert check_schedule(launches, schedule, graph) == [], (
         "fixture base schedule must verify clean"
     )

@@ -16,11 +16,11 @@ import pytest
 from repro.analyze.depgraph import (
     DependenceGraph,
     check_dependences,
-    check_depgraph,
+    check_execution,
     check_latency_model,
-    depgraph_report_json,
+    depgraph_report,
 )
-from repro.gpusim.engine import estimate_launch_us
+from repro.gpusim.engine import estimate_launch_us, launch_prices
 from repro.gpusim.trace import UNSCOPED, KernelLaunch, KernelTrace, LaunchKind
 from repro.hw import get_device
 from repro.kernels.registry import DATAFLOWS, Dataflow, trace_dataflow
@@ -40,6 +40,25 @@ from tests.broken_traces import (
 from tests.test_dataflow_differential import GEOMETRIES, build_case
 
 DEVICE = get_device("a100")
+
+
+def checked(trace, precision):
+    """:func:`check_execution` on the trace's own graph and prices."""
+    trace = list(trace)
+    return check_execution(
+        trace, DEVICE, DependenceGraph.build(trace),
+        launch_prices(trace, DEVICE, precision),
+    )
+
+
+def report_json(trace, precision):
+    """The ``repro depgraph --json`` document of one trace."""
+    trace = list(trace)
+    graph = DependenceGraph.build(trace)
+    prices = launch_prices(trace, DEVICE, precision)
+    violations = check_execution(trace, DEVICE, graph, prices)
+    doc = depgraph_report(graph, DEVICE, precision, prices, violations)
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _launch(name, reads=(), writes=(), workspace=0.0):
@@ -116,16 +135,16 @@ class TestHealthyTracesClean:
             dataflow, kmap, feats.shape[1], weights.shape[2],
             precision=precision,
         )
-        assert check_depgraph(trace, DEVICE, precision) == []
+        assert checked(trace, precision) == []
 
     def test_wgrad_traces_clean(self):
         _, _, _, kmap = build_case(3, 1, 1, seed=3)
         for gathered in (False, True):
             trace = wgrad_trace(kmap, 5, 6, gathered=gathered)
-            assert check_depgraph(trace, DEVICE, Precision.FP32) == []
+            assert checked(trace, Precision.FP32) == []
 
     def test_gather_scatter_trace_clean(self):
-        assert check_depgraph(healthy_trace(), DEVICE, Precision.FP32) == []
+        assert checked(healthy_trace(), Precision.FP32) == []
 
     def test_unannotated_launches_do_not_participate(self):
         trace = [_launch("legacy"), _launch("also-legacy")]
@@ -203,17 +222,18 @@ class TestCriticalPath:
             dataflow, kmap, feats.shape[1], weights.shape[2]
         )
         graph = DependenceGraph.build(trace)
-        path, span = graph.critical_path(DEVICE, Precision.FP16)
-        serialized = sum(
-            estimate_launch_us(l, DEVICE, Precision.FP16) for l in trace
-        )
+        prices = [estimate_launch_us(l, DEVICE, Precision.FP16) for l in trace]
+        path, span = graph.critical_path(prices)
+        serialized = sum(prices)
         assert 0.0 < span <= serialized + 1e-9
-        assert graph.parallelism(DEVICE, Precision.FP16) >= 1.0 - 1e-9
-        assert check_latency_model(trace, DEVICE, Precision.FP16) == []
+        assert check_latency_model(trace, DEVICE, graph, prices) == []
 
     def test_path_is_a_dependence_chain(self):
-        graph = DependenceGraph.build(healthy_trace())
-        path, _ = graph.critical_path(DEVICE, Precision.FP32)
+        trace = healthy_trace()
+        graph = DependenceGraph.build(trace)
+        path, _ = graph.critical_path(
+            launch_prices(trace, DEVICE, Precision.FP32)
+        )
         edges = {(e.src, e.dst) for e in graph.edges}
         for a, b in zip(path, path[1:]):
             assert (a, b) in edges
@@ -225,18 +245,22 @@ class TestCriticalPath:
         # A fresh schedule would read that vector too; the one handed in
         # is priced from the model, so only the trace estimate is off.
         trace = healthy_trace()
+        graph = DependenceGraph.build(trace)
         prices = [1.0] * len(trace)
         prices[0] = -float(len(trace))
-        schedule = best_schedule(trace, DEVICE, Precision.FP32, 2)
+        schedule = best_schedule(
+            trace, DEVICE, 2, graph,
+            launch_prices(trace, DEVICE, Precision.FP32),
+        )
         violations = check_latency_model(
-            trace, DEVICE, Precision.FP32, schedule=schedule, prices=prices
+            trace, DEVICE, graph, prices, schedule=schedule
         )
         assert [v.invariant for v in violations] == ["critical-path-bound"]
 
     def test_empty_trace(self):
         graph = DependenceGraph.build([])
-        assert graph.critical_path(DEVICE, Precision.FP16) == ([], 0.0)
-        assert graph.parallelism(DEVICE, Precision.FP16) == 1.0
+        assert graph.critical_path([]) == ([], 0.0)
+        assert graph.to_json(DEVICE, Precision.FP16, [])["parallelism"] == 1.0
 
 
 # ---------------------------------------------------------------------- #
@@ -269,7 +293,7 @@ class TestModelTraceScoping:
             device=DEVICE, precision=Precision.FP16, simulate_only=True
         )
         _TwoConvNet()(_sample(0), ctx)
-        assert check_depgraph(ctx.trace, DEVICE, Precision.FP16) == []
+        assert checked(ctx.trace, Precision.FP16) == []
         buffers = {
             a.buffer
             for l in ctx.trace
@@ -296,7 +320,7 @@ class TestModelTraceScoping:
         net = _TwoConvNet()
         for seed in range(3):
             net(_sample(seed), ctx)
-        assert check_depgraph(ctx.trace, DEVICE, Precision.FP16) == []
+        assert checked(ctx.trace, Precision.FP16) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -305,8 +329,8 @@ class TestModelTraceScoping:
 class TestExports:
     def test_json_report_is_deterministic_and_well_formed(self):
         trace = healthy_trace()
-        a = depgraph_report_json(trace, DEVICE, Precision.FP32)
-        b = depgraph_report_json(trace, DEVICE, Precision.FP32)
+        a = report_json(trace, Precision.FP32)
+        b = report_json(trace, Precision.FP32)
         assert a == b
         doc = json.loads(a)
         assert doc["violations"] == []
@@ -320,9 +344,7 @@ class TestExports:
 
     def test_json_report_carries_violations(self):
         doc = json.loads(
-            depgraph_report_json(
-                dropped_gather_trace(), DEVICE, Precision.FP32
-            )
+            report_json(dropped_gather_trace(), Precision.FP32)
         )
         assert [v["invariant"] for v in doc["violations"]] == [
             "uninitialized-read"

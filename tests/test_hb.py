@@ -31,7 +31,7 @@ from repro.analyze.hb import (
     redundant_sync_edges,
 )
 from repro.cli import main
-from repro.gpusim.engine import estimate_trace_us
+from repro.gpusim.engine import estimate_trace_us, launch_prices
 from repro.hw import get_device
 from repro.opt.schedule import (
     best_schedule,
@@ -156,7 +156,9 @@ class TestScheduleVerifiesClean:
         trace = random_dag_trace(seed)
         launches = list(trace)
         graph = DependenceGraph.build(launches)
-        schedule = list_schedule(launches, A100, FP16, streams, graph)
+        schedule = list_schedule(
+            launches, A100, streams, graph, launch_prices(launches, A100, FP16)
+        )
         assert check_schedule(launches, schedule, graph) == []
         assert find_redundant_events(schedule) == []
         assert (
@@ -185,7 +187,9 @@ class TestScheduleVerifiesClean:
 
     def test_single_stream_needs_no_events(self, workload_case):
         launches, graph, _ = workload_case
-        schedule = list_schedule(launches, A100, FP16, 1, graph)
+        schedule = list_schedule(
+            launches, A100, 1, graph, launch_prices(launches, A100, FP16)
+        )
         assert schedule.events == ()
         assert schedule.makespan_us == estimate_trace_us(
             launches, A100, FP16
@@ -226,7 +230,9 @@ def small_case():
     trace = random_dag_trace(3, n=12)
     launches = list(trace)
     graph = DependenceGraph.build(launches)
-    schedule = list_schedule(launches, A100, FP16, 2, graph)
+    schedule = list_schedule(
+        launches, A100, 2, graph, launch_prices(launches, A100, FP16)
+    )
     assert check_schedule(launches, schedule, graph) == []
     return launches, graph, schedule
 
@@ -385,9 +391,10 @@ class TestSyncAwareBestSchedule:
         launches = list(trace)
         graph = DependenceGraph.build(launches)
         serialized = estimate_trace_us(launches, A100, FP16)
+        prices = launch_prices(launches, A100, FP16)
         previous = None
         for streams in (1, 2, 4, 8):
-            schedule = best_schedule(launches, A100, FP16, streams, graph)
+            schedule = best_schedule(launches, A100, streams, graph, prices)
             assert schedule.makespan_us <= serialized * (1 + 1e-9)
             assert (
                 schedule.critical_path_us
@@ -402,7 +409,9 @@ class TestSyncAwareBestSchedule:
         launches = list(trace)
         graph = DependenceGraph.build(launches)
         expensive = dataclasses.replace(A100, sync_event_us=1e9)
-        schedule = best_schedule(launches, expensive, FP16, 4, graph)
+        schedule = best_schedule(
+            launches, expensive, 4, graph, launch_prices(launches, A100, FP16)
+        )
         assert schedule.events == ()
         assert schedule.makespan_us == estimate_trace_us(
             launches, expensive, FP16

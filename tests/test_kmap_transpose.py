@@ -110,7 +110,7 @@ def test_matches_loop_reference_on_preset_scenes(preset):
                 build_kernel_map(coords, kernel_size, stride, tensor_stride),
                 mirrored=stride == 1,
             )
-        coords = downsample_coords(coords, (2, 2, 2), (tensor_stride,) * 3)
+        coords, _ = downsample_coords(coords, (2, 2, 2), (tensor_stride,) * 3)
 
 
 @pytest.mark.parametrize("kernel_size", [3, (3, 1, 5), (1, 1, 3)])

@@ -21,7 +21,7 @@ import pytest
 
 from repro.analyze.depgraph import DependenceGraph
 from repro.data.datasets import make_sample
-from repro.gpusim.engine import estimate_trace_us
+from repro.gpusim.engine import estimate_trace_us, launch_prices
 from repro.gpusim.trace import BufferAccess, KernelLaunch, KernelTrace, LaunchKind
 from repro.hw import get_device
 from repro.models.registry import WORKLOADS
@@ -90,6 +90,14 @@ def random_dag_trace(seed: int, n: int = 40) -> KernelTrace:
     return KernelTrace(launches)
 
 
+def graph_and_prices(trace, device=A100):
+    """The scheduler's inputs: the trace's dependence graph and its FP16
+    price vector on ``device``."""
+    launches = list(trace)
+    graph = DependenceGraph.build(launches)
+    return graph, launch_prices(launches, device, FP16)
+
+
 SEEDS = tuple(range(6))
 
 
@@ -98,8 +106,8 @@ class TestScheduleValidity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_no_hazard_edge_violated(self, seed, streams):
         trace = random_dag_trace(seed)
-        graph = DependenceGraph.build(trace)
-        schedule = list_schedule(trace, A100, FP16, streams, graph)
+        graph, prices = graph_and_prices(trace)
+        schedule = list_schedule(trace, A100, streams, graph, prices)
         by_index = {a.index: a for a in schedule.assignments}
         for edge in graph.edges:
             src, dst = by_index[edge.src], by_index[edge.dst]
@@ -112,7 +120,8 @@ class TestScheduleValidity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_streams_never_overlap(self, seed, streams):
         trace = random_dag_trace(seed)
-        schedule = list_schedule(trace, A100, FP16, streams)
+        graph, prices = graph_and_prices(trace)
+        schedule = list_schedule(trace, A100, streams, graph, prices)
         per_stream = {}
         for a in schedule.assignments:
             per_stream.setdefault(a.stream, []).append(a)
@@ -127,7 +136,7 @@ class TestScheduleValidity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_launch_scheduled_once(self, seed):
         trace = random_dag_trace(seed)
-        schedule = list_schedule(trace, A100, FP16, 4)
+        schedule = list_schedule(trace, A100, 4, *graph_and_prices(trace))
         assert sorted(a.index for a in schedule.assignments) == list(
             range(len(trace))
         )
@@ -137,9 +146,9 @@ class TestLatencyBounds:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_monotone_in_stream_budget(self, seed):
         trace = random_dag_trace(seed)
-        graph = DependenceGraph.build(trace)
+        graph, prices = graph_and_prices(trace)
         makespans = [
-            best_schedule(trace, A100, FP16, k, graph).makespan_us
+            best_schedule(trace, A100, k, graph, prices).makespan_us
             for k in STREAM_COUNTS
         ]
         for wider, narrower in zip(makespans[1:], makespans):
@@ -149,7 +158,8 @@ class TestLatencyBounds:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_within_critical_path_and_serialized(self, seed, streams):
         trace = random_dag_trace(seed)
-        schedule = best_schedule(trace, A100, FP16, streams)
+        graph, prices = graph_and_prices(trace)
+        schedule = best_schedule(trace, A100, streams, graph, prices)
         assert (
             schedule.critical_path_us * (1 - REL)
             <= schedule.makespan_us
@@ -159,7 +169,7 @@ class TestLatencyBounds:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_single_stream_is_serialized_bitwise(self, seed):
         trace = random_dag_trace(seed)
-        schedule = list_schedule(trace, A100, FP16, 1)
+        schedule = list_schedule(trace, A100, 1, *graph_and_prices(trace))
         # Exact equality, not approx: same launches, same left-to-right
         # summation order.
         assert schedule.makespan_us == schedule.serialized_us
@@ -167,7 +177,8 @@ class TestLatencyBounds:
 
     def test_invalid_stream_count_rejected(self):
         with pytest.raises(ValueError, match="streams"):
-            list_schedule(random_dag_trace(0), A100, FP16, 0)
+            trace = random_dag_trace(0)
+            list_schedule(trace, A100, 0, *graph_and_prices(trace))
         with pytest.raises(ValueError, match="streams"):
             estimate_trace_us(random_dag_trace(0), A100, FP16, streams=0)
 
@@ -186,8 +197,9 @@ class TestBarrierSemantics:
             for i in range(10)
         ]
         trace = KernelTrace(launches)
+        graph, prices = graph_and_prices(trace)
         for k in STREAM_COUNTS:
-            schedule = list_schedule(trace, A100, FP16, k)
+            schedule = list_schedule(trace, A100, k, graph, prices)
             assert schedule.makespan_us == schedule.serialized_us
 
     def test_barrier_fences_annotated_work(self):
@@ -200,7 +212,7 @@ class TestBarrierSemantics:
             dram_write_bytes=1.0,
         )
         fenced = KernelTrace([*trace[:-1], barrier, trace[-1]])
-        schedule = list_schedule(fenced, A100, FP16, 4)
+        schedule = list_schedule(fenced, A100, 4, *graph_and_prices(fenced))
         b = next(a for a in schedule.assignments if a.name == "opaque/barrier")
         before = [a for a in schedule.assignments if a.index < b.index]
         after = [a for a in schedule.assignments if a.index > b.index]
@@ -224,8 +236,8 @@ class TestBuiltinWorkloads:
         serialized = estimate_trace_us(ctx.trace, A100, FP16)
         scheduled = estimate_trace_us(ctx.trace, A100, FP16, streams=2)
         assert scheduled < serialized
-        graph = DependenceGraph.build(ctx.trace)
-        _, span = graph.critical_path(A100, FP16)
+        graph, prices = graph_and_prices(ctx.trace)
+        _, span = graph.critical_path(prices)
         assert span <= scheduled * (1 + REL)
 
     def test_context_gpu_streams_lowers_latency(self):

@@ -60,8 +60,9 @@ def count_launch_prices(monkeypatch):
 
 @pytest.fixture
 def count_all_launch_prices(monkeypatch):
-    """Count every pricing call, including those made through the names
-    :mod:`repro.analyze.depgraph` and :mod:`repro.opt.schedule` import."""
+    """Count every pricing call.  Only :mod:`repro.gpusim.engine` binds
+    the name: the analyzers and the scheduler read their callers'
+    vectors and import it nowhere."""
     calls = []
     real = engine.launch_prices
 
@@ -69,8 +70,9 @@ def count_all_launch_prices(monkeypatch):
         calls.append(1)
         return real(trace, device, precision)
 
-    for module in (engine, depgraph, opt_schedule):
-        monkeypatch.setattr(module, "launch_prices", counting)
+    for module in (depgraph, opt_schedule):
+        assert not hasattr(module, "launch_prices")
+    monkeypatch.setattr(engine, "launch_prices", counting)
     return calls
 
 
@@ -117,10 +119,9 @@ class TestScheduledOnce:
         calls = []
         real = opt_schedule.best_schedule
 
-        def counting(trace, device, precision, streams, graph=None,
-                     prices=None):
+        def counting(trace, device, streams, graph, prices):
             calls.append(streams)
-            return real(trace, device, precision, streams, graph, prices)
+            return real(trace, device, streams, graph, prices)
 
         monkeypatch.setattr(opt_schedule, "best_schedule", counting)
         ctx = ExecutionContext(simulate_only=True, gpu_streams=4)
@@ -223,7 +224,12 @@ class TestLintBuildsGraphOnce:
         model = get_workload("SK-M-0.5").build_model()
         trace = collect_execution_trace(model, 4)
         count_graph_builds.clear()
-        depgraph.depgraph_report_json(trace, A100, Precision.FP16)
+        graph = depgraph.DependenceGraph.build(trace)
+        prices = engine.launch_prices(trace, A100, Precision.FP16)
+        violations = depgraph.check_execution(trace, A100, graph, prices)
+        depgraph.depgraph_report(
+            graph, A100, Precision.FP16, prices, violations
+        )
         assert len(count_graph_builds) == 1
 
     def test_depgraph_cli_builds_one_graph(

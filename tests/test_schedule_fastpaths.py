@@ -1,9 +1,9 @@
 """The scheduler's fast paths against their references (``repro.opt.schedule``).
 
-``best_schedule`` prices each launch once, takes K = 1 as the serialized
-prefix sum, prunes stream counts whose sync-free placement cannot win,
-and reduces sync events with per-stream vector clocks.  Each shortcut
-is checked against the slow path it replaces:
+``best_schedule`` reads the caller's price vector, takes K = 1 as the
+serialized prefix sum, prunes stream counts whose sync-free placement
+cannot win, and reduces sync events with per-stream vector clocks.  Each
+shortcut is checked against the slow path it replaces:
 
 * the vector-clock reduction removes exactly the sync edges that
   :func:`repro.analyze.hb.redundant_sync_edges` (the bitset closure,
@@ -12,7 +12,7 @@ is checked against the slow path it replaces:
   the batches a multi-stream serving run schedules;
 * ``best_schedule`` equals an exhaustive min over ``list_schedule(K)``,
   field by field, and the pruning actually fires;
-* one ``best_schedule`` call prices every launch exactly once;
+* pricing a trace and scheduling it prices every launch exactly once;
 * the summation orders the goldens depend on stay put: ``sum()`` is
   compensated on Python >= 3.12, the explicit left-to-right loop is not.
 """
@@ -36,7 +36,7 @@ from repro.serve import (
     generate_requests,
     parse_traffic,
 )
-from tests.test_opt_scheduler import random_dag_trace
+from tests.test_opt_scheduler import graph_and_prices, random_dag_trace
 
 A100 = get_device("a100")
 FP16 = Precision.FP16
@@ -129,7 +129,9 @@ def assert_same_reduction(stream_of, streams, sync_edges):
 
 
 def scheduler_candidates(launches, stream_of):
-    state = opt_schedule._trace_state(launches, A100, FP16, None)
+    state = opt_schedule._trace_state(
+        launches, *graph_and_prices(launches)
+    )
     return opt_schedule._candidate_sync_edges(state, stream_of)
 
 
@@ -141,10 +143,10 @@ def serving_batches():
     for workload in ("SK-M-0.5", "NS-M-1f"):
         traces = captured.setdefault(workload, [])
 
-        def capture(trace, device, precision, streams, graph=None):
+        def capture(trace, device, streams, graph, prices):
             if streams == SERVE_STREAMS:
                 traces.append(list(trace))
-            return real(trace, device, precision, streams, graph)
+            return real(trace, device, streams, graph, prices)
 
         requests = generate_requests(
             workload, parse_traffic("steady:rate=40", seed=0),
@@ -187,7 +189,9 @@ class TestVectorClockReduction:
     @pytest.mark.parametrize("seed", range(4))
     def test_greedy_placements(self, seed, streams):
         launches = list(barrier_dag_trace(50 + seed, n=60))
-        state = opt_schedule._trace_state(launches, A100, FP16, None)
+        state = opt_schedule._trace_state(
+            launches, *graph_and_prices(launches)
+        )
         stream_of, _ = opt_schedule._place_streams(state, streams)
         sync_edges = opt_schedule._candidate_sync_edges(state, stream_of)
         assert_same_reduction(stream_of, streams, sync_edges)
@@ -196,7 +200,9 @@ class TestVectorClockReduction:
     def test_serving_batches(self, serving_batches, workload):
         rng = random.Random(workload)
         for launches in serving_batches[workload]:
-            state = opt_schedule._trace_state(launches, A100, FP16, None)
+            state = opt_schedule._trace_state(
+                launches, *graph_and_prices(launches)
+            )
             for streams in (1, 2, 3, 4):
                 greedy, _ = opt_schedule._place_streams(state, streams)
                 shuffled = [rng.randrange(streams) for _ in launches]
@@ -210,10 +216,10 @@ class TestVectorClockReduction:
 # --------------------------------------------------------------------- #
 # best_schedule == exhaustive min over list_schedule(K)
 # --------------------------------------------------------------------- #
-def exhaustive_best(launches, device, streams, graph):
+def exhaustive_best(launches, device, streams, graph, prices):
     best = None
     for k in range(1, streams + 1):
-        candidate = list_schedule(launches, device, FP16, k, graph)
+        candidate = list_schedule(launches, device, k, graph, prices)
         if best is None or candidate.makespan_us < best.makespan_us:
             best = candidate
     return best
@@ -239,26 +245,33 @@ class TestBestScheduleMatchesExhaustive:
             list(random_dag_trace(seed)),
             list(barrier_dag_trace(seed, n=40)),
         ):
-            graph = DependenceGraph.build(launches)
+            graph, prices = graph_and_prices(launches, device)
             for streams in (1, 2, 4):
-                expected = exhaustive_best(launches, device, streams, graph)
+                expected = exhaustive_best(
+                    launches, device, streams, graph, prices
+                )
                 assert best_schedule(
-                    launches, device, FP16, streams, graph
+                    launches, device, streams, graph, prices
                 ) == expected
 
     @pytest.mark.parametrize("device", DEVICES.values(), ids=DEVICES.keys())
     def test_serving_batches(self, serving_batches, device):
         for traces in serving_batches.values():
             for launches in traces:
-                graph = DependenceGraph.build(launches)
-                expected = exhaustive_best(launches, device, SERVE_STREAMS, graph)
+                graph, prices = graph_and_prices(launches, device)
+                expected = exhaustive_best(
+                    launches, device, SERVE_STREAMS, graph, prices
+                )
                 assert best_schedule(
-                    launches, device, FP16, SERVE_STREAMS, graph
+                    launches, device, SERVE_STREAMS, graph, prices
                 ) == expected
 
     def test_k1_wins_under_costly_sync(self):
         launches = list(random_dag_trace(7))
-        schedule = best_schedule(launches, DEVICES["k1-wins"], FP16, 4)
+        device = DEVICES["k1-wins"]
+        schedule = best_schedule(
+            launches, device, 4, *graph_and_prices(launches, device)
+        )
         assert schedule.streams == 1
         assert schedule.events == ()
         assert schedule.makespan_us == schedule.serialized_us
@@ -267,7 +280,9 @@ class TestBestScheduleMatchesExhaustive:
     def test_k1_prefix_sum_is_the_four_phase_path(self, seed):
         # K = 1 skips placement, candidates and reduction; run them anyway.
         launches = list(barrier_dag_trace(seed, n=40))
-        state = opt_schedule._trace_state(launches, A100, FP16, None)
+        state = opt_schedule._trace_state(
+            launches, *graph_and_prices(launches)
+        )
         stream_of, placed_us = opt_schedule._place_streams(state, 1)
         assert opt_schedule._candidate_sync_edges(state, stream_of) == []
         starts, ends, makespan = opt_schedule._retime(
@@ -282,27 +297,31 @@ class TestBestScheduleMatchesExhaustive:
     def test_pruning_fires(self, monkeypatch):
         # A dependence chain and a fully unannotated trace place exactly
         # serialized, so K >= 2 cannot beat K = 1 and is pruned.
-        cases = [
-            (launches, device, exhaustive_best(launches, device, 4, None))
-            for launches in (chain_trace(), unannotated_trace())
-            for device in DEVICES.values()
-        ]
+        cases = []
+        for launches in (chain_trace(), unannotated_trace()):
+            for device in DEVICES.values():
+                graph, prices = graph_and_prices(launches, device)
+                expected = exhaustive_best(launches, device, 4, graph, prices)
+                cases.append((launches, device, graph, prices, expected))
         placed = count_calls(monkeypatch, "_place_streams")
         retimed = count_calls(monkeypatch, "_retime")
-        for launches, device, expected in cases:
-            assert best_schedule(launches, device, FP16, 4) == expected
+        for launches, device, graph, prices, expected in cases:
+            schedule = best_schedule(launches, device, 4, graph, prices)
+            assert schedule == expected
         assert len(placed) == 3 * len(cases)
         assert retimed == [], "a stream count that cannot win was re-timed"
 
     def test_negative_sync_cost_rejected(self):
         device = dataclasses.replace(A100)
         object.__setattr__(device, "sync_event_us", -1.0)
+        launches = list(random_dag_trace(0))
         with pytest.raises(ValueError, match="sync_event_us"):
-            best_schedule(list(random_dag_trace(0)), device, FP16, 2)
+            best_schedule(launches, device, 2, *graph_and_prices(launches))
 
     def test_invalid_stream_count_rejected(self):
+        launches = list(random_dag_trace(0))
         with pytest.raises(ValueError, match="streams"):
-            best_schedule(list(random_dag_trace(0)), A100, FP16, 0)
+            best_schedule(launches, A100, 0, *graph_and_prices(launches))
 
 
 class TestPriceOnce:
@@ -317,7 +336,9 @@ class TestPriceOnce:
             return real(launch, device, precision)
 
         monkeypatch.setattr(engine, "estimate_launch_us", counting)
-        best_schedule(launches, A100, FP16, streams)
+        graph, prices = graph_and_prices(launches)
+        assert len(calls) == len(launches)
+        best_schedule(launches, A100, streams, graph, prices)
         assert len(calls) == len(launches)
 
 
@@ -365,7 +386,9 @@ class TestSummationOrders:
 
     def test_single_stream_schedule_is_loop_sum(self, launches):
         prices = engine.launch_prices(launches, A100, FP16)
-        schedule = best_schedule(launches, A100, FP16, 1)
+        schedule = best_schedule(
+            launches, A100, 1, DependenceGraph.build(launches), prices
+        )
         assert schedule.makespan_us == loop_sum(prices)
         assert schedule.serialized_us == loop_sum(prices)
         assert schedule.assignments[-1].end_us == loop_sum(prices)

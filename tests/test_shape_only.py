@@ -181,12 +181,12 @@ def test_multistream_serving_schedules_each_batch_once(monkeypatch):
     calls = []
     real = opt_schedule.best_schedule
 
-    def counting(trace, device, precision, streams, graph=None, prices=None):
+    def counting(trace, device, streams, graph, prices):
         # The suite's trace sanitizer schedules on 2 streams; count only
         # the runtime's own 3-stream schedules.
         if streams == 3:
             calls.append(1)
-        return real(trace, device, precision, streams, graph, prices)
+        return real(trace, device, streams, graph, prices)
 
     monkeypatch.setattr(opt_schedule, "best_schedule", counting)
     requests = generate_requests(

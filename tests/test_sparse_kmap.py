@@ -77,9 +77,14 @@ class TestSubmanifoldMap:
 class TestStridedMap:
     def test_downsample_coords_coarsens(self):
         coords = figure2_coords()
-        out = downsample_coords(coords, stride=(2, 2), tensor_stride=(1, 1))
+        out, keys = downsample_coords(
+            coords, stride=(2, 2), tensor_stride=(1, 1)
+        )
         assert np.all(out[:, 1:] % 2 == 0)
         assert len(out) <= len(coords)
+        # The keys are the outputs' packing, one per distinct cell.
+        np.testing.assert_array_equal(keys, pack_coords(out))
+        assert len(np.unique(keys)) == len(keys)
 
     def test_strided_map_output_count(self):
         coords = figure2_coords()
@@ -188,7 +193,7 @@ def reference_kernel_map(in_coords, kernel_size, stride=1, tensor_stride=1):
     if all(s == 1 for s in stride_t):
         out_coords = in_coords
     else:
-        out_coords = downsample_coords(in_coords, stride_t, tstride)
+        out_coords, _ = downsample_coords(in_coords, stride_t, tstride)
     table = CoordinateHashMap(pack_coords(in_coords))
     volume = len(offsets)
     dilated = offsets.astype(np.int64) * np.asarray(tstride, dtype=np.int64)
@@ -282,7 +287,7 @@ class TestAdditiveQueryKeys:
             assert_same_outcome(coords, 3, 1, tensor_stride)
             assert_same_outcome(coords, 3, 2, tensor_stride)
             assert_same_outcome(coords, 2, 2, tensor_stride)
-            coords = downsample_coords(
+            coords, _ = downsample_coords(
                 coords, (2, 2, 2), (tensor_stride,) * 3
             )
 
