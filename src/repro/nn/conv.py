@@ -45,7 +45,7 @@ from repro.sparse.tensor import SparseTensor, shape_only_feats
 def _identity_kmap(tensor: SparseTensor) -> KernelMap:
     """Trivial map for pointwise convolution: every output is its input."""
     n = tensor.num_points
-    return KernelMap(
+    kmap = KernelMap(
         nbmap=np.arange(n, dtype=np.int32).reshape(n, 1),
         offsets=np.zeros((1, tensor.ndim), dtype=np.int32),
         num_inputs=n,
@@ -58,6 +58,8 @@ def _identity_kmap(tensor: SparseTensor) -> KernelMap:
         ),
         in_coords=tensor.coords,
     )
+    kmap.mirrored = True
+    return kmap
 
 
 def _pass_operands(
@@ -237,6 +239,7 @@ class SparseConv3d(Module):
                     kernel_size=self.kernel_size,
                     stride=self.stride,
                     tensor_stride=x.stride,
+                    slot=x.cache.table_slot,
                 )
                 x.cache.put(key, kmap)
             # Build cost is charged once per map per context: a fresh

@@ -30,7 +30,7 @@ def _check_coords(coords: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _check_spatial_range(lo, hi) -> None:
+def _check_spatial_range(lo: int, hi: int) -> None:
     if lo < -_BIAS or hi >= _BIAS:
         raise ShapeError(
             "spatial coordinates out of packable range "
@@ -89,7 +89,8 @@ def pack_shifted(
         )
     shifts = _FIELD_BITS * np.arange(deltas.shape[1] - 1, -1, -1)
     steps = (deltas << shifts).sum(axis=1)
-    return steps[:, np.newaxis] + np.asarray(keys, dtype=np.int64)
+    shifted: np.ndarray = steps[:, np.newaxis] + np.asarray(keys, dtype=np.int64)
+    return shifted
 
 
 def unpack_coords(keys: np.ndarray, num_spatial_dims: int) -> np.ndarray:
@@ -104,6 +105,35 @@ def unpack_coords(keys: np.ndarray, num_spatial_dims: int) -> np.ndarray:
     return out
 
 
+def group_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group rows by key: ``(first, group)``.
+
+    ``first`` holds the row of each distinct key's first occurrence,
+    ascending, and ``group[i]`` is the position in ``first`` of row ``i``'s
+    key, so ``keys[first][group] == keys``.  The same answer as
+    ``np.unique(keys, return_index=True, return_inverse=True)`` reordered by
+    first occurrence, from one default (unstable) sort: a key's first
+    occurrence is the least row of its sorted run, which
+    ``np.minimum.reduceat`` finds in whatever order the sort left the run.
+    """
+    keys = np.asarray(keys)
+    order = np.argsort(keys)
+    ranked = keys.take(order)
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    run_start = np.flatnonzero(starts)
+    run_first = np.minimum.reduceat(order, run_start)
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[run_first] = True
+    first = np.flatnonzero(is_first)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[first] = np.arange(len(first))
+    run_length = np.diff(run_start, append=len(keys))
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.repeat(rank.take(run_first), run_length)
+    return first, group
+
+
 def unique_coords(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Deduplicate coordinate rows.
 
@@ -113,10 +143,5 @@ def unique_coords(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     determinism) and ``inverse`` maps each original row to its unique row.
     """
     coords = _check_coords(np.asarray(coords))
-    keys = pack_coords(coords)
-    _, first_index, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # np.unique sorts by key; re-order to first-occurrence order.
-    order = np.argsort(first_index, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return coords[np.sort(first_index)], rank[inverse]
+    first, inverse = group_rows(pack_coords(coords))
+    return coords[first], inverse

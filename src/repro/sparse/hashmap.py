@@ -38,6 +38,7 @@ a submanifold map.
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 import numpy as np
 
@@ -149,8 +150,15 @@ class CoordinateHashMap:
         self.stats.insert_probes += num + int(displacement.sum())
 
     # ------------------------------------------------------------------ #
-    def query(self, keys: np.ndarray) -> np.ndarray:
-        """Look up ``keys``; returns int32 values, ``-1`` for missing keys."""
+    def query(
+        self, keys: np.ndarray, stats: Optional[HashMapStats] = None
+    ) -> np.ndarray:
+        """Look up ``keys``; returns int32 values, ``-1`` for missing keys.
+
+        The queries and probes are added to ``stats``, by default the
+        table's own (a table shared by several maps charges each map's
+        queries to that map).
+        """
         keys = np.asarray(keys, dtype=np.int64)
         mask = self._capacity - 1
         slots = _hash_keys(keys, self._capacity)
@@ -182,11 +190,17 @@ class CoordinateHashMap:
             active = active.take(keep)
             slots = slots.take(keep)
             keys = keys.take(keep)
-        self.stats.queries += len(result)
-        self.stats.query_probes += probes
+        stats = self.stats if stats is None else stats
+        stats.queries += len(result)
+        stats.query_probes += probes
         return result
 
-    def charge_known(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def charge_known(
+        self,
+        keys: np.ndarray,
+        values: np.ndarray,
+        stats: Optional[HashMapStats] = None,
+    ) -> None:
         """Account for querying ``keys`` whose results ``values`` are known.
 
         Adds exactly what :meth:`query` would add to ``queries`` and
@@ -195,6 +209,7 @@ class CoordinateHashMap:
         from its home slot (recorded at insert) plus one, a miss the
         circular distance from its home slot to the next empty slot plus
         one.  Exact because probing is linear and nothing is ever deleted.
+        Accounts into ``stats`` like :meth:`query`.
         """
         values = np.asarray(values)
         empty = self._slots_keys == _EMPTY
@@ -207,8 +222,9 @@ class CoordinateHashMap:
         # displacement.
         home = _hash_keys(np.asarray(keys, dtype=np.int64), self._capacity)
         hit = np.flatnonzero(values >= 0)
-        self.stats.queries += len(values)
-        self.stats.query_probes += int(
+        stats = self.stats if stats is None else stats
+        stats.queries += len(values)
+        stats.query_probes += int(
             len(values)
             + gap.take(home).sum()
             - gap.take(home.take(hit)).sum()

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import MapError, ShapeError
-from repro.sparse.coords import pack_coords, pack_shifted
+from repro.sparse.coords import group_rows, pack_coords, pack_shifted
 from repro.sparse.hashmap import CoordinateHashMap, HashMapStats
 from repro.sparse.kernel_offsets import (
     KernelSize,
@@ -99,6 +99,12 @@ class KernelMap:
         #: downsampling layers and fetch-on-demand cheap on decoder layers
         #: (Figure 18).
         self.native_weight_stationary: bool = False
+        #: Set by the constructor that built the map by mirroring
+        #: (submanifold: outputs are the inputs, offsets symmetric), so
+        #: ``nbmap[j, v] == i`` exactly when ``nbmap[i, V - 1 - v] == j``.
+        self.mirrored = False
+        #: The nbmap of the map this one is the checked transpose of.
+        self._transposed_from: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -153,22 +159,6 @@ class KernelMap:
             self._pairs = list(zip(in_idx, out_idx))[: self.volume]
         return self._pairs
 
-    def padded_nbmap(self, cta_m: int) -> np.ndarray:
-        """Output-stationary map padded to a multiple of ``cta_m`` rows.
-
-        Section 3.2: padding removes the boundary check on map loads in the
-        innermost loop of the generated kernel.  Padded rows are all ``-1``
-        and therefore contribute only zero rows to the implicit GEMM.
-        """
-        if cta_m <= 0:
-            raise ValueError(f"cta_m must be positive, got {cta_m}")
-        padded_rows = -(-self.num_outputs // cta_m) * cta_m
-        if padded_rows == self.num_outputs:
-            return self.nbmap
-        padded = np.full((padded_rows, self.volume), -1, dtype=np.int32)
-        padded[: self.num_outputs] = self.nbmap
-        return padded
-
     def transposed(self) -> "KernelMap":
         """Map for the transposed convolution (dgrad / inverse conv).
 
@@ -178,19 +168,26 @@ class KernelMap:
         multiplies by ``W_delta^T``).  Well-defined because for a fixed
         offset each input matches at most one output: one scatter relabels
         every pair, and a duplicate input would overwrite an entry, leaving
-        fewer valid entries than pairs.  Built once per map; later calls
-        return the same object.
+        fewer valid entries than pairs.  Two maps skip the scatter, since
+        their transpose is already known: a mirrored map's is its columns
+        reversed, and a transposed map's is the nbmap it was built from.
+        Built once per map; later calls return the same object.
         """
         cached: Optional[KernelMap] = self.analysis_cache.get("transposed")
         if cached is not None:
             return cached
-        rows, cols = np.nonzero(self.nbmap >= 0)
-        t_nbmap = np.full((self.num_inputs, self.volume), -1, dtype=np.int32)
-        t_nbmap[self.nbmap[rows, cols], cols] = rows
-        if np.count_nonzero(t_nbmap >= 0) != len(rows):
-            raise MapError(
-                "transposed map ill-defined: duplicate inputs in one offset"
-            )
+        if self._transposed_from is not None:
+            t_nbmap = self._transposed_from.copy()
+        elif self.mirrored:
+            t_nbmap = self.nbmap[:, ::-1].copy()
+        else:
+            rows, cols = np.nonzero(self.nbmap >= 0)
+            t_nbmap = np.full((self.num_inputs, self.volume), -1, dtype=np.int32)
+            t_nbmap[self.nbmap[rows, cols], cols] = rows
+            if np.count_nonzero(t_nbmap >= 0) != len(rows):
+                raise MapError(
+                    "transposed map ill-defined: duplicate inputs in one offset"
+                )
         stats = HashMapStats()  # transposition is free on device (relabeling)
         key = dataclasses.replace(self.key, transposed=not self.key.transposed)
         # The transposed map's outputs are the original inputs and vice
@@ -213,6 +210,8 @@ class KernelMap:
         )
         out.native_weight_stationary = True
         out.map_sizes = self.map_sizes  # transposition keeps every count
+        # The array, not this map: no reference cycle delays freeing.
+        out._transposed_from = self.nbmap
         self.analysis_cache["transposed"] = out
         return out
 
@@ -243,9 +242,32 @@ def downsample_coords(
     spatial = np.floor_divide(spatial, step) * step
     out[:, 1:] = spatial.astype(np.int32)
     keys = pack_coords(out)
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
+    first, _ = group_rows(keys)
     return out[first], keys[first]
+
+
+class TableSlot:
+    """The hash table of the last coordinate array maps were built on.
+
+    Consecutive builds on one array (the strided build after the
+    submanifold build at the same tensor stride) insert the same keys in
+    the same order, so they share one table; a build on another array
+    replaces it, so the slot never holds more than one table.  Arrays are
+    matched by identity: coordinates are never modified in place.
+    """
+
+    def __init__(self) -> None:
+        self._held: Optional[
+            Tuple[np.ndarray, np.ndarray, CoordinateHashMap]
+        ] = None
+
+    def table(self, coords: np.ndarray) -> Tuple[np.ndarray, CoordinateHashMap]:
+        """``(pack_coords(coords), its table)``, built unless held."""
+        held = self._held
+        if held is None or held[0] is not coords:
+            keys = pack_coords(coords)
+            held = self._held = (coords, keys, CoordinateHashMap(keys))
+        return held[1], held[2]
 
 
 def build_kernel_map(
@@ -253,6 +275,7 @@ def build_kernel_map(
     kernel_size: KernelSize,
     stride: "int | Tuple[int, ...]" = 1,
     tensor_stride: "int | Tuple[int, ...]" = 1,
+    slot: Optional[TableSlot] = None,
 ) -> KernelMap:
     """Construct the kernel map for a convolution layer.
 
@@ -264,6 +287,10 @@ def build_kernel_map(
         tensor_stride: the input tensor's stride ``t``; kernel offsets are
             dilated by ``t`` so convolutions on downsampled tensors reach
             their true spatial neighbours.
+        slot: where the table over ``in_coords`` is looked up and kept
+            for the next build; by default a table is built for this map
+            alone.  Either way the map's ``build_stats`` are the table's
+            inserts plus this map's own queries.
 
     Each input and output coordinate is packed once.  The query key of
     output ``c`` at dilated offset ``d`` is ``pack(c) + sum_i d_i << 16 *
@@ -282,7 +309,8 @@ def build_kernel_map(
     and the mirrored half is scattered from the probed one.  Their queries
     are charged from the table layout
     (:meth:`~repro.sparse.hashmap.CoordinateHashMap.charge_known`), so the
-    statistics equal probing every offset.
+    statistics equal probing every offset.  The map is marked
+    :attr:`KernelMap.mirrored`, which makes its transpose a column flip.
     """
     in_coords = np.asarray(in_coords, dtype=np.int32)
     ndim = in_coords.shape[1] - 1
@@ -291,8 +319,10 @@ def build_kernel_map(
     tstride = normalize_kernel_size(tensor_stride, ndim)
     offsets = kernel_offsets(sizes, ndim)
 
-    in_keys = pack_coords(in_coords)
-    table = CoordinateHashMap(in_keys)
+    in_keys, table = (slot or TableSlot()).table(in_coords)
+    stats = HashMapStats(
+        inserts=table.stats.inserts, insert_probes=table.stats.insert_probes
+    )
     if all(s == 1 for s in stride_t):
         out_coords, out_keys = in_coords, in_keys
     else:
@@ -300,18 +330,21 @@ def build_kernel_map(
     dilated = offsets.astype(np.int64) * np.asarray(tstride, dtype=np.int64)
     # Query all offsets in one vectorised batch, as a fused GPU kernel would.
     queries = pack_shifted(out_coords, out_keys, dilated)
-    if out_coords is in_coords and all(k % 2 == 1 for k in sizes):
+    mirrored = out_coords is in_coords and all(k % 2 == 1 for k in sizes)
+    if mirrored:
         volume, num = queries.shape
         half = volume // 2
         found = np.empty(queries.shape, dtype=np.int32)
-        found[:half] = table.query(queries[:half].ravel()).reshape(half, num)
+        found[:half] = table.query(queries[:half].ravel(), stats).reshape(
+            half, num
+        )
         found[half] = np.arange(num, dtype=np.int32)
         found[half + 1:] = -1
         column, row = np.nonzero(found[:half] >= 0)
         found[volume - 1 - column, found[column, row]] = row
-        table.charge_known(queries[half:].ravel(), found[half:].ravel())
+        table.charge_known(queries[half:].ravel(), found[half:].ravel(), stats)
     else:
-        found = table.query(queries.ravel()).reshape(queries.shape)
+        found = table.query(queries.ravel(), stats).reshape(queries.shape)
     nbmap = np.ascontiguousarray(found.T)
 
     key = MapKey(
@@ -320,12 +353,14 @@ def build_kernel_map(
         tensor_stride=tstride,
         transposed=False,
     )
-    return KernelMap(
+    kmap = KernelMap(
         nbmap=nbmap,
         offsets=offsets,
         num_inputs=len(in_coords),
         out_coords=out_coords,
-        build_stats=table.stats,
+        build_stats=stats,
         key=key,
         in_coords=in_coords,
     )
+    kmap.mirrored = mirrored
+    return kmap

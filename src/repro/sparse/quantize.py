@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.sparse.coords import unique_coords
+from repro.sparse.coords import group_rows, pack_coords
 
 VoxelSize = Union[float, Sequence[float]]
 
@@ -57,7 +57,8 @@ def sparse_quantize(
         ],
         axis=1,
     )
-    unique, inverse = unique_coords(coords)
+    first, inverse = group_rows(pack_coords(coords))
+    unique = coords[first]
     if features is None:
         return unique, None
 
@@ -67,10 +68,7 @@ def sparse_quantize(
             f"features length {len(features)} != points length {len(points)}"
         )
     if reduce == "first":
-        first_of = np.full(len(unique), -1, dtype=np.int64)
-        # Iterate in reverse so earlier rows overwrite later ones.
-        first_of[inverse[::-1]] = np.arange(len(points) - 1, -1, -1)
-        reduced = features[first_of]
+        reduced = features[first]
     else:
         reduced = np.zeros((len(unique), features.shape[1]), dtype=np.float64)
         np.add.at(reduced, inverse, features.astype(np.float64))

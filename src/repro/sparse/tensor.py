@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.errors import ShapeError
-from repro.sparse.kmap import KernelMap
+from repro.sparse.kmap import KernelMap, TableSlot
 from repro.utils.validation import check_2d, check_same_length
 
 CacheKey = Tuple  # (tensor_stride, kernel_size, stride, transposed)
@@ -22,10 +23,14 @@ class MapCache:
     same key reuse maps.  This reuse is precisely what defines the
     autotuner's layer *groups* (Section 4.2) and why decoder layers are
     cheaper than downsampling layers (Figure 18).
+
+    ``table_slot`` keeps the hash table of the last coordinate array a map
+    was built on, for the next build on the same array.
     """
 
     def __init__(self) -> None:
         self._maps: Dict[CacheKey, KernelMap] = {}
+        self.table_slot = TableSlot()
         self.hits = 0
         self.misses = 0
 
@@ -45,6 +50,7 @@ class MapCache:
 
     def clear(self) -> None:
         self._maps.clear()
+        self.table_slot = TableSlot()
         self.hits = 0
         self.misses = 0
 
@@ -66,7 +72,7 @@ class SparseTensor:
         feats: np.ndarray,
         stride: "int | Tuple[int, ...]" = 1,
         cache: Optional[MapCache] = None,
-    ):
+    ) -> None:
         coords = np.asarray(coords, dtype=np.int32)
         feats = np.asarray(feats)
         check_2d(coords, "coords")
@@ -139,7 +145,9 @@ class SparseTensor:
         )
 
 
-def shape_only_feats(num_points: int, channels: int, dtype) -> np.ndarray:
+def shape_only_feats(
+    num_points: int, channels: int, dtype: DTypeLike
+) -> np.ndarray:
     """Zero features of shape ``(num_points, channels)`` with no storage.
 
     A read-only, zero-strided view: it carries ``shape``, ``dtype`` and
@@ -157,8 +165,8 @@ def batch_sparse_tensors(tensors: "list[SparseTensor]") -> SparseTensor:
     """
     if not tensors:
         raise ShapeError("cannot batch an empty list of tensors")
-    coords = []
-    feats = []
+    coords: List[np.ndarray] = []
+    feats: List[np.ndarray] = []
     for i, tensor in enumerate(tensors):
         if tensor.stride != tensors[0].stride:
             raise ShapeError("all tensors in a batch must share a stride")

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.sparse.coords import pack_coords, unique_coords, unpack_coords
+from repro.sparse.coords import (
+    group_rows,
+    pack_coords,
+    unique_coords,
+    unpack_coords,
+)
 
 
 def coords_array(rows, dims=3, lo=-5000, hi=5000, seed=0):
@@ -100,3 +105,39 @@ class TestUniqueCoords:
         unique, inverse = unique_coords(coords)
         assert np.array_equal(unique[inverse], coords)
         assert len(unique) < len(coords)
+
+
+def reference_group_rows(keys):
+    """``np.unique`` with a stable sort, reordered by first occurrence."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return np.sort(first), rank[inverse]
+
+
+class TestGroupRows:
+    def assert_matches_reference(self, keys):
+        first, group = group_rows(keys)
+        want_first, want_group = reference_group_rows(keys)
+        assert first.dtype == want_first.dtype
+        assert group.dtype == want_group.dtype
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(group, want_group)
+
+    @pytest.mark.parametrize("keys", [
+        np.zeros(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(50, -3, dtype=np.int64),
+        np.array([5, 5, 1, 5, 1, 9], dtype=np.int64),
+    ], ids=["empty", "one-row", "all-duplicate", "mixed"])
+    def test_edge_cases_match_unique(self, keys):
+        self.assert_matches_reference(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=80),
+           st.integers(1, 6))
+    def test_property_matches_unique(self, values, spread):
+        # Few distinct values, so runs of equal keys are long.
+        self.assert_matches_reference(np.array(values, dtype=np.int64) % spread)
+        self.assert_matches_reference(np.array(values, dtype=np.int64))

@@ -136,25 +136,6 @@ class TestTransposedMap:
         assert kmap.transposed().key.transposed is True
 
 
-class TestPadding:
-    def test_padded_rows_multiple_of_cta(self):
-        kmap = build_kernel_map(figure2_coords(), kernel_size=3)
-        padded = kmap.padded_nbmap(16)
-        assert padded.shape[0] == 16
-        assert np.all(padded[8:] == -1)
-        assert np.array_equal(padded[:8], kmap.nbmap)
-
-    def test_no_padding_when_aligned(self):
-        kmap = build_kernel_map(figure2_coords(), kernel_size=3)
-        assert kmap.padded_nbmap(4).shape[0] == 8
-        assert kmap.padded_nbmap(8) is kmap.nbmap
-
-    def test_invalid_cta(self):
-        kmap = build_kernel_map(figure2_coords(), kernel_size=3)
-        with pytest.raises(ValueError):
-            kmap.padded_nbmap(0)
-
-
 class TestValidation:
     def test_nbmap_out_of_range_rejected(self):
         with pytest.raises(MapError):
@@ -341,9 +322,9 @@ class TestAdditiveQueryKeys:
         charged = []
         charge_known = CoordinateHashMap.charge_known
 
-        def counting_charge_known(table, keys, values):
+        def counting_charge_known(table, keys, values, stats=None):
             charged.append(len(keys))
-            charge_known(table, keys, values)
+            charge_known(table, keys, values, stats)
 
         monkeypatch.setattr(
             CoordinateHashMap, "charge_known", counting_charge_known
