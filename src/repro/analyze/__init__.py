@@ -209,13 +209,16 @@ def sanitize_trace(
 ) -> None:
     """The trace check (:data:`repro.gpusim.engine.TRACE_CHECK`): raise
     ``AssertionError`` listing every violation :func:`check_trace` and
-    :func:`check_execution` (on the priced schedule and price vector)
-    find in the priced execution.  ``precision`` is the hook's; the
-    price vector already carries it."""
+    :func:`check_execution` (on the priced schedule, dependence graph and
+    price vector) find in the priced execution.  A graph is built only
+    when the execution carries none (one stream).  ``precision`` is the
+    hook's; the price vector already carries it."""
     trace = priced.trace
+    graph = priced.graph
+    if graph is None:
+        graph = DependenceGraph.build(trace)
     violations = check_trace(trace) + check_execution(
-        trace, device, DependenceGraph.build(trace), priced.prices,
-        priced.schedule,
+        trace, device, graph, priced.prices, priced.schedule
     )
     if violations:
         details = "\n".join(f"  - {v}" for v in violations)

@@ -38,8 +38,18 @@ not participate (they still count toward serialized latency).
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+import functools
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analyze.tracecheck import TraceViolation
 from repro.gpusim.trace import KernelLaunch, KernelTrace
@@ -58,8 +68,7 @@ _EPS_REL = 1e-6
 EDGE_KINDS = ("RAW", "WAR", "WAW")
 
 
-@dataclasses.dataclass(frozen=True)
-class DepEdge:
+class DepEdge(NamedTuple):
     """One dependence edge between launch indices ``src -> dst``."""
 
     src: int
@@ -82,41 +91,55 @@ class DependenceGraph:
         readers-since-write state; near-linear in trace size."""
         launches = list(trace)
         edges: List[DepEdge] = []
-        seen: set = set()
+        seen: Set[Tuple[int, int, str]] = set()
         last_writer: Dict[str, int] = {}
         readers_since: Dict[str, List[int]] = {}
-
-        def add(src: int, dst: int, kind: str, buffer: str) -> None:
-            if src == dst:
-                return  # read-modify-write within one launch
-            key = (src, dst, kind)
-            if key in seen:
-                return
-            seen.add(key)
-            edges.append(DepEdge(src, dst, kind, buffer))
-
         for i, launch in enumerate(launches):
             read_here = set()
             for access in launch.reads:
-                writer = last_writer.get(access.buffer)
+                buffer = access.buffer
+                writer = last_writer.get(buffer)
                 if writer is not None:
-                    add(writer, i, "RAW", access.buffer)
-                readers_since.setdefault(access.buffer, []).append(i)
-                read_here.add(access.buffer)
+                    key = (writer, i, "RAW")
+                    if key not in seen:
+                        seen.add(key)
+                        edges.append(DepEdge(writer, i, "RAW", buffer))
+                readers_since.setdefault(buffer, []).append(i)
+                read_here.add(buffer)
             for access in launch.writes:
-                writer = last_writer.get(access.buffer)
-                for reader in readers_since.get(access.buffer, ()):
-                    add(reader, i, "WAR", access.buffer)
-                if writer is not None:
-                    add(writer, i, "WAW", access.buffer)
-                last_writer[access.buffer] = i
+                buffer = access.buffer
+                # A read-modify-write within one launch orders nothing.
+                for reader in readers_since.get(buffer, ()):
+                    if reader != i:
+                        key = (reader, i, "WAR")
+                        if key not in seen:
+                            seen.add(key)
+                            edges.append(DepEdge(reader, i, "WAR", buffer))
+                writer = last_writer.get(buffer)
+                if writer is not None and writer != i:
+                    key = (writer, i, "WAW")
+                    if key not in seen:
+                        seen.add(key)
+                        edges.append(DepEdge(writer, i, "WAW", buffer))
+                last_writer[buffer] = i
                 # A read-modify-write launch stays a reader of record: any
                 # later writer racing with its write also races with its
                 # read, so the WAR ordering against it is real.
-                readers_since[access.buffer] = (
-                    [i] if access.buffer in read_here else []
-                )
+                readers_since[buffer] = [i] if buffer in read_here else []
         return cls(launches, edges)
+
+    @functools.cached_property
+    def predecessors(self) -> List[List[int]]:
+        """Each launch's distinct dependence predecessors, in the order of
+        their first edge."""
+        preds: List[List[int]] = [[] for _ in self.launches]
+        seen: Set[Tuple[int, int]] = set()
+        for edge in self.edges:
+            pair = (edge.src, edge.dst)
+            if pair not in seen:
+                seen.add(pair)
+                preds[edge.dst].append(edge.src)
+        return preds
 
     # ------------------------------------------------------------------ #
     def edge_counts(self) -> Dict[str, int]:
@@ -137,13 +160,10 @@ class DependenceGraph:
         n = len(self.launches)
         if n == 0:
             return [], 0.0
-        preds: Dict[int, List[int]] = {}
-        for edge in self.edges:
-            preds.setdefault(edge.dst, []).append(edge.src)
         best = list(prices)
         best_pred: List[Optional[int]] = [None] * n
-        for i in range(n):
-            for p in preds.get(i, ()):
+        for i, preds in enumerate(self.predecessors):
+            for p in preds:
                 candidate = best[p] + prices[i]
                 if candidate > best[i]:
                     best[i] = candidate

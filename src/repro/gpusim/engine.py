@@ -22,6 +22,7 @@ from repro.hw.specs import DeviceSpec
 from repro.precision import Precision
 
 if TYPE_CHECKING:
+    from repro.analyze.depgraph import DependenceGraph
     from repro.opt.schedule import StreamSchedule
 
 
@@ -102,7 +103,8 @@ def launch_prices(
 
 #: The check :func:`price_trace` runs on every execution it prices, as
 #: ``check(priced, device, precision)`` with the :class:`PricedTrace` it
-#: built (its trace, price vector and schedule, ``None`` on one stream).
+#: built (its trace, price vector, and schedule and dependence graph,
+#: both ``None`` on one stream).
 #: ``None`` in production; the test suites set it to
 #: :func:`repro.analyze.sanitize_trace`.
 TRACE_CHECK: Optional[Callable[..., None]] = None
@@ -130,12 +132,15 @@ def launch_layer(launch: KernelLaunch) -> str:
 @dataclasses.dataclass(frozen=True)
 class PricedTrace:
     """One execution priced once: its :func:`launch_prices` vector, and
-    the latency and schedule (``None`` on one stream) timed from it."""
+    the latency and schedule (``None`` on one stream) timed from it.  On
+    several streams ``graph`` is the dependence graph the schedule was
+    built from, so a check of the execution reads the same one."""
 
     trace: KernelTrace
     prices: Sequence[float]
     latency_us: float
     schedule: Optional["StreamSchedule"] = None
+    graph: Optional["DependenceGraph"] = None
 
     @property
     def sync_events(self) -> int:
@@ -185,11 +190,10 @@ def price_trace(
         from repro.analyze.depgraph import DependenceGraph
         from repro.opt.schedule import best_schedule
 
-        schedule = best_schedule(
-            trace, device, streams, DependenceGraph.build(trace), prices
-        )
+        graph = DependenceGraph.build(trace)
+        schedule = best_schedule(trace, device, streams, graph, prices)
         priced = PricedTrace(
-            trace, schedule.prices, schedule.makespan_us, schedule
+            trace, schedule.prices, schedule.makespan_us, schedule, graph
         )
     else:
         priced = PricedTrace(trace, prices, sum(prices))

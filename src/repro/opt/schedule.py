@@ -34,14 +34,16 @@ streams can finish later), and with sync charging a fixed K can even
 exceed serialized — so :func:`best_schedule` reports the best makespan
 over 1..K streams.  That restores monotonicity and keeps the result
 inside ``[critical_path, serialized]``.  It does the per-trace work once
-and every per-K phase in about O((n + E)·K):
+and every per-K phase in about O(n·K + E + B·K·log n) for ``n``
+launches, ``E`` dependence pairs and ``B`` barriers:
 
 1. **Price once.** The caller's :func:`~repro.gpusim.engine.launch_prices`
    vector and dependence graph are required inputs: the scheduler never
-   prices a launch or builds a graph itself.  The deduplicated
-   dependence pairs, the predecessor lists, the barrier indices and the
-   critical path are computed from them once per trace and shared by
-   every K.
+   prices a launch or builds a graph itself.  The graph's predecessor
+   lists, the dependence pairs with no barrier between their endpoints,
+   each launch's latest predecessor and earliest successor, the barrier
+   indices and the critical path are computed from them once per trace
+   and shared by every K.
 2. **K = 1** is the serialized prefix sum: no placement, no candidates,
    no reduction.
 3. **Placement-bound pruning.** With ``sync_event_us >= 0`` the
@@ -50,18 +52,36 @@ and every per-K phase in about O((n + E)·K):
    over every dependence), so a K whose placement already reaches the
    best makespan so far cannot win — ties go to the smaller K — and
    skips the remaining phases.
-4. **Vector-clock reduction.** Every launch sits on one stream chain and
+4. **Barrier fences only where they can survive.** The reduction keeps
+   a candidate exactly when no other path joins its endpoints, and every
+   edge points forward, so such a path stays between them.  Every launch
+   is ordered after the barrier before it and before the barrier after
+   it, so a candidate that spans a barrier ``x`` is implied by
+   ``a -> x -> b``: a dependence pair with a barrier strictly between
+   its endpoints, the incoming fence of barrier ``q`` from a launch
+   before the previous barrier ``p``, and the outgoing fence of ``p`` to
+   a launch after ``q``.  None of these is emitted; they are counted.
+   The fences that stay between neighbouring barriers are decided in
+   closed form per stream (:func:`_barrier_fences`) and the remaining
+   dependence pairs by vector clocks.  Pruning implied edges leaves the
+   closure, hence its unique transitive reduction, unchanged, so the
+   kept events are those of the full emission, and
+   ``redundant_events_removed`` (the full count minus the kept ones)
+   keeps its value.
+5. **Vector-clock reduction.** Every launch sits on one stream chain and
    every edge points forward in program order, so a launch's ancestors
    on each stream form a prefix of that stream: one clock entry per
-   stream answers ``ordered(a, b)`` as ``pos(a) <= clock[b][stream(a)]``.
-5. Only the winning K's placements and events are materialized.
+   stream answers ``ordered(a, b)`` as ``a <= clock[b][stream(a)]``.
+6. Only the winning K's placements and events are materialized.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
+import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.analyze.depgraph import DependenceGraph
 from repro.analyze.hb import SyncEvent, stream_sequences
@@ -119,10 +139,20 @@ class _TraceState:
 
     launches: List[KernelLaunch]
     prices: List[float]
-    #: Deduplicated dependence pairs ``(src, dst)``, first occurrence first.
-    edges: List[Tuple[int, int]]
+    #: Distinct dependence predecessors of each launch.
     preds: List[List[int]]
-    barriers: List[int]
+    is_barrier: List[bool]
+    #: Barrier (unannotated) launch indices, ascending.
+    barriers: np.ndarray
+    #: The distinct dependence pairs as an ``(E, 2)`` array of
+    #: ``(src, dst)`` rows, and its rows with no barrier strictly between
+    #: their endpoints.
+    pairs: np.ndarray
+    local_pairs: np.ndarray
+    #: Per launch, its latest dependence predecessor (-1 when none) and
+    #: its earliest dependence successor (n when none).
+    last_pred: np.ndarray
+    first_succ: np.ndarray
     serialized_us: float
     critical_path_us: float
 
@@ -133,24 +163,39 @@ def _trace_state(
     prices: Sequence[float],
 ) -> _TraceState:
     launches = list(trace)
-    if len(prices) != len(launches):
-        raise ValueError(f"{len(prices)} prices for {len(launches)} launches")
-    edges = list(dict.fromkeys((edge.src, edge.dst) for edge in graph.edges))
-    preds: List[List[int]] = [[] for _ in launches]
-    for src, dst in edges:
-        preds[dst].append(src)
+    n = len(launches)
+    if len(prices) != n:
+        raise ValueError(f"{len(prices)} prices for {n} launches")
+    preds = graph.predecessors
     # Serialized latency summed in program order: the K = 1 makespan is
     # the same left-to-right sum, so the two agree bitwise.
     serialized = 0.0
     for price in prices:
         serialized += price
     _, span = graph.critical_path(prices)
+    is_barrier = [launch.is_barrier for launch in launches]
+    barriers = np.flatnonzero(np.array(is_barrier, dtype=bool))
+    counts = [len(p) for p in preds]
+    src = np.fromiter(itertools.chain.from_iterable(preds), np.intp, sum(counts))
+    dst = np.repeat(np.arange(n, dtype=np.intp), counts)
+    # The first barrier after each edge's source (n when none follows).
+    # Barriers carry no accesses, so no edge ends on one.
+    fence = np.append(barriers, n)[np.searchsorted(barriers, src, side="right")]
+    last_pred = np.full(n, -1, dtype=np.intp)
+    np.maximum.at(last_pred, dst, src)
+    first_succ = np.full(n, n, dtype=np.intp)
+    np.minimum.at(first_succ, src, dst)
+    pairs = np.stack((src, dst), axis=1)
     return _TraceState(
         launches=launches,
         prices=list(prices),
-        edges=edges,
         preds=preds,
-        barriers=[i for i, launch in enumerate(launches) if launch.is_barrier],
+        is_barrier=is_barrier,
+        barriers=barriers,
+        pairs=pairs,
+        local_pairs=pairs[fence > dst],
+        last_pred=last_pred,
+        first_succ=first_succ,
         serialized_us=serialized,
         critical_path_us=span,
     )
@@ -176,19 +221,18 @@ def _place_streams(state: _TraceState, streams: int) -> Tuple[List[int], float]:
     is the original Graham placement; sync overhead is charged only in
     the re-timing phase, so placement stays deterministic.
     """
-    barriers = set(state.barriers)
     free_at = [0.0] * streams
-    ends = [0.0] * len(state.prices)
+    ends: List[float] = []
     horizon = 0.0
     barrier_end = 0.0
     stream_of: List[int] = []
     # ``if x > y: y = x`` is ``y = max(y, x)`` without the call.
-    for i, (price, preds) in enumerate(zip(state.prices, state.preds)):
+    for price, preds, barrier in zip(state.prices, state.preds, state.is_barrier):
         ready = barrier_end
         for p in preds:
             if ends[p] > ready:
                 ready = ends[p]
-        if i in barriers:
+        if barrier:
             if horizon > ready:
                 ready = horizon
             # A barrier cannot start before the whole horizon, so place
@@ -204,118 +248,195 @@ def _place_streams(state: _TraceState, streams: int) -> Tuple[List[int], float]:
         start = free_at[stream] if free_at[stream] > ready else ready
         end = start + price
         free_at[stream] = end
-        ends[i] = end
+        ends.append(end)
         if end > horizon:
             horizon = end
-        if i in barriers and end > barrier_end:
+        if barrier and end > barrier_end:
             barrier_end = end
         stream_of.append(stream)
     return stream_of, horizon
 
 
-def _candidate_sync_edges(
-    state: _TraceState, stream_of: Sequence[int]
-) -> List[Tuple[int, int]]:
-    """Phase 2: one candidate event per cross-stream ordering requirement.
+def _sync_edges(
+    state: _TraceState, stream_of: Sequence[int], streams: int
+) -> Tuple[List[Tuple[int, int]], int]:
+    """Phases 2 and 3: the sync events a placement keeps, sorted by
+    ``(dst, src)``, and how many candidate events the full emission
+    holds (the kept ones plus those the reduction removes).
 
-    Dependence edges whose endpoints sit on different streams need an
-    explicit sync; barriers additionally fence every *other* stream, so
-    they sync against the last launch before and the first launch after
-    them on each one.
+    The full emission is one candidate per dependence edge whose
+    endpoints sit on different streams, plus each barrier's fences: it
+    syncs against the last launch before it and the first launch after
+    it on every *other* stream.  The transitive reduction then keeps a
+    candidate exactly when no other path joins its endpoints.  Every
+    edge points forward, so a path from ``a`` to ``b`` stays within
+    ``[a, b]``:
+
+    * a dependence edge with a barrier ``x`` strictly between its
+      endpoints is implied by ``a -> x -> b``;
+    * a dependence edge with none is reduced against the other such
+      edges and program order only (:func:`_kept_sync_edges`), since no
+      fence has both endpoints in ``[a, b]``;
+    * the fences are decided by :func:`_barrier_fences`.
+
+    Only the kept events are materialized; the others are counted.
     """
-    candidates = [
-        (src, dst) for src, dst in state.edges if stream_of[src] != stream_of[dst]
+    placed = np.asarray(stream_of)
+    cross = placed[state.pairs[:, 0]] != placed[state.pairs[:, 1]]
+    total = int(np.count_nonzero(cross))
+    local = state.local_pairs[
+        placed[state.local_pairs[:, 0]] != placed[state.local_pairs[:, 1]]
     ]
-    if not state.barriers:
-        return candidates
-    # Barriers have no accesses, hence no dependence edges: their fences
-    # can only repeat each other (two barriers fencing one another).
-    fences: Dict[Tuple[int, int], None] = {}
-    members: Dict[int, List[int]] = {}
-    for i, stream in enumerate(stream_of):
-        members.setdefault(stream, []).append(i)
-    for i in state.barriers:
-        for stream, indices in members.items():
-            if stream == stream_of[i]:
-                continue
-            pos = bisect.bisect_left(indices, i)
-            if pos > 0:
-                fences[(indices[pos - 1], i)] = None
-            if pos < len(indices):
-                fences[(i, indices[pos])] = None
-    return candidates + list(fences)
+    kept = _kept_sync_edges(
+        stream_of, streams, list(zip(local[:, 0].tolist(), local[:, 1].tolist()))
+    )
+    if not len(state.barriers):
+        return kept, total
+    fences, fence_total = _barrier_fences(state, placed)
+    kept += fences
+    kept.sort(key=lambda pair: (pair[1], pair[0]))
+    return kept, total + fence_total
 
 
-def _redundant_sync_positions(
+def _barrier_fences(
+    state: _TraceState, stream_of: np.ndarray
+) -> Tuple[List[Tuple[int, int]], int]:
+    """The barrier fences the reduction keeps, and the number of distinct
+    fences in the full emission.
+
+    Let ``p < q`` be consecutive barriers.  Every launch between them is
+    ordered after ``p`` and before ``q``, so:
+
+    * ``p``'s fence to ``c``, the first launch on another stream after
+      ``p``, is implied unless every other in-edge of ``c`` starts
+      before ``p``: kept when ``c < q`` has no dependence predecessor
+      after ``p``, or when ``c == q`` directly follows ``p``;
+    * ``q``'s fence from ``a``, the last launch on another stream
+      before ``q``, is implied unless every other out-edge of ``a`` ends
+      after ``q``: kept when ``a > p`` has no dependence successor
+      before ``q`` (``a == p`` is the pair above).
+
+    A fence that reaches past a neighbouring barrier is thus never kept.
+    Barriers have no dependence edges, so fences can repeat only each
+    other: ``x -> b`` of two barriers on different streams is both
+    ``b``'s incoming fence and ``x``'s outgoing one when nothing on
+    either stream lies between them.  The total counts such a pair once.
+    """
+    barriers = state.barriers
+    n = stream_of.size
+    own = stream_of[barriers]
+    # Launch indices grouped by stream, in program order within each.
+    order = np.argsort(stream_of, kind="stable")
+    grouped = stream_of[order]
+    # The previous launch on each launch's own stream, or -1.
+    prev_same = np.full(n, -1, dtype=np.intp)
+    same = grouped[1:] == grouped[:-1]
+    prev_same[order[1:][same]] = order[:-1][same]
+    prev_own = prev_same[barriers]
+    is_barrier = np.zeros(n, dtype=bool)
+    is_barrier[barriers] = True
+    prev_barrier = np.concatenate(([-1], barriers[:-1]))
+    next_barrier = np.concatenate((barriers[1:], [n]))
+    adjacent = next_barrier == barriers + 1
+    bounds = np.searchsorted(grouped, np.arange(int(grouped[-1]) + 2))
+    sources: List[np.ndarray] = []
+    targets: List[np.ndarray] = []
+    total = 0
+    for stream in range(bounds.size - 1):
+        members = order[bounds[stream]:bounds[stream + 1]]
+        if not members.size:
+            continue
+        other = own != stream
+        pos = np.searchsorted(members, barriers)
+        before = members[np.maximum(pos - 1, 0)]
+        after = members[np.minimum(pos, members.size - 1)]
+        incoming = other & (pos > 0)
+        outgoing = other & (pos < members.size)
+        # ``before -> b`` repeats ``before``'s own outgoing fence when
+        # ``before`` is a barrier and ``b`` is the first launch on its
+        # stream after it.
+        repeated = incoming & is_barrier[before] & (prev_own < before)
+        total += int(
+            np.count_nonzero(incoming) + np.count_nonzero(outgoing)
+            - np.count_nonzero(repeated)
+        )
+        keep = (
+            incoming
+            & (before > prev_barrier)
+            & (state.first_succ[before] > barriers)
+        )
+        sources.append(before[keep])
+        targets.append(barriers[keep])
+        keep = outgoing & np.where(
+            after < next_barrier,
+            state.last_pred[after] < barriers,
+            (after == next_barrier) & adjacent,
+        )
+        sources.append(barriers[keep])
+        targets.append(after[keep])
+    fences = list(
+        zip(np.concatenate(sources).tolist(), np.concatenate(targets).tolist())
+    )
+    return fences, total
+
+
+def _kept_sync_edges(
     stream_of: Sequence[int],
     streams: int,
     sync_edges: Sequence[Tuple[int, int]],
-) -> List[int]:
-    """Phase 3: positions in ``sync_edges`` a transitive reduction removes.
+) -> List[Tuple[int, int]]:
+    """Phase 3: the sync edges a transitive reduction keeps, distinct and
+    sorted by ``(dst, src)``.
 
-    The answer equals :func:`repro.analyze.hb.redundant_sync_edges` over
-    the program-order edges of ``stream_of`` (consecutive launches per
-    stream), provided every edge points forward (``src < dst``).  Then
-    each launch's ancestors on a stream are a prefix of that stream, so
-    one vector clock per launch — the position of its last ancestor on
-    every stream, or -1 — decides ``a`` happens before ``b`` as
-    ``pos[a] <= clock[b][stream_of[a]]``.  A sync edge ``a -> b`` is
-    redundant when it repeats an earlier one, joins two launches of one
-    stream, or another direct predecessor of ``b`` is ordered after
+    The answer is what :func:`repro.analyze.hb.redundant_sync_edges`
+    leaves over the program-order edges of ``stream_of`` (consecutive
+    launches per stream), provided every edge points forward
+    (``src < dst``).  Then each launch's ancestors on a stream are a
+    prefix of that stream, so one vector clock per launch — the index of
+    its last ancestor on every stream, or -1 — decides ``a`` happens
+    before ``b`` as ``a <= clock[b][stream_of[a]]``.  A sync edge
+    ``a -> b`` is dropped when it repeats another, joins two launches of
+    one stream, or another direct predecessor of ``b`` is ordered after
     ``a``.
     """
-    n = len(stream_of)
-    pos = [0] * n
-    prev = [-1] * n
-    tail = [-1] * streams
-    for i, stream in enumerate(stream_of):
-        prev[i] = tail[stream]
-        pos[i] = pos[tail[stream]] + 1 if tail[stream] >= 0 else 0
-        tail[stream] = i
-    redundant: List[int] = []
-    seen_pairs: Set[Tuple[int, int]] = set()
-    # Incoming sync edges per launch: (source, position in sync_edges).
-    sources: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for position, pair in enumerate(sync_edges):
-        src, dst = pair
-        if pair in seen_pairs or stream_of[src] == stream_of[dst]:
-            redundant.append(position)
-            continue
-        seen_pairs.add(pair)
-        sources[dst].append((src, position))
-
-    # clocks[b][s]: position of b's last strict ancestor on stream s, or
-    # -1.  The entry for b's own stream is never read (pos[b] answers
-    # it), so a launch without incoming sync edges shares its stream
-    # predecessor's list instead of copying it.
+    sources: Dict[int, Set[int]] = {}
+    for src, dst in sync_edges:
+        if stream_of[src] != stream_of[dst]:
+            sources.setdefault(dst, set()).add(src)
+    # Only the endpoints of sync edges need a clock: a launch without
+    # incoming sync edges has its stream predecessor's clock (its own
+    # stream's entry is never read), so ``current[s]`` holds the clock
+    # of the last launch on stream s that had incoming sync edges.
+    endpoints = set(sources)
+    for srcs in sources.values():
+        endpoints |= srcs
     none = [-1] * streams
-    clocks: List[List[int]] = []
-    for b in range(n):
-        p = prev[b]
-        srcs = sources[b]
-        if not srcs:
-            clocks.append(clocks[p] if p >= 0 else none)
-            continue
-        # ``seen``: everything b's predecessors are ordered after (a
-        # source's own entry is stale but below its position, so merging
-        # it is harmless).  ``clock`` then adds the sources themselves.
-        # The program-order predecessor only matters for b's own stream.
-        seen = clocks[p] if p >= 0 else none
-        for a, _ in srcs:
-            seen = [y if y > x else x for x, y in zip(seen, clocks[a])]
-        clock = list(seen)
-        for a, _ in srcs:
-            if pos[a] > clock[stream_of[a]]:
-                clock[stream_of[a]] = pos[a]
-        # ``a -> b`` is implied when another predecessor is ordered after
-        # a, or is a later launch of a's own stream.
-        for a, position in srcs:
-            stream = stream_of[a]
-            if seen[stream] >= pos[a] or clock[stream] > pos[a]:
-                redundant.append(position)
-        clocks.append(clock)
-    redundant.sort()
-    return redundant
+    current = [none] * streams
+    clocks: Dict[int, List[int]] = {}
+    kept: List[Tuple[int, int]] = []
+    for b in sorted(endpoints):
+        stream = stream_of[b]
+        if b in sources:
+            srcs = sorted(sources[b])
+            # ``seen``: everything b's predecessors are ordered after (a
+            # source's own entry is stale but below its index, so
+            # merging it is harmless).  ``clock`` then adds the sources
+            # themselves.
+            seen = current[stream]
+            for a in srcs:
+                seen = [y if y > x else x for x, y in zip(seen, clocks[a])]
+            clock = list(seen)
+            for a in srcs:
+                if a > clock[stream_of[a]]:
+                    clock[stream_of[a]] = a
+            # ``a -> b`` is implied when another predecessor is ordered
+            # after a, or is a later launch of a's own stream.
+            for a in srcs:
+                if seen[stream_of[a]] < a == clock[stream_of[a]]:
+                    kept.append((a, b))
+            current[stream] = clock
+        clocks[b] = current[stream]
+    return kept
 
 
 def _retime(
@@ -386,16 +507,7 @@ def _timing(
     stream_of, placed_us = _place_streams(state, streams)
     if bound is not None and placed_us >= bound:
         return None
-    candidates = _candidate_sync_edges(state, stream_of)
-    removed = set(_redundant_sync_positions(stream_of, streams, candidates))
-    kept = sorted(
-        (
-            pair
-            for position, pair in enumerate(candidates)
-            if position not in removed
-        ),
-        key=lambda pair: (pair[1], pair[0]),
-    )
+    kept, emitted = _sync_edges(state, stream_of, streams)
     starts, ends, horizon = _retime(state, streams, stream_of, kept, sync_cost)
     return _Timing(
         streams=streams,
@@ -404,38 +516,42 @@ def _timing(
         ends=ends,
         makespan_us=horizon,
         kept=kept,
-        removed=len(candidates) - len(kept),
+        removed=emitted - len(kept),
     )
 
 
 def _materialize(
     state: _TraceState, timing: _Timing, sync_cost: float
 ) -> StreamSchedule:
-    stream_of = timing.stream_of
+    stream = timing.stream_of.__getitem__
+    records = [src for src, _ in timing.kept]
+    waits = [dst for _, dst in timing.kept]
     return StreamSchedule(
         streams=timing.streams,
         makespan_us=timing.makespan_us,
         serialized_us=state.serialized_us,
         critical_path_us=state.critical_path_us,
+        # Positional ``map`` over the field columns: the cheapest way to
+        # build one frozen record per launch and per event.
         assignments=tuple(
-            ScheduledLaunch(
-                index=i,
-                name=launch.name,
-                stream=stream_of[i],
-                start_us=timing.starts[i],
-                end_us=timing.ends[i],
+            map(
+                ScheduledLaunch,
+                range(len(state.launches)),
+                [launch.name for launch in state.launches],
+                timing.stream_of,
+                timing.starts,
+                timing.ends,
             )
-            for i, launch in enumerate(state.launches)
         ),
         events=tuple(
-            SyncEvent(
-                event_id=event_id,
-                record_index=src,
-                record_stream=stream_of[src],
-                wait_index=dst,
-                wait_stream=stream_of[dst],
+            map(
+                SyncEvent,
+                range(len(records)),
+                records,
+                map(stream, records),
+                waits,
+                map(stream, waits),
             )
-            for event_id, (src, dst) in enumerate(timing.kept)
         ),
         redundant_events_removed=timing.removed,
         sync_event_us=sync_cost,

@@ -27,6 +27,7 @@ import pytest
 
 from repro.analyze import sanitize_trace
 from repro.gpusim import engine as _engine
+from tests import serving_batches as _serving
 
 
 @pytest.fixture(autouse=True)
@@ -61,3 +62,16 @@ def cache_key_soundness():
     }
     assert not failed, f"cache differential fuzzing failed: {failed}"
     yield
+
+
+@pytest.fixture(scope="session")
+def serving_batches():
+    """Every trace a short 4-stream serving run schedules, per workload."""
+    return _serving.per_workload_batches()
+
+
+@pytest.fixture(scope="session")
+def mixed_serving_batches():
+    """Every trace a 4-stream run serving the SK-M-0.5 + NS-M-1f mix at
+    scene scale 0.1 schedules."""
+    return _serving.mixed_batches()

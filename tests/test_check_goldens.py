@@ -3,9 +3,9 @@
 ``repro lint`` (trace rules through ``LintContext.trace_violations``) and
 ``repro depgraph --json`` (``check_execution`` and ``depgraph_report``)
 must print exactly the committed documents: two bundled workloads, one
-broken trace fixture, and one depgraph verification each of a clean and
-a tampered (``dropped-sync``) schedule.  Regenerate, after an intended
-change, with::
+broken trace fixture, one depgraph verification each of a clean and
+a tampered (``dropped-sync``) schedule, and one four-sample schedule on
+four streams.  Regenerate, after an intended change, with::
 
     PYTHONPATH=src:. python -m repro lint SK-M-0.5 --json \\
         > tests/golden/lint_sk_m_0_5.json
@@ -21,6 +21,9 @@ change, with::
     PYTHONPATH=src:. python -m repro depgraph SK-M-0.5 --scale 0.1 \\
         --batch 1 --schedule-json bad.json --verify --json \\
         > tests/golden/depgraph_verify_dropped_sync.json
+    PYTHONPATH=src:. python -m repro depgraph SK-M-0.5 --scale 0.1 \\
+        --batch 4 --schedule --gpu-streams 4 --json \\
+        > tests/golden/depgraph_schedule_4streams.json
 
 The module also checks that lint reports a schedule violation once.
 """
@@ -47,6 +50,10 @@ CASES = {
         ["lint", "tests.broken_traces:build_dropped_gather", "--json"], 1
     ),
     "depgraph_verify": ([*DEPGRAPH, "--schedule", "--verify", "--json"], 0),
+    "depgraph_schedule_4streams": (
+        ["depgraph", "SK-M-0.5", "--scale", "0.1", "--batch", "4",
+         "--schedule", "--gpu-streams", "4", "--json"], 0
+    ),
 }
 
 

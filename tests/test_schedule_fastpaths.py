@@ -5,11 +5,17 @@ serialized prefix sum, prunes stream counts whose sync-free placement
 cannot win, and reduces sync events with per-stream vector clocks.  Each
 shortcut is checked against the slow path it replaces:
 
-* the vector-clock reduction removes exactly the sync edges that
+* the vector-clock reduction keeps exactly the sync edges that
   :func:`repro.analyze.hb.redundant_sync_edges` (the bitset closure,
-  kept as the independent verifier) removes — on seeded random DAGs with
+  kept as the independent verifier) keeps — on seeded random DAGs with
   duplicate pairs and barrier launches under random placements, and on
   the batches a multi-stream serving run schedules;
+* the scheduler never emits a barrier fence a neighbouring barrier
+  implies, yet keeps the same events and counts the same removals as
+  the full emission (:func:`full_sync_candidates`, the one-candidate-
+  per-ordering rule, kept here as the reference) reduced by that
+  verifier — on the same DAGs and batches, on barrier edge cases and
+  as a ``hypothesis`` property;
 * ``best_schedule`` equals an exhaustive min over ``list_schedule(K)``,
   field by field, and the pruning actually fires;
 * pricing a trace and scheduling it prices every launch exactly once;
@@ -17,10 +23,13 @@ shortcut is checked against the slow path it replaces:
   compensated on Python >= 3.12, the explicit left-to-right loop is not.
 """
 
+import bisect
 import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analyze.depgraph import DependenceGraph
 from repro.analyze.hb import redundant_sync_edges
@@ -30,17 +39,11 @@ from repro.hw import get_device
 from repro.opt import schedule as opt_schedule
 from repro.opt.schedule import best_schedule, list_schedule
 from repro.precision import Precision
-from repro.serve import (
-    ServeConfig,
-    ServingRuntime,
-    generate_requests,
-    parse_traffic,
-)
+from tests.serving_batches import SERVE_STREAMS
 from tests.test_opt_scheduler import graph_and_prices, random_dag_trace
 
 A100 = get_device("a100")
 FP16 = Precision.FP16
-SERVE_STREAMS = 4
 DEVICES = {
     "default-sync": A100,
     "free-sync": dataclasses.replace(A100, sync_event_us=0.0),
@@ -120,48 +123,86 @@ def program_edges(stream_of):
     return edges
 
 
+def full_sync_candidates(graph, launches, stream_of):
+    """The full candidate emission: one sync event per dependence pair
+    whose endpoints sit on different streams, then each barrier's fences
+    against the last launch before it and the first launch after it on
+    every other stream (a fence two barriers share counted once)."""
+    pairs = dict.fromkeys((edge.src, edge.dst) for edge in graph.edges)
+    candidates = [
+        (src, dst) for src, dst in pairs if stream_of[src] != stream_of[dst]
+    ]
+    members = {}
+    for i, stream in enumerate(stream_of):
+        members.setdefault(stream, []).append(i)
+    fences = {}
+    for i, launch in enumerate(launches):
+        if not launch.is_barrier:
+            continue
+        for stream, indices in members.items():
+            if stream == stream_of[i]:
+                continue
+            pos = bisect.bisect_left(indices, i)
+            if pos > 0:
+                fences[(indices[pos - 1], i)] = None
+            if pos < len(indices):
+                fences[(i, indices[pos])] = None
+    return candidates + list(fences)
+
+
+def reference_kept(stream_of, sync_edges):
+    """The distinct sync edges the bitset closure keeps, by (dst, src)."""
+    redundant = set(
+        redundant_sync_edges(len(stream_of), program_edges(stream_of), sync_edges)
+    )
+    kept = {
+        pair for position, pair in enumerate(sync_edges)
+        if position not in redundant
+    }
+    return sorted(kept, key=lambda pair: (pair[1], pair[0]))
+
+
 def assert_same_reduction(stream_of, streams, sync_edges):
-    fast = opt_schedule._redundant_sync_positions(stream_of, streams, sync_edges)
-    reference = redundant_sync_edges(
-        len(stream_of), program_edges(stream_of), sync_edges
-    )
-    assert fast == reference
+    fast = opt_schedule._kept_sync_edges(stream_of, streams, sync_edges)
+    assert fast == reference_kept(stream_of, sync_edges)
 
 
-def scheduler_candidates(launches, stream_of):
-    state = opt_schedule._trace_state(
-        launches, *graph_and_prices(launches)
-    )
-    return opt_schedule._candidate_sync_edges(state, stream_of)
+def assert_same_events(launches, stream_of, streams):
+    """The scheduler's kept events and removal count equal the full
+    emission reduced by the bitset closure."""
+    graph, prices = graph_and_prices(launches)
+    state = opt_schedule._trace_state(launches, graph, prices)
+    kept, emitted = opt_schedule._sync_edges(state, stream_of, streams)
+    candidates = full_sync_candidates(graph, launches, stream_of)
+    expected = reference_kept(stream_of, candidates)
+    assert kept == expected
+    assert emitted - len(kept) == len(candidates) - len(expected)
 
 
-@pytest.fixture(scope="module")
-def serving_batches():
-    """Every trace a 4-stream serving run schedules, per workload."""
-    captured = {}
-    real = opt_schedule.best_schedule
-    for workload in ("SK-M-0.5", "NS-M-1f"):
-        traces = captured.setdefault(workload, [])
+def greedy_placement(launches, streams):
+    state = opt_schedule._trace_state(launches, *graph_and_prices(launches))
+    return opt_schedule._place_streams(state, streams)[0]
 
-        def capture(trace, device, streams, graph, prices):
-            if streams == SERVE_STREAMS:
-                traces.append(list(trace))
-            return real(trace, device, streams, graph, prices)
 
-        requests = generate_requests(
-            workload, parse_traffic("steady:rate=40", seed=0),
-            count=4, num_streams=2, deadline_ms=300.0,
+def pattern_trace(pattern: str):
+    """``B`` is a barrier; ``a`` reads what the previous ``a`` wrote and
+    ``o`` reads nothing; both write their own buffer."""
+    launches = []
+    last = None
+    for i, c in enumerate(pattern):
+        common = dict(
+            name=f"{c}/{i}", kind=LaunchKind.MEMORY,
+            dram_write_bytes=float(1024 * (1 + i % 3)),
         )
-        runtime = ServingRuntime(ServeConfig(
-            device="rtx3090", precision="fp16", scene_scale=0.05,
-            queue_depth=16, gpu_streams=SERVE_STREAMS,
+        if c == "B":
+            launches.append(KernelLaunch(**common))
+            continue
+        reads = (BufferAccess(last, 1024.0),) if c == "a" and last else ()
+        last = f"buf.{i}"
+        launches.append(KernelLaunch(
+            **common, reads=reads, writes=(BufferAccess(last, 1024.0),)
         ))
-        runtime.warm_policy(workload)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(opt_schedule, "best_schedule", capture)
-            runtime.serve(requests)
-        assert traces, f"{workload}: no multi-stream batch was scheduled"
-    return captured
+    return launches
 
 
 # --------------------------------------------------------------------- #
@@ -175,9 +216,10 @@ class TestVectorClockReduction:
         launches = list(barrier_dag_trace(seed, n=rng.randrange(2, 40)))
         n = len(launches)
         stream_of = [rng.randrange(streams) for _ in range(n)]
-        sync_edges = scheduler_candidates(launches, stream_of)
-        # Beyond what the scheduler emits: arbitrary forward pairs
-        # (same-stream ones included) and repeats of earlier pairs.
+        graph, _ = graph_and_prices(launches)
+        sync_edges = full_sync_candidates(graph, launches, stream_of)
+        # Beyond the full emission: arbitrary forward pairs (same-stream
+        # ones included) and repeats of earlier pairs.
         for _ in range(rng.randrange(0, 2 * n)):
             src = rng.randrange(n - 1)
             sync_edges.append((src, rng.randrange(src + 1, n)))
@@ -189,28 +231,134 @@ class TestVectorClockReduction:
     @pytest.mark.parametrize("seed", range(4))
     def test_greedy_placements(self, seed, streams):
         launches = list(barrier_dag_trace(50 + seed, n=60))
-        state = opt_schedule._trace_state(
-            launches, *graph_and_prices(launches)
-        )
-        stream_of, _ = opt_schedule._place_streams(state, streams)
-        sync_edges = opt_schedule._candidate_sync_edges(state, stream_of)
+        stream_of = greedy_placement(launches, streams)
+        graph, _ = graph_and_prices(launches)
+        sync_edges = full_sync_candidates(graph, launches, stream_of)
         assert_same_reduction(stream_of, streams, sync_edges)
 
     @pytest.mark.parametrize("workload", ("SK-M-0.5", "NS-M-1f"))
     def test_serving_batches(self, serving_batches, workload):
         rng = random.Random(workload)
         for launches in serving_batches[workload]:
-            state = opt_schedule._trace_state(
-                launches, *graph_and_prices(launches)
-            )
+            graph, _ = graph_and_prices(launches)
             for streams in (1, 2, 3, 4):
-                greedy, _ = opt_schedule._place_streams(state, streams)
+                greedy = greedy_placement(launches, streams)
                 shuffled = [rng.randrange(streams) for _ in launches]
                 for stream_of in (greedy, shuffled):
-                    sync_edges = opt_schedule._candidate_sync_edges(
-                        state, stream_of
+                    sync_edges = full_sync_candidates(
+                        graph, launches, stream_of
                     )
                     assert_same_reduction(stream_of, streams, sync_edges)
+
+
+# --------------------------------------------------------------------- #
+# pruned fence emission vs the full emission, reduced by the closure
+# --------------------------------------------------------------------- #
+class TestPrunedFenceEmission:
+    @pytest.mark.parametrize("streams", (1, 2, 3, 4))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_dags_random_placements(self, seed, streams):
+        rng = random.Random(2000 * streams + seed)
+        launches = list(barrier_dag_trace(seed, n=rng.randrange(2, 40)))
+        stream_of = [rng.randrange(streams) for _ in launches]
+        assert_same_events(launches, stream_of, streams)
+
+    @pytest.mark.parametrize("streams", (2, 3, 4))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_greedy_placements(self, seed, streams):
+        launches = list(barrier_dag_trace(50 + seed, n=60))
+        assert_same_events(
+            launches, greedy_placement(launches, streams), streams
+        )
+
+    @pytest.mark.parametrize("workload", ("SK-M-0.5", "NS-M-1f"))
+    def test_serving_batches(self, serving_batches, workload):
+        rng = random.Random(workload)
+        for launches in serving_batches[workload]:
+            for streams in (2, 3, 4):
+                assert_same_events(
+                    launches, greedy_placement(launches, streams), streams
+                )
+                shuffled = [rng.randrange(streams) for _ in launches]
+                assert_same_events(launches, shuffled, streams)
+
+    def test_mixed_serving_batches(self, mixed_serving_batches):
+        # Over half of these launches are barriers (BN, ReLU, concat).
+        for launches in mixed_serving_batches:
+            for streams in (2, 4):
+                assert_same_events(
+                    launches, greedy_placement(launches, streams), streams
+                )
+
+    @pytest.mark.parametrize(
+        "pattern",
+        (
+            "BBBaaBBBoaBB",  # runs of barriers with nothing between them
+            "BaoaoB",  # a barrier first and last
+            "BaBoBaB",  # single launches between barriers
+            "BBBBBB",  # every launch a barrier
+            "B",
+            "aoBoa",
+            "oooBooo",
+        ),
+    )
+    @pytest.mark.parametrize("streams", (2, 3, 8))
+    def test_barrier_edge_cases(self, pattern, streams):
+        # ``streams = 8`` exceeds every launch count here.
+        launches = pattern_trace(pattern)
+        rng = random.Random(f"{pattern}/{streams}")
+        assert_same_events(
+            launches, greedy_placement(launches, streams), streams
+        )
+        for _ in range(20):
+            stream_of = [rng.randrange(streams) for _ in launches]
+            assert_same_events(launches, stream_of, streams)
+
+    def test_all_barrier_trace_keeps_no_event(self):
+        launches = pattern_trace("BBBBBB")
+        stream_of = [0, 1, 0, 2, 2, 1]
+        state = opt_schedule._trace_state(launches, *graph_and_prices(launches))
+        kept, emitted = opt_schedule._sync_edges(state, stream_of, 3)
+        # Adjacent barriers on different streams fence each other
+        # directly; every other fence is implied through them.
+        assert kept == [(0, 1), (1, 2), (2, 3), (4, 5)]
+        graph, _ = graph_and_prices(launches)
+        assert emitted == len(full_sync_candidates(graph, launches, stream_of))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_random_traces(self, data):
+        n = data.draw(st.integers(1, 24), label="launches")
+        streams = data.draw(st.integers(1, 5), label="streams")
+        launches = []
+        written = []
+        for i in range(n):
+            common = dict(
+                name=f"h/{i}", kind=LaunchKind.MEMORY,
+                dram_write_bytes=float(1024 * (1 + i % 4)),
+            )
+            if data.draw(st.booleans(), label=f"barrier {i}"):
+                launches.append(KernelLaunch(**common))
+                continue
+            reads = data.draw(
+                st.lists(st.sampled_from(written), max_size=3, unique=True)
+                if written else st.just([]),
+                label=f"reads {i}",
+            )
+            writes = [f"buf.{i}"]
+            if reads and data.draw(st.booleans(), label=f"rewrite {i}"):
+                writes.append(reads[0])
+            launches.append(KernelLaunch(
+                **common,
+                reads=tuple(BufferAccess(b, 256.0) for b in reads),
+                writes=tuple(BufferAccess(b, 1024.0) for b in writes),
+            ))
+            written.append(f"buf.{i}")
+        stream_of = data.draw(
+            st.lists(st.integers(0, streams - 1), min_size=n, max_size=n),
+            label="placement",
+        )
+        assert_same_events(launches, stream_of, streams)
 
 
 # --------------------------------------------------------------------- #
@@ -284,7 +432,7 @@ class TestBestScheduleMatchesExhaustive:
             launches, *graph_and_prices(launches)
         )
         stream_of, placed_us = opt_schedule._place_streams(state, 1)
-        assert opt_schedule._candidate_sync_edges(state, stream_of) == []
+        assert opt_schedule._sync_edges(state, stream_of, 1) == ([], 0)
         starts, ends, makespan = opt_schedule._retime(
             state, 1, stream_of, [], A100.sync_event_us
         )
